@@ -17,6 +17,7 @@ from .coupling import (
     coupling_maximal,
     coupling_validate,
     lemma_audit,
+    maximal_diagonal,
     mismatch_prob,
     residuals,
 )
@@ -49,7 +50,9 @@ from .transport import (
     DualCertificate,
     TransportProblem,
     certify,
+    certify_mismatch,
     lp_min_mismatch,
+    mismatch_certificate,
     solve_transport,
     vertex_enumerate,
 )
@@ -83,6 +86,7 @@ __all__ = [
     "UnbalancedProblemError",
     "UpperSet",
     "certify",
+    "certify_mismatch",
     "coupling4_constrained",
     "coupling4_independent",
     "coupling4_maximal",
@@ -95,6 +99,8 @@ __all__ = [
     "format_rational",
     "lemma_audit",
     "lp_min_mismatch",
+    "maximal_diagonal",
+    "mismatch_certificate",
     "mismatch_components",
     "mismatch_prob",
     "parse_rational",

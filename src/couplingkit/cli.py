@@ -5,7 +5,10 @@ command is a pure function of its input files and flags; repeated runs
 produce byte-identical output.  Exit codes are stable API:
 
     0  success
-    2  parse failure (file shape, rational literal, invalid distribution)
+    2  parse failure (file shape, rational literal, invalid distribution,
+       invalid flag value), or a result too large to write as text (an
+       integer over Python's int-to-str digit limit,
+       ``sys.set_int_max_str_digits``)
     3  alphabet mismatch between inputs (including one-dim vs two-dim)
     4  invalid coupling (first violated constraint is reported)
     5  claimed epsilon bound inconsistent with the computed distance
@@ -361,6 +364,13 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
     except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_PARSE
+    except ValueError as exc:
+        # Bare ValueErrors come from writing a Fraction past the int-to-str
+        # digit limit, from input that is not UTF-8, and from flags such as
+        # --precision 0.  Caught once here, so the serializer pays no
+        # per-value check.
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

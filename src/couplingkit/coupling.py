@@ -150,6 +150,54 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     return Coupling(tuple(rows), p, q)
 
 
+def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:
+    """Diagonal of :func:`coupling_maximal`, after checking that coupling in O(N).
+
+    The coupling is diag(min{P, Q}) plus ``rx(a) * ry(b) / m`` off the
+    diagonal, ``m`` being the residual mass, so every check that
+    :class:`Coupling` makes on the dense matrix has an O(N) form: the
+    entries are non-negative iff the overlap, both residuals and ``m``
+    are; the total mass is ``1 - m + sum(rx) * sum(ry) / m``; row ``a``
+    sums to ``min(a) + rx(a) * (sum(ry) - ry(a)) / m`` and column ``b``
+    to ``min(b) + ry(b) * (sum(rx) - rx(b)) / m``.  ``rx(a) * ry(a) == 0``
+    is checked as well, because the product form relies on it.  When
+    ``m == 0`` the coupling is diagonal and the overlap must equal both
+    marginals.
+
+    Raises :class:`CorruptedCouplingError` naming the first failed check;
+    validated :class:`Pmf` inputs never trigger it.
+    """
+    require_same_alphabet(p, q)
+    res = residuals(p, q)
+    m = res.mismatch
+    overlap = tuple(min(x, y) for x, y in zip(p.p, q.p))
+    if m < 0:
+        raise CorruptedCouplingError(f"maximal coupling: residual mass {m} is negative")
+    for a, d, rx, ry in zip(p.alphabet, overlap, res.rx, res.ry):
+        if d < 0 or rx < 0 or ry < 0:
+            raise CorruptedCouplingError(f"maximal coupling: negative factor at {a!r}")
+        if rx and ry:
+            raise CorruptedCouplingError(f"maximal coupling: rx * ry != 0 at {a!r}")
+    if m == 0:
+        if any(not (d == x == y) for d, x, y in zip(overlap, p.p, q.p)):
+            raise CorruptedCouplingError("maximal coupling: zero residual mass but P != Q")
+        return overlap
+    sx = sum(res.rx, ZERO)
+    sy = sum(res.ry, ZERO)
+    if sx * sy != m * m:
+        raise CorruptedCouplingError("maximal coupling: total mass is not 1")
+    # With rx(a) * ry(a) == 0 the row sum is d + rx * sum(ry) / m and the
+    # column sum d + ry * sum(rx) / m; a zero factor leaves d alone.
+    row_scale = sy / m
+    col_scale = sx / m
+    for a, d, x, y, rx, ry in zip(p.alphabet, overlap, p.p, q.p, res.rx, res.ry):
+        if (d + rx * row_scale if rx else d) != x:
+            raise CorruptedCouplingError(f"maximal coupling: row marginal at {a!r} is not P({a})")
+        if (d + ry * col_scale if ry else d) != y:
+            raise CorruptedCouplingError(f"maximal coupling: column marginal at {a!r} is not Q({a})")
+    return overlap
+
+
 def mismatch_prob(c: Coupling) -> Fraction:
     """Pr{x != y} under the coupling: one minus the diagonal mass."""
     return ONE - c.diagonal_mass()

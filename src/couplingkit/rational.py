@@ -19,6 +19,15 @@ from .errors import ParseError
 
 Rational = Fraction
 
+_QUOTE_PREFIX = 24
+
+
+def _quote(text: str) -> str:
+    """The literal for an error message: whole when short, else a prefix and its length."""
+    if len(text) <= _QUOTE_PREFIX:
+        return repr(text)
+    return f"{text[:_QUOTE_PREFIX]!r}... ({len(text)} characters)"
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, a finite decimal, or an integer into an exact Fraction.
@@ -31,9 +40,9 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in rational literal {text!r}") from None
+        raise ParseError(f"zero denominator in rational literal {_quote(text)}") from None
     except ValueError:
-        raise ParseError(f"malformed rational literal {text!r}") from None
+        raise ParseError(f"malformed rational literal {_quote(text)}") from None
 
 
 def format_rational(value: Fraction) -> str:

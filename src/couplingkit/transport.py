@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatchError,
     UnbalancedProblemError,
 )
+from .metrics import upper_set
 
 DEFAULT_VERTEX_LIMIT = 4
 
@@ -247,6 +248,12 @@ def _pivot_cycle(basis: Sequence[Cell], entering: Cell) -> list[Cell]:
     return ordered
 
 
+def _dual_value(u: Sequence[Fraction], v: Sequence[Fraction], supply: Pmf, demand: Pmf) -> Fraction:
+    return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
+        (vj * dj for vj, dj in zip(v, demand.p)), ZERO
+    )
+
+
 def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, BasisTree]:
     """Exact optimal basic solution via transportation simplex.
 
@@ -286,9 +293,7 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     coupling = Coupling(tuple(tuple(row) for row in flow), tp.supply, tp.demand)
     objective = tp.objective(coupling)
     u, v = _tree_potentials(basis, tp.cost, n)
-    dual_value = sum((ui * si for ui, si in zip(u, tp.supply.p)), ZERO) + sum(
-        (vj * dj for vj, dj in zip(v, tp.demand.p)), ZERO
-    )
+    dual_value = _dual_value(u, v, tp.supply, tp.demand)
     if dual_value != objective:
         raise CorruptedCouplingError(
             f"strong duality failed: dual {dual_value} != primal {objective}"
@@ -321,9 +326,54 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
             if cert.u[i] + cert.v[j] > tp.cost[i][j]:
                 return False
     primal = tp.objective(c)
-    dual = sum((ui * si for ui, si in zip(cert.u, tp.supply.p)), ZERO) + sum(
-        (vj * dj for vj, dj in zip(cert.v, tp.demand.p)), ZERO
-    )
+    dual = _dual_value(cert.u, cert.v, tp.supply, tp.demand)
+    return primal == cert.objective == dual
+
+
+def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:
+    """Closed-form optimal dual for the 0/1 mismatch cost, without solving the LP.
+
+    With B = :func:`~couplingkit.metrics.upper_set` (the symbols where
+    P >= Q), the potentials u = 1_B and v = -1_B are dual-feasible
+    (u_i + v_i = 0 on the diagonal, u_i + v_j <= 1 off it) and their
+    value P(B) - Q(B) is v(P, Q), which the maximal coupling attains.
+    """
+    members = set(upper_set(p, q).members)
+    inside = [s in members for s in p.alphabet]
+    u = tuple(ONE if b else ZERO for b in inside)
+    v = tuple(-x for x in u)
+    objective = sum((x - y for b, x, y in zip(inside, p.p, q.p) if b), ZERO)
+    return DualCertificate(u=u, v=v, objective=objective)
+
+
+def certify_mismatch(
+    diagonal: Sequence[Fraction], cert: DualCertificate, supply: Pmf, demand: Pmf
+) -> bool:
+    """O(N) form of :func:`certify` for the 0/1 mismatch cost.
+
+    ``diagonal`` is the diagonal of a coupling of ``supply`` and
+    ``demand`` whose feasibility the caller has checked; its cost is
+    1 - sum(diagonal).  Dual feasibility is u_i + v_i <= 0 on the
+    diagonal and u_i + v_j <= 1 off it.  Given the diagonal part, the
+    off-diagonal part holds iff max(u) + max(v) <= 1: the sum of the
+    maxima bounds every u_i + v_j, and it is attained off the diagonal
+    unless u and v each attain their maximum only at one and the same
+    symbol k, where it is u_k + v_k <= 0.  Then primal, certificate and
+    dual objectives must be exactly equal.  For the diagonal of a
+    coupling ``c`` this agrees with
+    ``certify(c, cert, TransportProblem.mismatch(supply, demand))``,
+    without the N x N scans.
+    """
+    require_same_alphabet(supply, demand)
+    n = len(supply.alphabet)
+    if len(diagonal) != n or len(cert.u) != n or len(cert.v) != n:
+        raise ShapeMismatchError("diagonal/certificate size does not match problem")
+    if any(ui + vi > 0 for ui, vi in zip(cert.u, cert.v)):
+        return False
+    if max(cert.u) + max(cert.v) > 1:
+        return False
+    primal = ONE - sum(diagonal, ZERO)
+    dual = _dual_value(cert.u, cert.v, supply, demand)
     return primal == cert.objective == dual
 
 

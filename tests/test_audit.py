@@ -2,19 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from couplingkit import (
     Alphabet,
     DistributionError,
     EpsilonAuditInput,
     Pmf,
+    TransportProblem,
+    certify,
+    certify_mismatch,
     coupling_independent,
+    coupling_maximal,
     epsilon_audit,
     example4_report,
+    lp_min_mismatch,
+    mismatch_certificate,
     mismatch_prob,
+    vdist_halfsum,
 )
 
-from .conftest import random_pmf
+from .conftest import pmf_batch, random_pmf
 
 F = Fraction
 
@@ -142,3 +151,48 @@ class TestReportSerialization:
         assert "1/5 (0.20000)" in text
         assert "3/4 (0.75000)" in text
         assert "consistent (v <= epsilon): True" in text
+
+
+def _pmf(weights) -> Pmf:
+    total = sum(weights)
+    return Pmf(Alphabet.of_size(len(weights)), tuple(F(w, total) for w in weights))
+
+
+class TestAgainstDenseRoute:
+    """The O(N) audit against N x N couplings, the simplex and dense certify."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            pmf_batch(1, min_n=1, max_n=64, max_weight=6),
+            pmf_batch(1, min_n=1, max_n=64, max_weight=2000),
+        ).map(lambda batch: batch[0])
+    )
+    @example(_pmf([1]))
+    @example(_pmf([0, 0, 1, 0, 0]))
+    @example(_pmf([1] * 64))
+    @example(_pmf([0, 3, 0, 1] * 16))
+    def test_every_field_matches_dense(self, pk):
+        report = epsilon_audit(EpsilonAuditInput(pk=pk))
+        pu = Pmf.uniform(pk.alphabet)
+        tp = TransportProblem.mismatch(pk, pu)
+        maximal = coupling_maximal(pk, pu)
+        optimal, lp_cert = lp_min_mismatch(pk, pu)
+        v = vdist_halfsum(pk, pu)
+
+        assert report.v == v
+        assert report.independent_mismatch == mismatch_prob(coupling_independent(pk, pu))
+        assert report.maximal_mismatch == mismatch_prob(maximal)
+        assert report.oracle_min_mismatch == lp_cert.objective
+        assert report.fact_lower_bound_over_all_couplings == (
+            certify(optimal, lp_cert, tp) and lp_cert.objective == v
+        )
+        assert report.fact_lower_bound_over_all_couplings
+
+        closed_form = mismatch_certificate(pk, pu)
+        assert certify(maximal, closed_form, tp)
+        diagonal = tuple(maximal.j[i][i] for i in range(len(pk.alphabet)))
+        assert certify_mismatch(diagonal, closed_form, pk, pu)
+        # and the O(N) check accepts the simplex's own optimum and potentials
+        lp_diagonal = tuple(optimal.j[i][i] for i in range(len(pk.alphabet)))
+        assert certify_mismatch(lp_diagonal, lp_cert, pk, pu)

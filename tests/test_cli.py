@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import couplingkit
 from couplingkit.cli import main
 from couplingkit.jsonio import load_coupling_matrix
 from couplingkit.rational import parse_rational
@@ -240,6 +245,36 @@ class TestAudit:
     def test_two_dim_key_rejected(self, files):
         pk = files("pk2.json", DIAG3)
         assert main(["audit", pk]) == 2
+
+
+class TestBoundary:
+    """Hostile inputs end in a documented exit code and a short message, never a traceback."""
+
+    def test_huge_values_exit_2_without_traceback(self, files):
+        # 2201-digit denominators parse, but the product coupling's entries
+        # have about 4400 digits, past the default int-to-str limit of 4300
+        d1, d2 = 10**2200 + 7, 10**2200 + 9
+        p = files("p.json", {"alphabet": ["a", "b"], "p": [f"1/{d1}", f"{d1 - 1}/{d1}"]})
+        q = files("q.json", {"alphabet": ["a", "b"], "p": [f"1/{d2}", f"{d2 - 1}/{d2}"]})
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(Path(couplingkit.__file__).parents[1]),
+            PYTHONINTMAXSTRDIGITS="4300",
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "couplingkit.cli", "couple", p, q, "--kind", "independent"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    def test_long_literal_is_quoted_briefly(self, files, capsys):
+        pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1" * 5000, "0"]})
+        assert main(["audit", pk]) == 2
+        err = capsys.readouterr().err
+        assert "malformed rational literal" in err and "5000 characters" in err
+        assert len(err) < 200
 
 
 class TestTables:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from couplingkit import (
     AlphabetMismatchError,
+    CorruptedCouplingError,
     CouplingError,
     Pmf,
     Alphabet,
@@ -13,6 +14,7 @@ from couplingkit import (
     coupling_maximal,
     coupling_validate,
     lemma_audit,
+    maximal_diagonal,
     mismatch_prob,
     residuals,
     vdist_halfsum,
@@ -178,6 +180,41 @@ class TestMaximal:
         p, q = pair
         c = coupling_maximal(p, q)
         assert coupling_validate(c.j, p, q).j == c.j
+
+
+def unchecked_pmf(probs) -> Pmf:
+    """A Pmf that skips validation, to feed the checks a corrupted input."""
+    pmf = object.__new__(Pmf)
+    object.__setattr__(pmf, "alphabet", Alphabet.of_size(len(probs)))
+    object.__setattr__(pmf, "p", tuple(probs))
+    return pmf
+
+
+class TestMaximalDiagonal:
+    @settings(max_examples=150, deadline=None)
+    @given(pmf_pairs())
+    def test_equals_dense_diagonal(self, pair):
+        p, q = pair
+        c = coupling_maximal(p, q)
+        assert maximal_diagonal(p, q) == tuple(c.j[i][i] for i in range(len(p.alphabet)))
+
+    @pytest.mark.parametrize(
+        "p,q",
+        [
+            # total 9/10: the column marginal at "2" falls short
+            ((F(1, 2), F(2, 5)), (F(1, 2), F(1, 2))),
+            # negative entry on the diagonal
+            ((F(-1, 10), F(11, 10)), (F(1, 2), F(1, 2))),
+            # equal but unnormalized: zero residual mass, total 1/2
+            ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))),
+        ],
+    )
+    def test_rejects_what_dense_validation_rejects(self, p, q):
+        p, q = unchecked_pmf(p), unchecked_pmf(q)
+        with pytest.raises(CouplingError):
+            coupling_maximal(p, q)
+        with pytest.raises(CorruptedCouplingError):
+            maximal_diagonal(p, q)
 
 
 class TestMismatchProb:

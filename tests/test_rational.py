@@ -34,6 +34,22 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_rational(bad)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 5000, "1/" + "0" * 5000, "x" * 100],
+        ids=["digits", "zero-denominator", "letters"],
+    )
+    def test_long_literal_quoted_as_prefix_and_length(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_rational(text)
+        message = str(info.value)
+        assert f"({len(text)} characters)" in message
+        assert len(message) < 100
+
+    def test_short_literal_quoted_whole(self):
+        with pytest.raises(ParseError, match="malformed rational literal 'abc'$"):
+            parse_rational("abc")
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError, match="zero denominator"):
             parse_rational("1/0")

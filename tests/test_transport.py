@@ -13,8 +13,10 @@ from couplingkit import (
     ShapeMismatchError,
     TransportProblem,
     certify,
+    certify_mismatch,
     coupling_maximal,
     lp_min_mismatch,
+    mismatch_certificate,
     mismatch_prob,
     solve_transport,
     vdist_halfsum,
@@ -190,6 +192,93 @@ class TestCertify:
             else:
                 bumped = DualCertificate(cert.u, cert.v, cert.objective + delta)
             assert not certify(coupling, bumped, tp)
+
+
+def _diagonal(c) -> tuple:
+    return tuple(c.j[i][i] for i in range(len(c.alphabet)))
+
+
+class TestCertifyMismatch:
+    """The O(N) check must reject exactly what dense certify rejects."""
+
+    @staticmethod
+    def both(p, q, cert) -> tuple[bool, bool]:
+        c = coupling_maximal(p, q)
+        return (
+            certify_mismatch(_diagonal(c), cert, p, q),
+            certify(c, cert, TransportProblem.mismatch(p, q)),
+        )
+
+    def test_closed_form_on_worked_pair(self, ramp, uniform4):
+        cert = mismatch_certificate(ramp, uniform4)
+        assert cert.u == (F(0), F(0), F(1), F(1))
+        assert cert.v == (F(0), F(0), F(-1), F(-1))
+        assert cert.objective == F(1, 5)
+        assert self.both(ramp, uniform4, cert) == (True, True)
+
+    def test_rejects_diagonal_violation(self):
+        # P == Q: the off-diagonal constraints (max 1) and all three
+        # objectives (0) hold, and only u_1 + v_1 = 1 > 0 fails
+        u2 = Pmf.uniform(Alphabet.of_size(2))
+        bad = DualCertificate((F(1), F(-1)), (F(0), F(0)), F(0))
+        assert self.both(u2, u2, bad) == (False, False)
+
+    def test_rejects_off_diagonal_violation_at_top_entries(self):
+        # P == Q: the diagonal constraints and all three objectives hold, and
+        # only u_1 + v_2 = 2 > 1, at the largest u and the largest v, fails
+        u3 = Pmf.uniform(Alphabet.of_size(3))
+        bad = DualCertificate((F(2), F(0), F(0)), (F(-2), F(0), F(0)), F(0))
+        assert self.both(u3, u3, bad) == (False, False)
+
+    @pytest.mark.parametrize("side", ["u", "v"])
+    @pytest.mark.parametrize("delta", [F(1, 10**30), F(-1, 10**30)])
+    def test_rejects_perturbed_potential(self, ramp, uniform4, side, delta):
+        cert = mismatch_certificate(ramp, uniform4)
+        for i in range(4):
+            u = tuple(x + delta if side == "u" and k == i else x for k, x in enumerate(cert.u))
+            v = tuple(x + delta if side == "v" and k == i else x for k, x in enumerate(cert.v))
+            bad = DualCertificate(u, v, cert.objective)
+            assert self.both(ramp, uniform4, bad) == (False, False)
+
+    @pytest.mark.parametrize("delta", [F(1, 10**30), F(-1, 10**30)])
+    def test_rejects_wrong_objective(self, ramp, uniform4, delta):
+        cert = mismatch_certificate(ramp, uniform4)
+        bad = DualCertificate(cert.u, cert.v, cert.objective + delta)
+        assert self.both(ramp, uniform4, bad) == (False, False)
+
+    def test_shape_mismatch_raises(self, ramp, uniform4):
+        cert = mismatch_certificate(ramp, uniform4)
+        with pytest.raises(ShapeMismatchError):
+            certify_mismatch((F(1, 2),) * 3, cert, ramp, uniform4)
+
+    def test_agrees_with_dense_on_random_potentials(self):
+        # potentials from a few values, so ties and a shared argmax of u and
+        # v are common; the objective is set to the dual value
+        rng = random.Random(4242)
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            p = random_pmf(rng, n)
+            q = random_pmf(rng, n)
+            u = tuple(F(rng.randint(-2, 2), 2) for _ in range(n))
+            v = tuple(F(rng.randint(-2, 2), 2) for _ in range(n))
+            dual = sum(x * y for x, y in zip(u, p.p)) + sum(x * y for x, y in zip(v, q.p))
+            fast, dense = self.both(p, q, DualCertificate(u, v, dual))
+            assert fast == dense
+
+    def test_agrees_with_dense_when_only_off_diagonal_decides(self):
+        # P == Q and v = -u on the support: the diagonal constraints and all
+        # three objectives (0) hold, so the verdict is max_{i != j} u_i + v_j <= 1
+        rng = random.Random(4243)
+        verdicts = set()
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            p = random_pmf(rng, n)
+            u = tuple(F(rng.randint(-3, 3), 2) for _ in range(n))
+            v = tuple(-x if w else -x - rng.randint(0, 2) for x, w in zip(u, p.p))
+            fast, dense = self.both(p, p, DualCertificate(u, v, F(0)))
+            assert fast == dense
+            verdicts.add(fast)
+        assert verdicts == {True, False}
 
 
 class TestVertexEnumeration:
