@@ -36,9 +36,12 @@ class Alphabet:
             raise DistributionError("alphabet must contain at least one symbol")
         if any(not isinstance(s, str) for s in syms):
             raise DistributionError("alphabet symbols must be strings")
-        if len(set(syms)) != len(syms):
+        positions = {s: i for i, s in enumerate(syms)}
+        if len(positions) != len(syms):
             raise DistributionError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", syms)
+        # Not a dataclass field, so == and hash still compare symbols alone.
+        object.__setattr__(self, "_positions", positions)
 
     @classmethod
     def of_size(cls, n: int) -> "Alphabet":
@@ -55,8 +58,8 @@ class Alphabet:
 
     def index(self, symbol: str) -> int:
         try:
-            return self.symbols.index(symbol)
-        except ValueError:
+            return self._positions[symbol]
+        except (KeyError, TypeError):
             raise KeyError(f"symbol {symbol!r} not in alphabet") from None
 
     def pair_label(self, first: str, second: str) -> str:

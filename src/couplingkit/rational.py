@@ -13,6 +13,8 @@ text conventions used by the file formats and the CLI:
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError
@@ -33,7 +35,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, a finite decimal, or an integer into an exact Fraction.
 
     Decimal strings convert via power-of-ten denominators, never through
-    binary floating point, so ``"0.03750"`` is exactly ``3/80``.
+    binary floating point, so ``"0.03750"`` is exactly ``3/80``.  A run of
+    digits longer than Python's int-from-str limit
+    (``sys.get_int_max_str_digits()``) is reported as too long.
     """
     if not isinstance(text, str):
         raise ParseError(f"rational literal must be a string, got {type(text).__name__}")
@@ -42,6 +46,13 @@ def parse_rational(text: str) -> Fraction:
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in rational literal {_quote(text)}") from None
     except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(
+            len(run) - run.count("_") > limit for run in re.findall(r"[0-9_]+", text)
+        ):
+            raise ParseError(
+                f"rational literal {_quote(text)} is too long (over {limit} digits)"
+            ) from None
         raise ParseError(f"malformed rational literal {_quote(text)}") from None
 
 

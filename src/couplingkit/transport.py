@@ -8,9 +8,15 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 * transportation simplex on a spanning-tree basis, chosen over general
   simplex because the constraint matrix is totally unimodular and every
   pivot stays cheap in exact rationals;
+* pricing on integers: the costs are scaled once by L, the lcm of their
+  denominators, so the tree potentials and reduced costs are integers
+  with the signs of the exact ones, and each pivot's cycle is the tree
+  path between the entering cell's row and column; flows stay exact
+  Fractions, and the certificate's potentials are the integer ones over L;
 * degeneracy handled with zero-flow basic cells and a Bland-style
   smallest-index rule (first negative reduced cost enters, smallest tied
   cell leaves), which guarantees termination without perturbing data;
+  a pivot budget of ``MAX_PIVOTS_PER_CELL * N**2`` still guards the loop;
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals;
@@ -27,6 +33,8 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import sub
 from typing import Sequence
 
 from .coupling import Coupling
@@ -40,6 +48,10 @@ from .errors import (
 from .metrics import upper_set
 
 DEFAULT_VERTEX_LIMIT = 4
+# The pivot loop gives up after this many pivots per cell of the N x N
+# cost matrix.  Random instances at N = 2 to 30 take at most about two per
+# cell, so reaching it means the loop is not terminating.
+MAX_PIVOTS_PER_CELL = 50
 
 CostMatrix = tuple[tuple[Fraction, ...], ...]
 Cell = tuple[int, int]
@@ -59,6 +71,13 @@ class TransportProblem:
         rows = tuple(tuple(row) for row in cost)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ShapeMismatchError(f"cost matrix must be {n}x{n}")
+        for a, row in zip(supply.alphabet, rows):
+            for b, value in zip(supply.alphabet, row):
+                if not isinstance(value, (Fraction, int)):
+                    raise ShapeMismatchError(
+                        f"cost entry ({a},{b}) must be a Fraction or an int, "
+                        f"got {type(value).__name__}"
+                    )
         total_supply = sum(supply.p, ZERO)
         total_demand = sum(demand.p, ZERO)
         if total_supply != total_demand:
@@ -183,69 +202,93 @@ def _initial_basis(supply: Sequence[Fraction], demand: Sequence[Fraction]) -> tu
                 basis.append((i, j))
                 if len(basis) == 2 * n - 1:
                     break
-    return flow, sorted(basis)
+    return flow, basis
 
 
-def _tree_potentials(basis: Sequence[Cell], cost: CostMatrix, n: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Solve u_i + v_j = cost_ij over the basis tree, anchored at u_0 = 0."""
-    row_adj: list[list[int]] = [[] for _ in range(n)]
-    col_adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in basis:
-        row_adj[a].append(b)
-        col_adj[b].append(a)
-    u: list[Fraction | None] = [None] * n
-    v: list[Fraction | None] = [None] * n
-    u[0] = ZERO
-    queue: deque[tuple[str, int]] = deque([("row", 0)])
-    while queue:
-        kind, idx = queue.popleft()
-        if kind == "row":
-            for b in row_adj[idx]:
+def _scaled_costs(cost: CostMatrix) -> tuple[int, list[list[int]]]:
+    """The lcm L of the cost denominators, and the integer matrix L * cost."""
+    scale = lcm(*(c.denominator for row in cost for c in row))
+    return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in cost]
+
+
+def _tree_walk(
+    row_adj: Sequence[set[int]], col_adj: Sequence[set[int]], cost: Sequence[Sequence[int]], n: int
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Potentials u_i + v_j = cost_ij over the basis tree, anchored at u_0 = 0.
+
+    Walks the tree breadth-first from row 0.  Nodes 0..n-1 are rows and
+    n..2n-1 columns; alongside the potentials it returns each node's
+    parent and depth in the walk (the root's parent is -1).
+    """
+    u: list[int | None] = [None] * n
+    v: list[int | None] = [None] * n
+    parent = [-1] * (2 * n)
+    depth = [0] * (2 * n)
+    u[0] = 0
+    order = [0]
+    for node in order:  # grows while it is walked: a breadth-first queue
+        if node < n:
+            ui, crow = u[node], cost[node]
+            for b in row_adj[node]:
                 if v[b] is None:
-                    v[b] = cost[idx][b] - u[idx]
-                    queue.append(("col", b))
+                    v[b] = crow[b] - ui
+                    parent[n + b], depth[n + b] = node, depth[node] + 1
+                    order.append(n + b)
         else:
-            for a in col_adj[idx]:
+            b = node - n
+            vb = v[b]
+            for a in col_adj[b]:
                 if u[a] is None:
-                    u[a] = cost[a][idx] - v[idx]
-                    queue.append(("row", a))
-    if any(x is None for x in u) or any(x is None for x in v):
+                    u[a] = cost[a][b] - vb
+                    parent[a], depth[a] = node, depth[node] + 1
+                    order.append(a)
+    if len(order) != 2 * n:
         raise CorruptedCouplingError("basis does not span the bipartite graph")
-    return u, v  # type: ignore[return-value]
+    return u, v, parent, depth  # type: ignore[return-value]
 
 
-def _pivot_cycle(basis: Sequence[Cell], entering: Cell) -> list[Cell]:
-    """Unique cycle closed by the entering cell, ordered from it; signs alternate."""
-    edges = set(basis) | {entering}
-    # strip leaves until only the cycle remains
-    while True:
-        deg_r: dict[int, int] = {}
-        deg_c: dict[int, int] = {}
-        for a, b in edges:
-            deg_r[a] = deg_r.get(a, 0) + 1
-            deg_c[b] = deg_c.get(b, 0) + 1
-        leaves = {e for e in edges if deg_r[e[0]] == 1 or deg_c[e[1]] == 1}
-        if not leaves:
-            break
-        edges -= leaves
-    # walk the cycle starting at the entering cell, moving off its column first
-    by_row: dict[int, list[Cell]] = {}
-    by_col: dict[int, list[Cell]] = {}
-    for e in edges:
-        by_row.setdefault(e[0], []).append(e)
-        by_col.setdefault(e[1], []).append(e)
-    ordered = [entering]
-    prev = entering
-    kind, node = "col", entering[1]
-    while True:
-        candidates = by_col[node] if kind == "col" else by_row[node]
-        nxt = next(e for e in candidates if e != prev)
-        if nxt == entering:
-            break
-        ordered.append(nxt)
-        kind, node = ("row", nxt[0]) if kind == "col" else ("col", nxt[1])
-        prev = nxt
-    return ordered
+def _entering_cell(
+    cost: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
+) -> Cell | None:
+    """First cell in row-major order with negative reduced cost cost_ab - u_a - v_b.
+
+    Basic cells have reduced cost exactly 0, so they never qualify.
+    """
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        if min(map(sub, crow, v)) < ua:
+            return a, next(b for b, (c, vb) in enumerate(zip(crow, v)) if c - vb < ua)
+    return None
+
+
+def _tree_path_cycle(
+    entering: Cell, parent: Sequence[int], depth: Sequence[int], n: int
+) -> list[Cell]:
+    """Unique cycle the entering cell closes in the tree, ordered from it; signs alternate.
+
+    The cycle is the entering cell plus the tree path from its column
+    to its row, so it leaves the entering cell along its column first.
+    Both ends climb the parent pointers until they meet.
+    """
+
+    def edge(node: int) -> Cell:
+        up = parent[node]
+        return (node, up - n) if node < n else (up, node - n)
+
+    a, b = entering
+    col_side: list[Cell] = []
+    row_side: list[Cell] = []
+    x, y = n + b, a
+    while depth[x] > depth[y]:
+        col_side.append(edge(x))
+        x = parent[x]
+    while depth[y] > depth[x]:
+        row_side.append(edge(y))
+        y = parent[y]
+    while x != y:
+        col_side.append(edge(x))
+        row_side.append(edge(y))
+        x, y = parent[x], parent[y]
+    return [entering, *col_side, *reversed(row_side)]
 
 
 def _dual_value(u: Sequence[Fraction], v: Sequence[Fraction], supply: Pmf, demand: Pmf) -> Fraction:
@@ -260,46 +303,63 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     Entering variable: first cell in row-major order with negative
     reduced cost.  Leaving variable: smallest-index cell among those
     attaining the minimum flow on the cycle's decreasing positions.
-    This Bland-style rule terminates under degeneracy.
+    This Bland-style rule terminates under degeneracy; a budget of
+    ``MAX_PIVOTS_PER_CELL * N**2`` pivots guards the loop, and exceeding
+    it raises :class:`CorruptedCouplingError`.
+
+    Pricing runs on integers: the costs are scaled once by L, the lcm of
+    their denominators, so the tree potentials are integers and every
+    reduced cost has the sign of the unscaled one.  Flows stay exact
+    Fractions.  The returned potentials are the integer ones divided by
+    L, and strong duality is checked on them in Fractions.
     """
     n = len(tp.supply.alphabet)
     flow, basis = _initial_basis(tp.supply.p, tp.demand.p)
-    basis_set = set(basis)
+    scale, cost = _scaled_costs(tp.cost)
+    row_adj: list[set[int]] = [set() for _ in range(n)]
+    col_adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in basis:
+        row_adj[a].add(b)
+        col_adj[b].add(a)
+    budget = MAX_PIVOTS_PER_CELL * n * n
+    pivots = 0
     while True:
-        u, v = _tree_potentials(basis, tp.cost, n)
-        entering = None
-        for a in range(n):
-            for b in range(n):
-                if (a, b) not in basis_set and tp.cost[a][b] - u[a] - v[b] < 0:
-                    entering = (a, b)
-                    break
-            if entering is not None:
-                break
+        u, v, parent, depth = _tree_walk(row_adj, col_adj, cost, n)
+        entering = _entering_cell(cost, u, v)
         if entering is None:
             break
-        cycle = _pivot_cycle(basis, entering)
+        pivots += 1
+        if pivots > budget:
+            raise CorruptedCouplingError(
+                f"transportation simplex made {pivots} pivots, "
+                f"over its budget of {budget} for N = {n}"
+            )
+        cycle = _tree_path_cycle(entering, parent, depth, n)
         decreasing = cycle[1::2]
         theta = min(flow[a][b] for a, b in decreasing)
         leaving = min(cell for cell in decreasing if flow[cell[0]][cell[1]] == theta)
-        for idx, (a, b) in enumerate(cycle):
-            if idx % 2 == 0:
+        if theta:
+            for a, b in cycle[::2]:
                 flow[a][b] += theta
-            else:
+            for a, b in decreasing:
                 flow[a][b] -= theta
-        basis_set.remove(leaving)
-        basis_set.add(entering)
-        basis = sorted(basis_set)
+        row_adj[leaving[0]].remove(leaving[1])
+        col_adj[leaving[1]].remove(leaving[0])
+        row_adj[entering[0]].add(entering[1])
+        col_adj[entering[1]].add(entering[0])
 
     coupling = Coupling(tuple(tuple(row) for row in flow), tp.supply, tp.demand)
     objective = tp.objective(coupling)
-    u, v = _tree_potentials(basis, tp.cost, n)
-    dual_value = _dual_value(u, v, tp.supply, tp.demand)
+    u_exact = tuple(Fraction(x, scale) for x in u)
+    v_exact = tuple(Fraction(x, scale) for x in v)
+    dual_value = _dual_value(u_exact, v_exact, tp.supply, tp.demand)
     if dual_value != objective:
         raise CorruptedCouplingError(
             f"strong duality failed: dual {dual_value} != primal {objective}"
         )
-    certificate = DualCertificate(u=tuple(u), v=tuple(v), objective=objective)
-    return coupling, certificate, BasisTree(cells=tuple(sorted(basis_set)))
+    certificate = DualCertificate(u=u_exact, v=v_exact, objective=objective)
+    cells = tuple((a, b) for a in range(n) for b in sorted(row_adj[a]))
+    return coupling, certificate, BasisTree(cells=cells)
 
 
 def lp_min_mismatch(p: Pmf, q: Pmf) -> tuple[Coupling, DualCertificate]:

@@ -273,7 +273,7 @@ class TestBoundary:
         pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1" * 5000, "0"]})
         assert main(["audit", pk]) == 2
         err = capsys.readouterr().err
-        assert "malformed rational literal" in err and "5000 characters" in err
+        assert "is too long (over 4300 digits)" in err and "5000 characters" in err
         assert len(err) < 200
 
 

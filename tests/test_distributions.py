@@ -15,6 +15,19 @@ class TestAlphabet:
         assert a.symbols == ("b", "a", "c")
         assert a.index("a") == 1
 
+    def test_unknown_symbol_raises_key_error(self):
+        a = Alphabet(["b", "a"])
+        with pytest.raises(KeyError, match="symbol 'z' not in alphabet"):
+            a.index("z")
+        with pytest.raises(KeyError):
+            a.index(["a"])  # type: ignore[arg-type]
+
+    def test_index_table_leaves_equality_alone(self):
+        a, b = Alphabet(["x", "y"]), Alphabet(["x", "y"])
+        assert a == b and hash(a) == hash(b)
+        assert a != Alphabet(["y", "x"])
+        assert repr(a) == "Alphabet(symbols=('x', 'y'))"
+
     def test_empty_rejected(self):
         with pytest.raises(DistributionError):
             Alphabet([])

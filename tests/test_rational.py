@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,20 @@ class TestParse:
         message = str(info.value)
         assert f"({len(text)} characters)" in message
         assert len(message) < 100
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1" * 5000, "-1/" + "7" * 4301, "0." + "5" * 4400, "1" + "_0" * 4400],
+        ids=["integer", "denominator", "decimal", "underscores"],
+    )
+    def test_literal_past_int_digit_limit_is_too_long(self, text):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("the int-from-str digit limit is switched off")
+        with pytest.raises(ParseError) as info:
+            parse_rational(text)
+        assert str(info.value).endswith(f"is too long (over {limit} digits)")
+        assert "malformed" not in str(info.value)
 
     def test_short_literal_quoted_whole(self):
         with pytest.raises(ParseError, match="malformed rational literal 'abc'$"):

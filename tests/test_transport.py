@@ -1,12 +1,15 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplingkit import (
     Alphabet,
     BasisTree,
+    CorruptedCouplingError,
     DualCertificate,
     EnumerationLimitError,
     Pmf,
@@ -23,9 +26,43 @@ from couplingkit import (
     vertex_enumerate,
 )
 
+import couplingkit.transport as transport_module
+
 from .conftest import pmf_pairs, random_cost, random_pmf
 
 F = Fraction
+
+# Pairwise coprime denominators and their products, so that the lcm the
+# solver scales costs by differs from every single denominator.
+COST_DENOMINATORS = (1, 2, 3, 5, 7, 6, 35, 11)
+
+
+def fractional_cost(rng: random.Random, n: int):
+    return tuple(
+        tuple(F(rng.randint(-40, 40), rng.choice(COST_DENOMINATORS)) for _ in range(n))
+        for _ in range(n)
+    )
+
+
+@st.composite
+def fractional_problems(draw, max_n: int = 4):
+    """Marginals with zero entries and negative costs over mixed denominators."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    alphabet = Alphabet.of_size(n)
+
+    def pmf() -> Pmf:
+        weights = draw(
+            st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n).filter(
+                lambda ws: sum(ws) > 0
+            )
+        )
+        return Pmf(alphabet, tuple(F(w, sum(weights)) for w in weights))
+
+    entry = st.builds(
+        F, st.integers(min_value=-20, max_value=20), st.sampled_from(COST_DENOMINATORS)
+    )
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return TransportProblem(pmf(), pmf(), cost)
 
 
 def assert_certificate(tp: TransportProblem, coupling, cert: DualCertificate):
@@ -45,6 +82,17 @@ class TestProblemConstruction:
     def test_wrong_cost_shape(self, ramp, uniform4):
         with pytest.raises(ShapeMismatchError):
             TransportProblem(ramp, uniform4, ((F(0),),))
+
+    def test_float_cost_entry_rejected(self, ramp, uniform4):
+        cost = [[F(1)] * 4 for _ in range(4)]
+        cost[2][1] = 0.5
+        with pytest.raises(ShapeMismatchError, match=r"cost entry \(3,2\) .* got float"):
+            TransportProblem(ramp, uniform4, cost)
+
+    def test_int_cost_entries_accepted(self, ramp, uniform4):
+        ints = TransportProblem(ramp, uniform4, [[i * j for j in range(4)] for i in range(4)])
+        fracs = TransportProblem(ramp, uniform4, [[F(i * j) for j in range(4)] for i in range(4)])
+        assert solve_transport(ints) == solve_transport(fracs)
 
 
 class TestSolve:
@@ -94,6 +142,37 @@ class TestSolve:
         coupling, cert = lp_min_mismatch(p, q)
         assert cert.objective == F(1)
         assert coupling[("1", "6")] == F(1)
+
+    def test_pivot_budget_exceeded_raises(self, ramp, uniform4, monkeypatch):
+        tp = TransportProblem(ramp, uniform4, fractional_cost(random.Random(3), 4))
+        monkeypatch.setattr(transport_module, "MAX_PIVOTS_PER_CELL", 0)
+        with pytest.raises(CorruptedCouplingError, match="made 1 pivots, over its budget of 0"):
+            solve_transport(tp)
+        # an instance whose initial basis is optimal makes no pivot
+        _, cert, _ = solve_transport(TransportProblem.mismatch(ramp, uniform4))
+        assert cert.objective == F(1, 5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(fractional_problems())
+    def test_fractional_negative_costs_match_vertex_minimum(self, tp):
+        coupling, cert, _ = solve_transport(tp)
+        assert certify(coupling, cert, tp)
+        assert cert.objective == tp.objective(coupling)
+        assert cert.objective == min(tp.objective(v) for v in vertex_enumerate(tp))
+
+    def test_fractional_costs_pivot_sequence_is_stable(self):
+        # sha256 of the outputs of the Fraction-priced simplex this solver
+        # replaced; any change in the pivot sequence changes the basis,
+        # the coupling or the potentials
+        rng = random.Random(2024)
+        outputs = []
+        for _ in range(20):
+            p = random_pmf(rng, 8)
+            q = random_pmf(rng, 8)
+            coupling, cert, basis = solve_transport(TransportProblem(p, q, fractional_cost(rng, 8)))
+            outputs.append((coupling.j, cert, basis.cells))
+        digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+        assert digest == "6b55df6f84e4ea84dbf5956c69501c00eb1256e2ceee204cfedc4ddb62b15550"
 
     def test_general_costs_give_certified_optima(self):
         rng = random.Random(99)
