@@ -15,7 +15,6 @@ from .coupling import (
     Residuals,
     coupling_independent,
     coupling_maximal,
-    coupling_validate,
     lemma_audit,
     maximal_diagonal,
     mismatch_prob,
@@ -32,7 +31,6 @@ from .errors import (
     EnumerationLimitError,
     ParseError,
     ShapeMismatchError,
-    UnbalancedProblemError,
 )
 from .metrics import UpperSet, upper_set, vdist_halfsum, vdist_subset
 from .multidim import (
@@ -44,7 +42,7 @@ from .multidim import (
     mismatch_components,
     vdist2,
 )
-from .rational import Rational, decimal_string, format_rational, parse_rational
+from .rational import decimal_string, parse_rational
 from .transport import (
     BasisTree,
     DualCertificate,
@@ -79,11 +77,9 @@ __all__ = [
     "ParseError",
     "Pmf",
     "Pmf2",
-    "Rational",
     "Residuals",
     "ShapeMismatchError",
     "TransportProblem",
-    "UnbalancedProblemError",
     "UpperSet",
     "certify",
     "certify_mismatch",
@@ -92,11 +88,9 @@ __all__ = [
     "coupling4_maximal",
     "coupling_independent",
     "coupling_maximal",
-    "coupling_validate",
     "decimal_string",
     "epsilon_audit",
     "example4_report",
-    "format_rational",
     "lemma_audit",
     "lp_min_mismatch",
     "maximal_diagonal",

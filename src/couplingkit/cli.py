@@ -6,8 +6,9 @@ produce byte-identical output.  Exit codes are stable API:
 
     0  success
     2  parse failure (file shape, rational literal, invalid distribution,
-       invalid flag value), or a result too large to write as text (an
-       integer over Python's int-to-str digit limit,
+       invalid flag value), an ``--out`` path that cannot be written (a
+       directory, or a missing parent directory), or a result too large
+       to write as text (an integer over Python's int-to-str digit limit,
        ``sys.set_int_max_str_digits``)
     3  alphabet mismatch between inputs (including one-dim vs two-dim)
     4  invalid coupling (first violated constraint is reported)
@@ -26,12 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .audit import EpsilonAuditInput, epsilon_audit
-from .coupling import (
-    coupling_independent,
-    coupling_maximal,
-    coupling_validate,
-    lemma_audit,
-)
+from .coupling import Coupling, coupling_independent, coupling_maximal, lemma_audit
 from .distributions import Pmf, Pmf2
 from .errors import (
     AlphabetMismatchError,
@@ -43,19 +39,18 @@ from .errors import (
     EnumerationLimitError,
     ParseError,
     ShapeMismatchError,
-    UnbalancedProblemError,
 )
 from .jsonio import (
     coupling4_to_obj,
     coupling_to_obj,
-    detect_coupling_kind,
     dump_json,
-    load_coupling4_blocks,
-    load_coupling_matrix,
     load_distribution,
     load_pmf,
+    parse_coupling4_blocks,
+    parse_coupling_matrix,
+    read_coupling,
 )
-from .metrics import DEFAULT_SUBSET_LIMIT, vdist_halfsum
+from .metrics import vdist_halfsum
 from .multidim import (
     Coupling4,
     coupling4_independent,
@@ -65,7 +60,7 @@ from .multidim import (
 )
 from .rational import decimal_string, parse_rational
 from .tables import resolve_fixtures_dir, sync_fixtures
-from .transport import DEFAULT_VERTEX_LIMIT, TransportProblem, certify, lp_min_mismatch
+from .transport import TransportProblem, certify, lp_min_mismatch
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -81,16 +76,12 @@ class Config:
 
     format: str = "table"
     precision: int = 5
-    subset_limit: int = DEFAULT_SUBSET_LIMIT
-    vertex_limit: int = DEFAULT_VERTEX_LIMIT
 
     def __post_init__(self):
         if self.format not in ("json", "table"):
             raise ValueError(f"unknown format {self.format!r}")
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        if self.subset_limit < 1 or self.vertex_limit < 1:
-            raise ValueError("enumeration limits must be >= 1")
 
     def show(self, value) -> str:
         return f"{value} ({decimal_string(value, self.precision)})"
@@ -142,7 +133,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
         build = coupling4_maximal if args.kind == "maximal" else coupling4_independent
         c4 = build(p, q)
         payload = dump_json(coupling4_to_obj(c4))
-        audit = lemma_audit(c4.flatten())
+        audit = lemma_audit(c4.flat)
         parts = mismatch_components(c4)
         summary = _audit_lines(cfg, audit) + [
             f"pair mismatch: {cfg.show(parts.pair_mismatch)}",
@@ -166,19 +157,19 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    kind = detect_coupling_kind(args.coupling_file)
+    kind, obj = read_coupling(args.coupling_file)
     p, q = _load_pair(args.p_file, args.q_file)
     if kind == "matrix":
         if not isinstance(p, Pmf):
             raise AlphabetMismatchError(
                 "a matrix coupling file needs one-dim marginal files"
             )
-        alphabet, rows = load_coupling_matrix(args.coupling_file)
+        alphabet, rows = parse_coupling_matrix(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
-        c = coupling_validate(rows, p, q)
+        c = Coupling(rows, p, q)
         audit = lemma_audit(c)
         lines = ["valid: true"] + _audit_lines(cfg, audit)
         payload = {"valid": True, **audit.to_json_dict()}
@@ -187,13 +178,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise AlphabetMismatchError(
                 "a blocks coupling file needs two-dim marginal files"
             )
-        alphabet, tensor = load_coupling4_blocks(args.coupling_file)
+        alphabet, tensor = parse_coupling4_blocks(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
         c4 = Coupling4.from_tensor(tensor, p, q)
-        audit = lemma_audit(c4.flatten())
+        audit = lemma_audit(c4.flat)
         parts = mismatch_components(c4)
         lines = (
             ["valid: true"]
@@ -351,13 +342,7 @@ def main(argv=None) -> int:
     except AlphabetMismatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ALPHABET
-    except (
-        ParseError,
-        DistributionError,
-        EnumerationLimitError,
-        ShapeMismatchError,
-        UnbalancedProblemError,
-    ) as exc:
+    except (ParseError, DistributionError, EnumerationLimitError, ShapeMismatchError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except CouplingKitError as exc:

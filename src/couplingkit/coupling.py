@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .distributions import ONE, ZERO, Alphabet, Pmf, require_same_alphabet
+from .distributions import ONE, ZERO, Alphabet, Pmf, check_mass, require_same_alphabet
 from .errors import CorruptedCouplingError, CouplingError
 from .metrics import vdist_halfsum
 
@@ -43,22 +43,12 @@ class Coupling:
         rows = tuple(tuple(row) for row in j)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
-        for a, row in zip(alphabet, rows):
-            for b, value in zip(alphabet, row):
-                if not isinstance(value, Fraction):
-                    raise CouplingError(
-                        f"entry ({a},{b}) must be a Fraction", constraint="shape"
-                    )
-                if value < 0:
-                    raise CouplingError(
-                        f"entry ({a},{b}) is negative: {value}",
-                        constraint="negative_entry",
-                    )
-        total = sum((v for row in rows for v in row), ZERO)
-        if total != ONE:
-            raise CouplingError(
-                f"total mass is {total}, expected 1", constraint="total_mass"
-            )
+        symbols = alphabet.symbols
+        check_mass(
+            [v for row in rows for v in row],
+            lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})",
+            CouplingError,
+        )
         for i, a in enumerate(alphabet):
             row_sum = sum(rows[i], ZERO)
             if row_sum != left.p[i]:
@@ -86,14 +76,6 @@ class Coupling:
 
     def diagonal_mass(self) -> Fraction:
         return sum((self.j[i][i] for i in range(len(self.alphabet))), ZERO)
-
-
-def coupling_validate(j: Sequence[Sequence[Fraction]], p: Pmf, q: Pmf) -> Coupling:
-    """Validate a candidate joint matrix against its intended marginals.
-
-    Raises :class:`CouplingError` naming the first violated constraint.
-    """
-    return Coupling(j, p, q)
 
 
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:

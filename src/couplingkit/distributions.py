@@ -4,9 +4,12 @@ All values are immutable after construction and all probabilities are
 exact :class:`~fractions.Fraction` entries.  A :class:`Pmf` is a
 distribution over an ordered alphabet of string labels; a :class:`Pmf2`
 is a distribution over ordered pairs from one alphabet, stored as an
-N x N matrix (row = first coordinate).  Matrix row/column order is the
+N x N matrix (row = first coordinate) beside the flat :class:`Pmf` over
+the product alphabet that validated it.  Matrix row/column order is the
 alphabet order, fixed at construction, which keeps every table this
-package emits deterministic and diff-able.
+package emits deterministic and diff-able.  :func:`check_mass` is the one
+check of "non-negative Fractions with an exact total of 1"; :class:`Pmf`
+and :class:`~couplingkit.coupling.Coupling` both call it.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, DistributionError
 
@@ -83,12 +86,30 @@ def require_same_alphabet(left: "Pmf | Pmf2", right: "Pmf | Pmf2") -> None:
         )
 
 
-def _check_entry(value: Fraction, where: str) -> Fraction:
-    if not isinstance(value, Fraction):
-        raise DistributionError(f"{where} must be a Fraction, got {type(value).__name__}")
-    if value < 0:
-        raise DistributionError(f"{where} is negative: {value}")
-    return value
+def check_mass(
+    entries: Sequence[Fraction],
+    label: Callable[[int], str],
+    error: Callable[[str, str], Exception],
+) -> None:
+    """Check that ``entries`` are non-negative Fractions with an exact total of 1.
+
+    The first failure, entry by entry and then the total, is raised as
+    ``error(message, constraint)`` with ``constraint`` one of ``"shape"``
+    (not a Fraction), ``"negative_entry"`` or ``"total_mass"``;
+    ``label(k)`` names entry ``k`` in the message.
+    """
+    for k, value in enumerate(entries):
+        if not isinstance(value, Fraction):
+            raise error(f"{label(k)} must be a Fraction, got {type(value).__name__}", "shape")
+        if value < 0:
+            raise error(f"{label(k)} is negative: {value}", "negative_entry")
+    total = sum(entries, ZERO)
+    if total != ONE:
+        raise error(f"probabilities sum to {total}, expected 1", "total_mass")
+
+
+def _distribution_error(message: str, constraint: str) -> DistributionError:
+    return DistributionError(message)
 
 
 @dataclass(frozen=True)
@@ -104,11 +125,7 @@ class Pmf:
             raise DistributionError(
                 f"expected {len(alphabet)} probabilities, got {len(entries)}"
             )
-        for symbol, value in zip(alphabet, entries):
-            _check_entry(value, f"p({symbol})")
-        total = sum(entries, ZERO)
-        if total != ONE:
-            raise DistributionError(f"probabilities sum to {total}, expected 1")
+        check_mass(entries, lambda k: f"p({alphabet.symbols[k]})", _distribution_error)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", entries)
 
@@ -146,14 +163,11 @@ class Pmf2:
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DistributionError(f"expected a {n}x{n} matrix of probabilities")
-        for a, row in zip(alphabet, rows):
-            for b, value in zip(alphabet, row):
-                _check_entry(value, f"p({a},{b})")
-        total = sum((v for row in rows for v in row), ZERO)
-        if total != ONE:
-            raise DistributionError(f"probabilities sum to {total}, expected 1")
+        flat = Pmf(alphabet.product(), [v for row in rows for v in row])
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", rows)
+        # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
+        object.__setattr__(self, "_flat", flat)
 
     @classmethod
     def diagonal(cls, pmf: Pmf) -> "Pmf2":
@@ -181,5 +195,4 @@ class Pmf2:
 
     def flatten(self) -> Pmf:
         """Same distribution over the product alphabet, entries in row-major order."""
-        flat = tuple(v for row in self.p for v in row)
-        return Pmf(self.alphabet.product(), flat)
+        return self._flat

@@ -54,10 +54,6 @@ class EnumerationLimitError(CouplingKitError, ValueError):
     """An exhaustive enumeration was requested above its configured size cap."""
 
 
-class UnbalancedProblemError(CouplingKitError, ValueError):
-    """Transport supplies and demands do not carry equal total mass."""
-
-
 class ShapeMismatchError(CouplingKitError, ValueError):
     """Certificate, coupling, and problem dimensions disagree."""
 

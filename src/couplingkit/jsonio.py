@@ -27,7 +27,7 @@ from .coupling import Coupling
 from .distributions import Alphabet, Pmf, Pmf2
 from .errors import ParseError
 from .multidim import Coupling4
-from .rational import decimal_string, format_rational, parse_rational
+from .rational import decimal_string, parse_rational
 
 Render = Callable[[Fraction], str]
 
@@ -101,14 +101,14 @@ def load_pmf(path: str | Path) -> Pmf:
     return dist
 
 
-def pmf_to_obj(pmf: Pmf, render: Render = format_rational) -> dict:
+def pmf_to_obj(pmf: Pmf, render: Render = str) -> dict:
     return {
         "alphabet": list(pmf.alphabet.symbols),
         "p": [render(v) for v in pmf.p],
     }
 
 
-def pmf2_to_obj(pmf2: Pmf2, render: Render = format_rational) -> dict:
+def pmf2_to_obj(pmf2: Pmf2, render: Render = str) -> dict:
     return {
         "alphabet": list(pmf2.alphabet.symbols),
         "matrix": [[render(v) for v in row] for row in pmf2.p],
@@ -127,14 +127,14 @@ def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, tuple[tuple[Fracti
     return parse_coupling_matrix(_load_obj(path), where=str(path))
 
 
-def coupling_to_obj(c: Coupling, render: Render = format_rational) -> dict:
+def coupling_to_obj(c: Coupling, render: Render = str) -> dict:
     return {
         "alphabet": list(c.alphabet.symbols),
         "matrix": [[render(v) for v in row] for row in c.j],
     }
 
 
-def coupling4_to_obj(c4: Coupling4, render: Render = format_rational) -> dict:
+def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:
     """Nested-block layout: rows (x1,x2) in row-major order, y1 then y2 inside."""
     alphabet = c4.alphabet
     n = len(alphabet)
@@ -176,13 +176,23 @@ def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, list]:
     return parse_coupling4_blocks(_load_obj(path), where=str(path))
 
 
-def detect_coupling_kind(path: str | Path) -> str:
-    """"matrix" for a one-dim coupling file, "blocks" for a two-dim one."""
+def read_coupling(path: str | Path) -> tuple[str, dict]:
+    """Decode a coupling file once: its kind and its JSON object.
+
+    The kind is "matrix" for a one-dim coupling file and "blocks" for a
+    two-dim one; parse the object with :func:`parse_coupling_matrix` or
+    :func:`parse_coupling4_blocks`.
+    """
     obj = _load_obj(path)
     has_matrix = "matrix" in obj
     has_blocks = "blocks" in obj
     if has_matrix and not has_blocks:
-        return "matrix"
+        return "matrix", obj
     if has_blocks and not has_matrix:
-        return "blocks"
+        return "blocks", obj
     raise ParseError(f"{path}: expected exactly one of 'matrix' or 'blocks'")
+
+
+def detect_coupling_kind(path: str | Path) -> str:
+    """"matrix" for a one-dim coupling file, "blocks" for a two-dim one."""
+    return read_coupling(path)[0]

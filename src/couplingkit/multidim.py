@@ -4,9 +4,9 @@ A pair of two-dim distributions on A^2 couples through a four-index
 joint j(x1, x2, y1, y2).  Everything here reduces to the one-dimensional
 machinery over the flattened product alphabet: a pair (a, b) is one
 symbol of A^2, and the coupling inequality / maximal construction apply
-verbatim to pairs.  The reduction is also exposed structurally
-(:meth:`Coupling4.flatten`), so the equivalence is testable rather than
-an implementation secret.
+verbatim to pairs.  The reduction is also exposed structurally (the
+:attr:`Coupling4.flat` field), so the equivalence is testable rather
+than an implementation secret.
 
 :func:`coupling4_constrained` builds the one coupling allowed when the
 first three coordinates are forced equal (x1 = x2 = y1): all mass sits
@@ -44,10 +44,7 @@ class Coupling4:
     def __init__(self, flat: Coupling, left2: Pmf2, right2: Pmf2):
         require_same_alphabet(left2, right2)
         alphabet = left2.alphabet
-        if flat.alphabet != alphabet.product():
-            raise ConstraintInfeasibleError(
-                "flattened coupling is not over the product alphabet"
-            )
+        # Pmf equality compares alphabets, so this also pins flat to the product alphabet.
         if flat.left != left2.flatten() or flat.right != right2.flatten():
             raise ConstraintInfeasibleError(
                 "flattened coupling marginals do not match the two-dim marginals"
@@ -76,10 +73,6 @@ class Coupling4:
     def __getitem__(self, quad: tuple[str, str, str, str]) -> Fraction:
         x1, x2, y1, y2 = (self.alphabet.index(s) for s in quad)
         return self.value(x1, x2, y1, y2)
-
-    def flatten(self) -> Coupling:
-        """The same coupling as a one-dimensional coupling on pair symbols."""
-        return self.flat
 
 
 def vdist2(p2: Pmf2, q2: Pmf2) -> Fraction:

@@ -19,9 +19,13 @@ from fractions import Fraction
 
 from .errors import ParseError
 
-Rational = Fraction
-
 _QUOTE_PREFIX = 24
+
+# Largest decimal exponent magnitude accepted, as in "1e-4300".  Fraction
+# builds 10**|exponent| before reducing, so an unbounded exponent can hang
+# the parser; 4300 matches Python's default int-from-str digit limit.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?([\d_]+)\s*\Z")
 
 
 def _quote(text: str) -> str:
@@ -37,10 +41,19 @@ def parse_rational(text: str) -> Fraction:
     Decimal strings convert via power-of-ten denominators, never through
     binary floating point, so ``"0.03750"`` is exactly ``3/80``.  A run of
     digits longer than Python's int-from-str limit
-    (``sys.get_int_max_str_digits()``) is reported as too long.
+    (``sys.get_int_max_str_digits()``) is reported as too long, and a
+    decimal exponent over :data:`MAX_EXPONENT` in magnitude is rejected
+    before any power of ten is built.
     """
     if not isinstance(text, str):
         raise ParseError(f"rational literal must be a string, got {type(text).__name__}")
+    exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ParseError(
+                f"rational literal {_quote(text)} has an exponent over {MAX_EXPONENT} in magnitude"
+            )
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -54,11 +67,6 @@ def parse_rational(text: str) -> Fraction:
                 f"rational literal {_quote(text)} is too long (over {limit} digits)"
             ) from None
         raise ParseError(f"malformed rational literal {_quote(text)}") from None
-
-
-def format_rational(value: Fraction) -> str:
-    """Canonical text form: ``"p/q"``, or ``"p"`` for integers. Round-trips."""
-    return str(value)
 
 
 def decimal_string(value: Fraction, places: int = 5) -> str:

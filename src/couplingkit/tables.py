@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coupling import coupling_independent, coupling_maximal, coupling_validate
+from .coupling import Coupling, coupling_independent, coupling_maximal
 from .distributions import Alphabet, Pmf, Pmf2
 from .jsonio import (
     coupling4_to_obj,
@@ -76,7 +76,7 @@ def generic_ramp_uniform_coupling():
     """The committed hand-picked coupling, revalidated against its marginals."""
     p, q = ramp_uniform_pair()
     rows = tuple(tuple(parse_rational(t) for t in row) for row in GENERIC_COUPLING_ROWS)
-    return coupling_validate(rows, p, q)
+    return Coupling(rows, p, q)
 
 
 def generate_fixtures() -> dict[str, str]:

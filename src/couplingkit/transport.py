@@ -39,12 +39,7 @@ from typing import Sequence
 
 from .coupling import Coupling
 from .distributions import ONE, ZERO, Pmf, require_same_alphabet
-from .errors import (
-    CorruptedCouplingError,
-    EnumerationLimitError,
-    ShapeMismatchError,
-    UnbalancedProblemError,
-)
+from .errors import CorruptedCouplingError, EnumerationLimitError, ShapeMismatchError
 from .metrics import upper_set
 
 DEFAULT_VERTEX_LIMIT = 4
@@ -59,7 +54,11 @@ Cell = tuple[int, int]
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Balanced transportation instance: row/column marginals plus a cost matrix."""
+    """Transportation instance: row/column marginals plus a cost matrix.
+
+    Both marginals are validated :class:`Pmf` values of total 1, so the
+    instance is balanced by construction.
+    """
 
     supply: Pmf
     demand: Pmf
@@ -78,12 +77,6 @@ class TransportProblem:
                         f"cost entry ({a},{b}) must be a Fraction or an int, "
                         f"got {type(value).__name__}"
                     )
-        total_supply = sum(supply.p, ZERO)
-        total_demand = sum(demand.p, ZERO)
-        if total_supply != total_demand:
-            raise UnbalancedProblemError(
-                f"total supply {total_supply} != total demand {total_demand}"
-            )
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "cost", rows)

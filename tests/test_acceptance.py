@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from couplingkit import (
+    Coupling,
     TransportProblem,
     certify,
     coupling4_constrained,
@@ -18,7 +19,6 @@ from couplingkit import (
     coupling4_maximal,
     coupling_independent,
     coupling_maximal,
-    coupling_validate,
     example4_report,
     lp_min_mismatch,
     mismatch_components,
@@ -63,7 +63,7 @@ def test_criterion_1_one_dim_worked_example(ramp, uniform4):
         assert maximal.j == MAXIMAL_MATRIX  # all 16 rationals
         assert maximal.j[3][0] == F(9, 80)
         assert mismatch_prob(maximal) == F(1, 5)
-        generic = coupling_validate(GENERIC_COUPLING, ramp, uniform4)
+        generic = Coupling(GENERIC_COUPLING, ramp, uniform4)
         assert mismatch_prob(generic) == F(19, 40)
         assert time.perf_counter() - start < 1.0
 

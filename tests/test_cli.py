@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import couplingkit
-from couplingkit.cli import main
+from couplingkit import distributions
+from couplingkit.cli import Config, main
+from couplingkit.multidim import Coupling4
 from couplingkit.jsonio import load_coupling_matrix
 from couplingkit.rational import parse_rational
 from couplingkit.tables import generate_fixtures
@@ -163,6 +166,39 @@ class TestVerify:
         assert "pair mismatch: 5/9 (0.55556)" in printed
         assert "coordinate mismatch: 5/9 (0.55556)" in printed
 
+    @pytest.mark.parametrize("fixture,dim", [("ramp_uniform_generic.json", 1), ("diag_band_constrained.json", 2)])
+    def test_coupling_file_is_read_once(self, tmp_path, monkeypatch, files, fixture, dim):
+        p, q = (files("p.json", RAMP), files("q.json", UNIFORM4)) if dim == 1 else (
+            files("p.json", DIAG3), files("q.json", BAND3))
+        fx = tmp_path / fixture
+        fx.write_text(generate_fixtures()[fixture], encoding="utf-8")
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read_text(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        assert main(["verify", str(fx), p, q]) == 0
+        assert reads.count(fx) == 1
+
+    def test_coupling_file_errors_come_before_marginal_errors(self, tmp_path, files, capsys):
+        bad_coupling = tmp_path / "c.json"
+        bad_coupling.write_text("{oops", encoding="utf-8")
+        bad_p = files("p.json", {"alphabet": ["1", "2"], "p": ["1/2", "1/3"]})
+        assert main(["verify", str(bad_coupling), bad_p, bad_p]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad_coupling} is not valid JSON")
+
+    def test_dimension_mismatch_comes_before_coupling_entries(self, tmp_path, files, capsys):
+        # A one-dim coupling file with a malformed entry against two-dim marginals.
+        obj = json.loads(generate_fixtures()["ramp_uniform_generic.json"])
+        obj["matrix"][0][0] = "abc"
+        fx = tmp_path / "c.json"
+        fx.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["verify", str(fx), files("d.json", DIAG3), files("b.json", BAND3)]) == 3
+        assert "needs one-dim marginal files" in capsys.readouterr().err
+
     def test_wrong_alphabet_exits_3(self, tmp_path, files, ramp_file, uniform_file):
         obj = json.loads(generate_fixtures()["ramp_uniform_generic.json"])
         obj["alphabet"] = ["a", "b", "c", "d"]
@@ -269,12 +305,91 @@ class TestBoundary:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
+    def test_huge_exponent_exits_2_without_building_the_power(self, files):
+        # Without the exponent bound Fraction would build 10**999999999 and hang.
+        pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1e-999999999", "1"]})
+        env = dict(os.environ, PYTHONPATH=str(Path(couplingkit.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "couplingkit.cli", "audit", pk],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert "has an exponent over 4300 in magnitude" in done.stderr
+
     def test_long_literal_is_quoted_briefly(self, files, capsys):
         pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1" * 5000, "0"]})
         assert main(["audit", pk]) == 2
         err = capsys.readouterr().err
         assert "is too long (over 4300 digits)" in err and "5000 characters" in err
         assert len(err) < 200
+
+
+class TestUnwritableOut:
+    """A failed write to --out exits 2 with one error line and prints nothing else."""
+
+    def test_couple_out_is_a_directory(self, tmp_path, capsys, ramp_file, uniform_file):
+        assert main(["couple", ramp_file, uniform_file, "--kind", "maximal", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_oracle_out_under_a_missing_directory(self, tmp_path, capsys, ramp_file, uniform_file):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["oracle", ramp_file, uniform_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert not out.parent.exists()
+
+
+class TestValidationWork:
+    """Each two-dim command validates each input once, through its flat form."""
+
+    @pytest.mark.parametrize("command", ["vdist", "couple", "verify", "oracle"])
+    def test_two_dim_commands_build_two_product_alphabets(self, tmp_path, monkeypatch, files, command):
+        p, q = files("d.json", DIAG3), files("b.json", BAND3)
+        fx = tmp_path / "c.json"
+        fx.write_text(generate_fixtures()["diag_band_maximal.json"], encoding="utf-8")
+        argv = {
+            "vdist": ["vdist", p, q],
+            "couple": ["couple", p, q, "--kind", "maximal", "--out", str(tmp_path / "out.json")],
+            "verify": ["verify", str(fx), p, q],
+            "oracle": ["oracle", p, q],
+        }[command]
+        calls = {"product": 0, "pmf": 0}
+        product, pmf_init = distributions.Alphabet.product, distributions.Pmf.__init__
+
+        def counting_product(self):
+            calls["product"] += 1
+            return product(self)
+
+        def counting_pmf_init(self, *args, **kwargs):
+            calls["pmf"] += 1
+            pmf_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(distributions.Alphabet, "product", counting_product)
+        monkeypatch.setattr(distributions.Pmf, "__init__", counting_pmf_init)
+        assert main(argv) == 0
+        assert calls == {"product": 2, "pmf": 2}
+
+
+class TestPublicNames:
+    def test_removed_aliases_stay_removed(self):
+        for name in ("coupling_validate", "Rational", "format_rational", "UnbalancedProblemError"):
+            assert name not in couplingkit.__all__
+            assert not hasattr(couplingkit, name)
+        assert not hasattr(Coupling4, "flatten")
+
+    def test_every_exported_name_resolves(self):
+        for name in couplingkit.__all__:
+            assert hasattr(couplingkit, name), name
+
+    def test_config_holds_only_output_options(self):
+        assert [f.name for f in dataclasses.fields(Config)] == ["format", "precision"]
 
 
 class TestTables:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from couplingkit import (
     AlphabetMismatchError,
     CorruptedCouplingError,
+    Coupling,
     CouplingError,
     Pmf,
     Alphabet,
     coupling_independent,
     coupling_maximal,
-    coupling_validate,
     lemma_audit,
     maximal_diagonal,
     mismatch_prob,
@@ -44,7 +44,7 @@ MAXIMAL_MATRIX = (
 
 class TestValidate:
     def test_generic_coupling_is_valid(self, ramp, uniform4):
-        c = coupling_validate(GENERIC_COUPLING, ramp, uniform4)
+        c = Coupling(GENERIC_COUPLING, ramp, uniform4)
         assert c.left is ramp and c.right is uniform4
 
     def test_scaled_identity_couples_uniform_with_itself(self):
@@ -53,13 +53,13 @@ class TestValidate:
         rows = tuple(
             tuple(F(1, n) if i == j else F(0) for j in range(n)) for i in range(n)
         )
-        c = coupling_validate(rows, u, u)
+        c = Coupling(rows, u, u)
         assert mismatch_prob(c) == 0
 
     def test_all_zero_matrix_fails_mass(self, ramp, uniform4):
         rows = tuple((F(0),) * 4 for _ in range(4))
         with pytest.raises(CouplingError) as err:
-            coupling_validate(rows, ramp, uniform4)
+            Coupling(rows, ramp, uniform4)
         assert err.value.constraint == "total_mass"
 
     def test_negative_entry_reported_first(self, ramp, uniform4):
@@ -69,7 +69,7 @@ class TestValidate:
         rows[1][0] = F(-1, 100)
         rows[1][1] += F(1, 100)
         with pytest.raises(CouplingError) as err:
-            coupling_validate(rows, ramp, uniform4)
+            Coupling(rows, ramp, uniform4)
         assert err.value.constraint == "negative_entry"
 
     def test_row_marginal_violation_names_symbol(self, ramp, uniform4):
@@ -77,7 +77,7 @@ class TestValidate:
         rows[2][2] -= F(1, 80)  # move mass between rows, keep columns intact
         rows[3][2] = F(1, 80)
         with pytest.raises(CouplingError) as err:
-            coupling_validate(rows, ramp, uniform4)
+            Coupling(rows, ramp, uniform4)
         assert err.value.constraint == "row_marginal"
         assert err.value.symbol == "3"
 
@@ -86,14 +86,27 @@ class TestValidate:
         rows[2][0] -= F(1, 80)  # move mass within a row
         rows[2][1] += F(1, 80)
         with pytest.raises(CouplingError) as err:
-            coupling_validate(rows, ramp, uniform4)
+            Coupling(rows, ramp, uniform4)
         assert err.value.constraint == "column_marginal"
         assert err.value.symbol == "1"
 
     def test_shape_violation(self, ramp, uniform4):
         with pytest.raises(CouplingError) as err:
-            coupling_validate(((F(1),),), ramp, uniform4)
+            Coupling(((F(1),),), ramp, uniform4)
         assert err.value.constraint == "shape"
+
+    def test_non_fraction_entry_is_a_shape_violation_naming_its_cell(self, ramp, uniform4):
+        rows = [list(r) for r in MAXIMAL_MATRIX]
+        rows[2][1] = 0.0125
+        with pytest.raises(CouplingError, match=r"entry \(3,2\) must be a Fraction, got float") as err:
+            Coupling(rows, ramp, uniform4)
+        assert err.value.constraint == "shape"
+
+    def test_negative_entry_names_its_cell(self, ramp, uniform4):
+        rows = [list(r) for r in MAXIMAL_MATRIX]
+        rows[3][1] = F(-3, 80)
+        with pytest.raises(CouplingError, match=r"entry \(4,2\) is negative: -3/80"):
+            Coupling(rows, ramp, uniform4)
 
 
 class TestIndependent:
@@ -179,7 +192,7 @@ class TestMaximal:
     def test_output_revalidates_against_inputs(self, pair):
         p, q = pair
         c = coupling_maximal(p, q)
-        assert coupling_validate(c.j, p, q).j == c.j
+        assert Coupling(c.j, p, q).j == c.j
 
 
 def unchecked_pmf(probs) -> Pmf:
@@ -225,7 +238,7 @@ class TestMismatchProb:
         assert mismatch_prob(coupling_maximal(ramp, uniform4)) == F(1, 5)
 
     def test_generic(self, ramp, uniform4):
-        c = coupling_validate(GENERIC_COUPLING, ramp, uniform4)
+        c = Coupling(GENERIC_COUPLING, ramp, uniform4)
         assert mismatch_prob(c) == F(19, 40)
 
 
@@ -242,7 +255,7 @@ class TestLemmaAudit:
         assert audit.maximal and audit.gap == F(0)
 
     def test_generic_case(self, ramp, uniform4):
-        audit = lemma_audit(coupling_validate(GENERIC_COUPLING, ramp, uniform4))
+        audit = lemma_audit(Coupling(GENERIC_COUPLING, ramp, uniform4))
         assert (audit.v, audit.mismatch) == (F(1, 5), F(19, 40))
         assert audit.holds and not audit.maximal
 

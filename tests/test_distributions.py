@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplingkit import Alphabet, DistributionError, Pmf, Pmf2
+from couplingkit.distributions import check_mass
 
 F = Fraction
 
@@ -128,6 +129,33 @@ class TestPmf2:
         assert band3.column_marginal().p == (F(2, 9), F(4, 9), F(1, 3))
 
 
+class TestCheckMass:
+    """The one check of "non-negative Fractions with an exact total of 1"."""
+
+    @staticmethod
+    def failure(entries):
+        def error(message, constraint):
+            return ValueError(constraint, message)
+
+        with pytest.raises(ValueError) as info:
+            check_mass(entries, lambda k: f"cell {k}", error)
+        return info.value.args
+
+    def test_valid_entries_pass(self):
+        assert check_mass((F(1, 3), F(0), F(2, 3)), str, ValueError) is None
+
+    def test_first_failing_entry_is_reported_before_the_total(self):
+        assert self.failure((F(1, 2), 0.5, F(-1))) == ("shape", "cell 1 must be a Fraction, got float")
+        assert self.failure((F(1, 2), F(-1), 0.5)) == ("negative_entry", "cell 1 is negative: -1")
+        assert self.failure((F(1, 2), F(1, 3))) == ("total_mass", "probabilities sum to 5/6, expected 1")
+
+    def test_labels_are_built_only_on_failure(self):
+        def label(k):
+            raise AssertionError("label asked for on a valid vector")
+
+        check_mass((F(1, 2), F(1, 2)), label, ValueError)
+
+
 class TestFlatten:
     def test_diagonal_flatten(self, diag3):
         flat = diag3.flatten()
@@ -148,6 +176,26 @@ class TestFlatten:
     def test_single_cell(self):
         one = Pmf2(Alphabet(["a"]), ((F(1),),))
         assert one.flatten().p == (F(1),)
+
+    def test_flat_form_is_built_once_and_kept(self, band3):
+        assert band3.flatten() is band3.flatten()
+        assert band3.flatten().alphabet == band3.alphabet.product()
+
+    def test_flat_form_leaves_equality_alone(self, alpha3, band3):
+        twin = Pmf2(alpha3, band3.p)
+        assert twin == band3 and hash(twin) == hash(band3)
+        assert repr(twin) == f"Pmf2(alphabet={alpha3!r}, p={band3.p!r})"
+
+    def test_colliding_pair_labels_rejected_at_construction(self):
+        # "1" + "1,1" and "1,1" + "1" both label as "(1,1,1)"
+        with pytest.raises(DistributionError, match="collide"):
+            Pmf2(Alphabet(["1", "1,1"]), ((F(1), F(0)), (F(0), F(0))))
+
+    def test_entry_errors_name_the_pair(self, alpha3):
+        rows = [[F(1, 9)] * 3 for _ in range(3)]
+        rows[1][2] = F(-1, 9)
+        with pytest.raises(DistributionError, match=r"\(2,3\)\) is negative: -1/9"):
+            Pmf2(alpha3, rows)
 
     @given(st.integers(min_value=1, max_value=5), st.data())
     def test_flatten_preserves_entries_bijectively(self, n, data):

@@ -100,7 +100,7 @@ class TestCouplingFiles:
         path = write(tmp_path, "c4.json", coupling4_to_obj(c4))
         alphabet, tensor = load_coupling4_blocks(path)
         rebuilt = Coupling4.from_tensor(tensor, diag3, band3)
-        assert rebuilt.flatten().j == c4.flatten().j
+        assert rebuilt.flat.j == c4.flat.j
 
     def test_blocks_layout_mirrors_tables(self, diag3, band3):
         obj = coupling4_to_obj(coupling4_maximal(diag3, band3))

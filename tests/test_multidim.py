@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from couplingkit import (
+    Alphabet,
     ConstraintInfeasibleError,
+    Coupling,
     Coupling4,
     Pmf,
     Pmf2,
@@ -110,7 +112,7 @@ class TestMaximal4:
     def test_reduces_to_flattened_one_dim_construction(self, diag3, band3):
         c4 = coupling4_maximal(diag3, band3)
         flat = coupling_maximal(diag3.flatten(), band3.flatten())
-        assert c4.flatten().j == flat.j
+        assert c4.flat.j == flat.j
 
     def test_random_pairs_match_lp_oracle(self):
         # dual route: construction vs independently solved transport LP
@@ -206,12 +208,20 @@ class TestCoupling4Construction:
             for x1 in range(n)
         ]
         rebuilt = Coupling4.from_tensor(tensor, diag3, band3)
-        assert rebuilt.flatten().j == c4.flatten().j
+        assert rebuilt.flat.j == c4.flat.j
+
+    def test_flat_coupling_off_the_product_alphabet_rejected(self, diag3, band3):
+        # Same entries, relabelled "1".."9": the marginals' alphabets differ.
+        flat = coupling4_maximal(diag3, band3).flat
+        nine = Alphabet.of_size(9)
+        relabelled = Coupling(flat.j, Pmf(nine, flat.left.p), Pmf(nine, flat.right.p))
+        with pytest.raises(ConstraintInfeasibleError, match="marginals"):
+            Coupling4(relabelled, diag3, band3)
 
     def test_pair_inequality_on_random_mixes(self, diag3, band3):
         # convex mixes of the maximal and independent four-index couplings
-        a = coupling4_maximal(diag3, band3).flatten()
-        b = coupling4_independent(diag3, band3).flatten()
+        a = coupling4_maximal(diag3, band3).flat
+        b = coupling4_independent(diag3, band3).flat
         v = vdist2(diag3, band3)
         for k in range(0, 11):
             w = F(k, 10)

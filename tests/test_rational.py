@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from couplingkit import ParseError, decimal_string, format_rational, parse_rational
+from couplingkit import ParseError, decimal_string, parse_rational
+from couplingkit.rational import MAX_EXPONENT
 
 F = Fraction
 
@@ -74,12 +75,44 @@ class TestParse:
             parse_rational(0.5)  # type: ignore[arg-type]
 
 
+class TestExponentBound:
+    """Fraction builds 10**|exponent| before reducing, so the exponent is bounded first."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e-999999999", "0e-999999999", "1e4301", "-2.5E+4_301", "1e-" + "9" * 5000, "1e-" + "\u0669" * 9],
+        ids=["huge-negative", "zero-mantissa", "just-over", "underscored", "5000-digit", "arabic-indic-digits"],
+    )
+    def test_exponent_over_the_bound_is_rejected(self, text):
+        with pytest.raises(ParseError) as info:
+            parse_rational(text)
+        message = str(info.value)
+        assert message.endswith(f"has an exponent over {MAX_EXPONENT} in magnitude")
+        assert len(message) < 120
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            ("1e-4300", F(1, 10**4300)),
+            ("1e4300", F(10**4300)),
+            ("3e-0000000000000000000000005", F(3, 10**5)),
+            ("2.5E+1_0", F(25 * 10**9)),
+            (" 1e2 ", F(100)),
+        ],
+    )
+    def test_exponent_within_the_bound_is_exact(self, text, expected):
+        assert parse_rational(text) == expected
+
+    def test_bound_matches_the_int_from_str_digit_limit(self):
+        assert MAX_EXPONENT == 4300
+
+
 class TestFormat:
     def test_fraction_form(self):
-        assert format_rational(F(3, 80)) == "3/80"
+        assert str(F(3, 80)) == "3/80"
 
     def test_integer_form(self):
-        assert format_rational(F(4, 2)) == "2"
+        assert str(F(4, 2)) == "2"
 
     @given(
         st.fractions(
@@ -87,7 +120,7 @@ class TestFormat:
         )
     )
     def test_round_trip(self, r):
-        assert parse_rational(format_rational(r)) == r
+        assert parse_rational(str(r)) == r
 
 
 class TestDecimalString:
