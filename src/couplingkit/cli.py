@@ -78,8 +78,7 @@ class Config:
     precision: int = 5
 
     def __post_init__(self):
-        if self.format not in ("json", "table"):
-            raise ValueError(f"unknown format {self.format!r}")
+        # argparse's choices already reject a bad --format
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
 

@@ -6,13 +6,16 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 (and any other rational-cost instance on the same marginals) exactly:
 
 * transportation simplex on a spanning-tree basis, chosen over general
-  simplex because the constraint matrix is totally unimodular and every
-  pivot stays cheap in exact rationals;
-* pricing on integers: the costs are scaled once by L, the lcm of their
-  denominators, so the tree potentials and reduced costs are integers
-  with the signs of the exact ones, and each pivot's cycle is the tree
-  path between the entering cell's row and column; flows stay exact
-  Fractions, and the certificate's potentials are the integer ones over L;
+  simplex because the constraint matrix is totally unimodular;
+* every pivot on integers: the costs are scaled once by L, the lcm of
+  their denominators, so the tree potentials and reduced costs are
+  integers with the signs of the exact ones; the marginals are scaled
+  once by D, the lcm of theirs, and total unimodularity makes every
+  basic flow an integer over D.  The coupling's entries are the flows
+  over D, and the certificate's potentials the integer ones over L;
+* each pivot's cycle is the tree path between the entering cell's row
+  and column, and only the subtree that the leaving cell cuts off has
+  its potentials walked again;
 * degeneracy handled with zero-flow basic cells and a Bland-style
   smallest-index rule (first negative reduced cost enters, smallest tied
   cell leaves), which guarantees termination without perturbing data;
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from operator import sub
+from operator import mul, sub
 from typing import Sequence
 
 from .coupling import Coupling
@@ -147,8 +150,8 @@ class _DisjointSet:
         return True
 
 
-def _initial_basis(supply: Sequence[Fraction], demand: Sequence[Fraction]) -> tuple[list[list[Fraction]], list[Cell]]:
-    """Initial basic feasible solution with exactly 2N - 1 cells.
+def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[list[int]], list[Cell]]:
+    """Initial basic feasible solution with exactly 2N - 1 cells, on integer marginals.
 
     Keeps the pointwise overlap min(s_i, d_i) on the diagonal and routes
     the leftover row mass to the leftover column mass through a
@@ -160,7 +163,7 @@ def _initial_basis(supply: Sequence[Fraction], demand: Sequence[Fraction]) -> tu
     on off-diagonal cells.
     """
     n = len(supply)
-    flow = [[ZERO] * n for _ in range(n)]
+    flow = [[0] * n for _ in range(n)]
     basis: list[Cell] = [(i, i) for i in range(n)]
     for i in range(n):
         flow[i][i] = min(supply[i], demand[i])
@@ -198,46 +201,95 @@ def _initial_basis(supply: Sequence[Fraction], demand: Sequence[Fraction]) -> tu
     return flow, basis
 
 
-def _scaled_costs(cost: CostMatrix) -> tuple[int, list[list[int]]]:
-    """The lcm L of the cost denominators, and the integer matrix L * cost."""
-    scale = lcm(*(c.denominator for row in cost for c in row))
-    return scale, [[c.numerator * (scale // c.denominator) for c in row] for row in cost]
+def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ``values``, and the values times it as ints."""
+    scale = lcm(*(x.denominator for x in values))
+    return scale, [x.numerator * (scale // x.denominator) for x in values]
+
+
+Tree = tuple[list[int], list[int], list[int], list[int]]
+
+
+def _walk_below(
+    top: int,
+    row_adj: Sequence[set[int]],
+    col_adj: Sequence[set[int]],
+    cost: Sequence[Sequence[int]],
+    tree: Tree,
+) -> int:
+    """Set the potentials, parents and depths of every node below ``top``.
+
+    ``tree`` is (u, v, parent, depth) with ``top``'s own entries already
+    set; nodes 0..n-1 are rows and n..2n-1 columns.  Walks breadth-first,
+    taking each node's neighbours other than its parent as its children,
+    and returns the number of nodes walked, ``top`` included.  A tree
+    has 2N nodes, so walking more means the adjacency has a cycle, which
+    raises :class:`CorruptedCouplingError`.
+    """
+    u, v, parent, depth = tree
+    n = len(row_adj)
+    order = [top]
+    for x in order:  # grows while it is walked: a breadth-first queue
+        below, skip = depth[x] + 1, parent[x]
+        if x < n:
+            ux, crow = u[x], cost[x]
+            for b in row_adj[x]:
+                if n + b != skip:
+                    v[b] = crow[b] - ux
+                    parent[n + b], depth[n + b] = x, below
+                    order.append(n + b)
+        else:
+            b = x - n
+            vb = v[b]
+            for a in col_adj[b]:
+                if a != skip:
+                    u[a] = cost[a][b] - vb
+                    parent[a], depth[a] = x, below
+                    order.append(a)
+        if len(order) > 2 * n:
+            raise CorruptedCouplingError("basis has a cycle: walk passed 2N nodes")
+    return len(order)
 
 
 def _tree_walk(
     row_adj: Sequence[set[int]], col_adj: Sequence[set[int]], cost: Sequence[Sequence[int]], n: int
-) -> tuple[list[int], list[int], list[int], list[int]]:
+) -> Tree:
     """Potentials u_i + v_j = cost_ij over the basis tree, anchored at u_0 = 0.
 
-    Walks the tree breadth-first from row 0.  Nodes 0..n-1 are rows and
-    n..2n-1 columns; alongside the potentials it returns each node's
-    parent and depth in the walk (the root's parent is -1).
+    Walks the whole tree from row 0; alongside the potentials it returns
+    each node's parent and depth (the root's parent is -1).
     """
-    u: list[int | None] = [None] * n
-    v: list[int | None] = [None] * n
-    parent = [-1] * (2 * n)
-    depth = [0] * (2 * n)
-    u[0] = 0
-    order = [0]
-    for node in order:  # grows while it is walked: a breadth-first queue
-        if node < n:
-            ui, crow = u[node], cost[node]
-            for b in row_adj[node]:
-                if v[b] is None:
-                    v[b] = crow[b] - ui
-                    parent[n + b], depth[n + b] = node, depth[node] + 1
-                    order.append(n + b)
-        else:
-            b = node - n
-            vb = v[b]
-            for a in col_adj[b]:
-                if u[a] is None:
-                    u[a] = cost[a][b] - vb
-                    parent[a], depth[a] = node, depth[node] + 1
-                    order.append(a)
-    if len(order) != 2 * n:
+    tree = ([0] * n, [0] * n, [-1] * (2 * n), [0] * (2 * n))
+    if _walk_below(0, row_adj, col_adj, cost, tree) != 2 * n:
         raise CorruptedCouplingError("basis does not span the bipartite graph")
-    return u, v, parent, depth  # type: ignore[return-value]
+    return tree
+
+
+def _rehang(
+    node: int,
+    up: int,
+    row_adj: Sequence[set[int]],
+    col_adj: Sequence[set[int]],
+    cost: Sequence[Sequence[int]],
+    tree: Tree,
+) -> None:
+    """Hang the subtree below ``node`` from ``up`` and reset it in place.
+
+    After a pivot the leaving cell has cut a subtree off the root's
+    side, and the entering cell (``node``, ``up``) joins it back, with
+    ``node`` inside the subtree.  Nothing outside the subtree moves, so
+    only its potentials, parents and depths are walked again, from the
+    costs; in a tree with a fixed root all three are unique, so they
+    equal those of a fresh :func:`_tree_walk`.
+    """
+    u, v, parent, depth = tree
+    n = len(row_adj)
+    parent[node], depth[node] = up, depth[up] + 1
+    if node < n:
+        u[node] = cost[node][up - n] - v[up - n]
+    else:
+        v[node - n] = cost[up][node - n] - u[up]
+    _walk_below(node, row_adj, col_adj, cost, tree)
 
 
 def _entering_cell(
@@ -300,27 +352,32 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     ``MAX_PIVOTS_PER_CELL * N**2`` pivots guards the loop, and exceeding
     it raises :class:`CorruptedCouplingError`.
 
-    Pricing runs on integers: the costs are scaled once by L, the lcm of
-    their denominators, so the tree potentials are integers and every
-    reduced cost has the sign of the unscaled one.  Flows stay exact
-    Fractions.  The returned potentials are the integer ones divided by
-    L, and strong duality is checked on them in Fractions.
+    Every pivot works on integers.  The costs are scaled once by L, the
+    lcm of their denominators, so the tree potentials are integers and
+    every reduced cost has the sign of the unscaled one.  The marginals
+    are scaled once by D, the lcm of their denominators; the constraint
+    matrix is totally unimodular, so every basic flow is an integer over
+    D.  The potentials are walked over the whole tree once and then,
+    after each pivot, only over the subtree that the leaving cell cuts
+    off.  Strong duality is checked on the integers; the coupling's
+    entries are the flows over D and the certificate's potentials the
+    integer ones over L.
     """
     n = len(tp.supply.alphabet)
-    flow, basis = _initial_basis(tp.supply.p, tp.demand.p)
-    scale, cost = _scaled_costs(tp.cost)
+    mass_scale, marginals = _scaled(tp.supply.p + tp.demand.p)
+    flow, basis = _initial_basis(marginals[:n], marginals[n:])
+    scale, flat_cost = _scaled([c for row in tp.cost for c in row])
+    cost = [flat_cost[i * n : (i + 1) * n] for i in range(n)]
     row_adj: list[set[int]] = [set() for _ in range(n)]
     col_adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in basis:
         row_adj[a].add(b)
         col_adj[b].add(a)
+    tree = _tree_walk(row_adj, col_adj, cost, n)
+    u, v, parent, depth = tree
     budget = MAX_PIVOTS_PER_CELL * n * n
     pivots = 0
-    while True:
-        u, v, parent, depth = _tree_walk(row_adj, col_adj, cost, n)
-        entering = _entering_cell(cost, u, v)
-        if entering is None:
-            break
+    while (entering := _entering_cell(cost, u, v)) is not None:
         pivots += 1
         if pivots > budget:
             raise CorruptedCouplingError(
@@ -336,22 +393,37 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
                 flow[a][b] += theta
             for a, b in decreasing:
                 flow[a][b] -= theta
-        row_adj[leaving[0]].remove(leaving[1])
-        col_adj[leaving[1]].remove(leaving[0])
-        row_adj[entering[0]].add(entering[1])
-        col_adj[entering[1]].add(entering[0])
+        p, q = leaving
+        a, b = entering
+        row_adj[p].remove(q)
+        col_adj[q].remove(p)
+        row_adj[a].add(b)
+        col_adj[b].add(a)
+        # The cycle passes each decreasing cell from its column to its
+        # row, so the leaving cell's lower end says which side it cut.
+        if parent[n + q] == p:
+            _rehang(n + b, a, row_adj, col_adj, cost, tree)
+        else:
+            _rehang(a, n + b, row_adj, col_adj, cost, tree)
 
-    coupling = Coupling(tuple(tuple(row) for row in flow), tp.supply, tp.demand)
-    objective = tp.objective(coupling)
-    u_exact = tuple(Fraction(x, scale) for x in u)
-    v_exact = tuple(Fraction(x, scale) for x in v)
-    dual_value = _dual_value(u_exact, v_exact, tp.supply, tp.demand)
-    if dual_value != objective:
-        raise CorruptedCouplingError(
-            f"strong duality failed: dual {dual_value} != primal {objective}"
-        )
-    certificate = DualCertificate(u=u_exact, v=v_exact, objective=objective)
     cells = tuple((a, b) for a in range(n) for b in sorted(row_adj[a]))
+    primal = sum(sum(map(mul, crow, frow)) for crow, frow in zip(cost, flow))
+    dual = sum(map(mul, u, marginals[:n])) + sum(map(mul, v, marginals[n:]))
+    if dual != primal:
+        raise CorruptedCouplingError(
+            f"strong duality failed: dual {dual} != primal {primal}, "
+            f"both over {scale * mass_scale}"
+        )
+    coupling = Coupling(
+        tuple(tuple(Fraction(x, mass_scale) if x else ZERO for x in row) for row in flow),
+        tp.supply,
+        tp.demand,
+    )
+    certificate = DualCertificate(
+        u=tuple(Fraction(x, scale) for x in u),
+        v=tuple(Fraction(x, scale) for x in v),
+        objective=Fraction(primal, scale * mass_scale),
+    )
     return coupling, certificate, BasisTree(cells=cells)
 
 

@@ -74,6 +74,18 @@ class TestVdist:
         assert main(["vdist", "--precision", "2", ramp_file, uniform_file]) == 0
         assert capsys.readouterr().out.strip() == "1/5 (0.20)"
 
+    def test_unknown_format_exits_2_with_usage(self, capsys, ramp_file, uniform_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["vdist", "--format", "xml", ramp_file, uniform_file])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "invalid choice: 'xml'" in err
+
+    def test_precision_zero_exits_2(self, capsys, ramp_file, uniform_file):
+        assert main(["vdist", "--precision", "0", ramp_file, uniform_file]) == 2
+        assert capsys.readouterr().err == "error: precision must be >= 1\n"
+
     def test_parse_failure_exits_2(self, tmp_path, ramp_file, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -57,6 +58,35 @@ def fractional_problems(draw, max_n: int = 4):
             )
         )
         return Pmf(alphabet, tuple(F(w, sum(weights)) for w in weights))
+
+    entry = st.builds(
+        F, st.integers(min_value=-20, max_value=20), st.sampled_from(COST_DENOMINATORS)
+    )
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    return TransportProblem(pmf(), pmf(), cost)
+
+
+# i * 30! + 1 for i = 1..30 are pairwise coprime (a common prime factor
+# of two of them would divide (j - i) * 30!, whose primes are all <= 30)
+# and about 108 bits each, so the lcm D of a few is hundreds of bits.
+COPRIME_DENOMINATORS = tuple(i * math.factorial(30) + 1 for i in range(1, 31))
+
+
+@st.composite
+def coprime_problems(draw, n: int):
+    """Marginals over pairwise-coprime ~108-bit denominators, fractional costs.
+
+    Each marginal takes N - 1 of the denominators, none shared with the
+    other; its last entry is what the others leave of 1.
+    """
+    denominators = iter(draw(st.permutations(COPRIME_DENOMINATORS)))
+    alphabet = Alphabet.of_size(n)
+
+    def pmf() -> Pmf:
+        weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+        total = sum(weights) + 1
+        head = [F(w * b // total, b) for w, b in zip(weights[:-1], denominators)]
+        return Pmf(alphabet, (*head, 1 - sum(head, F(0))))
 
     entry = st.builds(
         F, st.integers(min_value=-20, max_value=20), st.sampled_from(COST_DENOMINATORS)
@@ -183,6 +213,74 @@ class TestSolve:
             tp = TransportProblem(p, q, random_cost(rng, n))
             coupling, cert, _ = solve_transport(tp)
             assert_certificate(tp, coupling, cert)
+
+
+class TestIncrementalPotentials:
+    def test_walks_on_a_cyclic_adjacency_raise(self):
+        # rows 0, 1 and columns 0, 1 all joined: a 4-cycle, not a tree.
+        # The sets stop a walk that the guard fails to end.
+        visits = 0
+
+        class Neighbours(set):
+            def __iter__(self):
+                nonlocal visits
+                visits += 1
+                assert visits < 100, "walk did not stop"
+                return super().__iter__()
+
+        row_adj = [Neighbours({0, 1}), Neighbours({0, 1})]
+        col_adj = [Neighbours({0, 1}), Neighbours({0, 1})]
+        cost = [[0, 1], [1, 0]]
+        tree = ([0, 0], [0, 0], [-1, 0, 0, 1], [0, 2, 1, 3])
+        with pytest.raises(CorruptedCouplingError, match="walk passed 2N nodes"):
+            transport_module._rehang(2, 0, row_adj, col_adj, cost, tree)
+        with pytest.raises(CorruptedCouplingError, match="walk passed 2N nodes"):
+            transport_module._tree_walk(row_adj, col_adj, cost, 2)
+
+    def test_maintained_tree_equals_a_fresh_walk_after_every_pivot(self, monkeypatch):
+        rehang = transport_module._rehang
+        checked = 0
+
+        def checked_rehang(node, up, row_adj, col_adj, cost, tree):
+            nonlocal checked
+            rehang(node, up, row_adj, col_adj, cost, tree)
+            fresh = transport_module._tree_walk(row_adj, col_adj, cost, len(row_adj))
+            assert tree == fresh
+            checked += 1
+
+        monkeypatch.setattr(transport_module, "_rehang", checked_rehang)
+        rng = random.Random(4242)
+        for n in range(1, 31):
+            for cost in (
+                random_cost(rng, n, max_cost=1),
+                random_cost(rng, n, max_cost=99),
+                fractional_cost(rng, n),
+            ):
+                # few, small weights leave zero entries: degenerate pivots
+                p = random_pmf(rng, n, max_weight=2)
+                q = random_pmf(rng, n, max_weight=30)
+                tp = TransportProblem(p, q, cost)
+                coupling, cert, _ = solve_transport(tp)
+                assert_certificate(tp, coupling, cert)
+        assert checked > 1000
+
+
+class TestLargeDenominators:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=1, max_value=4).flatmap(coprime_problems))
+    def test_small_instances_match_vertex_minimum(self, tp):
+        coupling, cert, _ = solve_transport(tp)
+        assert certify(coupling, cert, tp)
+        assert cert.objective == min(tp.objective(v) for v in vertex_enumerate(tp))
+
+    @settings(max_examples=10, deadline=None)
+    @given(coprime_problems(16))
+    def test_n16_is_certified_with_exact_marginals(self, tp):
+        assert math.lcm(*(x.denominator for x in tp.supply.p + tp.demand.p)).bit_length() > 1000
+        coupling, cert, _ = solve_transport(tp)
+        assert certify(coupling, cert, tp)
+        assert [sum(row, F(0)) for row in coupling.j] == list(tp.supply.p)
+        assert [sum(col, F(0)) for col in zip(*coupling.j)] == list(tp.demand.p)
 
 
 class TestMinMismatch:
