@@ -18,18 +18,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence
 
-from .distributions import ONE, ZERO, Alphabet, Pmf, check_mass, require_same_alphabet
+from .distributions import (
+    ONE,
+    ZERO,
+    Alphabet,
+    Pmf,
+    check_mass,
+    numerators_over,
+    require_same_alphabet,
+)
 from .errors import CorruptedCouplingError, CouplingError
 from .metrics import vdist_halfsum
+from .rational import bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class Coupling:
-    """Validated joint distribution with cached marginals (row = x, column = y)."""
+    """Validated joint distribution with cached marginals (row = x, column = y).
+
+    Construction raises :class:`CouplingError` naming the first failed
+    constraint: the shape, each entry's type and sign and the total mass
+    (:func:`~couplingkit.distributions.check_mass`), then every row
+    marginal, then every column marginal.  The sums run on ints over D,
+    the entries' common denominator, one scaled row at a time, so no
+    N x N array of scaled ints is ever held.
+    """
 
     alphabet: Alphabet
     j: Matrix
@@ -44,24 +62,29 @@ class Coupling:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
         symbols = alphabet.symbols
-        check_mass(
+        scale = check_mass(
             [v for row in rows for v in row],
             lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})",
             CouplingError,
         )
-        for i, a in enumerate(alphabet):
-            row_sum = sum(rows[i], ZERO)
-            if row_sum != left.p[i]:
+        # sum / scale == x is checked as sum * x.denominator == x.numerator * scale.
+        columns = [0] * n
+        for a, row, x in zip(symbols, rows, left.p):
+            ints = list(numerators_over(scale, row))
+            row_sum = sum(ints)
+            if row_sum * x.denominator != x.numerator * scale:
                 raise CouplingError(
-                    f"row marginal at {a!r} is {row_sum}, expected {left.p[i]}",
+                    f"row marginal at {a!r} is {bounded_str(Fraction(row_sum, scale))}, "
+                    f"expected {bounded_str(x)}",
                     constraint="row_marginal",
                     symbol=a,
                 )
-        for jcol, b in enumerate(alphabet):
-            col_sum = sum((rows[i][jcol] for i in range(n)), ZERO)
-            if col_sum != right.p[jcol]:
+            columns = list(map(add, columns, ints))
+        for b, col_sum, y in zip(symbols, columns, right.p):
+            if col_sum * y.denominator != y.numerator * scale:
                 raise CouplingError(
-                    f"column marginal at {b!r} is {col_sum}, expected {right.p[jcol]}",
+                    f"column marginal at {b!r} is {bounded_str(Fraction(col_sum, scale))}, "
+                    f"expected {bounded_str(y)}",
                     constraint="column_marginal",
                     symbol=b,
                 )

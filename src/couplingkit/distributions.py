@@ -11,6 +11,13 @@ package emits deterministic and diff-able.  :func:`check_mass` is the one
 check of "non-negative Fractions with an exact total of 1"; :class:`Pmf`
 and :class:`~couplingkit.coupling.Coupling` both call it.
 
+The exact loops run on plain ints over one common denominator:
+:func:`common_denominator` is the lcm of the distinct denominators of a
+set of values, :func:`numerators_over` gives the values times such a
+scale, and :func:`scaled` turns a vector into its lcm and those ints.  :func:`check_mass` sums the scaled numerators and
+returns the lcm, which :class:`~couplingkit.coupling.Coupling` reuses for
+its marginals; a :class:`Fraction` is built only for an error message.
+
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
 """
@@ -19,9 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, DistributionError
+from .rational import bounded_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,26 +95,59 @@ def require_same_alphabet(left: "Pmf | Pmf2", right: "Pmf | Pmf2") -> None:
         )
 
 
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The lcm of the distinct denominators of ``values``; 1 when there are none.
+
+    The lcm is taken pairwise over a balanced tree, so both operands of
+    each step grow together.  Folding the denominators in one at a time
+    would multiply an ever longer lcm by each one in turn, which is
+    quadratic in the lcm's length when the denominators are coprime.
+    """
+    layer = list({x.denominator for x in values})
+    while len(layer) > 1:
+        # An odd layer carries its last element up unpaired.
+        layer = [*map(lcm, layer[::2], layer[1::2]), *layer[len(layer) & ~1 :]]
+    return layer[0] if layer else 1
+
+
+def numerators_over(scale: int, values: Iterable[Fraction]) -> Iterator[int]:
+    """Each value times ``scale``, as an int; ``scale`` is a multiple of every denominator."""
+    return (x.numerator * (scale // x.denominator) for x in values)
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """D = :func:`common_denominator` of ``values``, and each value times D as an int."""
+    scale = common_denominator(values)
+    return scale, list(numerators_over(scale, values))
+
+
 def check_mass(
     entries: Sequence[Fraction],
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
-) -> None:
+) -> int:
     """Check that ``entries`` are non-negative Fractions with an exact total of 1.
 
     The first failure, entry by entry and then the total, is raised as
     ``error(message, constraint)`` with ``constraint`` one of ``"shape"``
     (not a Fraction), ``"negative_entry"`` or ``"total_mass"``;
-    ``label(k)`` names entry ``k`` in the message.
+    ``label(k)`` names entry ``k`` in the message.  The total is summed
+    on ints over D, the :func:`common_denominator` of the entries, and D
+    is returned.
     """
     for k, value in enumerate(entries):
         if not isinstance(value, Fraction):
             raise error(f"{label(k)} must be a Fraction, got {type(value).__name__}", "shape")
-        if value < 0:
-            raise error(f"{label(k)} is negative: {value}", "negative_entry")
-    total = sum(entries, ZERO)
-    if total != ONE:
-        raise error(f"probabilities sum to {total}, expected 1", "total_mass")
+        if value.numerator < 0:
+            raise error(f"{label(k)} is negative: {bounded_str(value)}", "negative_entry")
+    scale = common_denominator(entries)
+    total = sum(numerators_over(scale, entries))
+    if total != scale:
+        raise error(
+            f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
+            "total_mass",
+        )
+    return scale
 
 
 def _distribution_error(message: str, constraint: str) -> DistributionError:

@@ -11,18 +11,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .distributions import ZERO, Pmf, require_same_alphabet
+from .distributions import ZERO, Pmf, require_same_alphabet, scaled
 from .errors import EnumerationLimitError
 
 DEFAULT_SUBSET_LIMIT = 20
 
 
 def vdist_halfsum(p: Pmf, q: Pmf) -> Fraction:
-    """Half the sum of absolute pointwise differences. Exact, in [0, 1]."""
+    """Half the sum of absolute pointwise differences. Exact, in [0, 1].
+
+    Summed on ints: with D the common denominator of both vectors, the
+    distance is sum(|P_i * D - Q_i * D|) over 2D.
+    """
     require_same_alphabet(p, q)
-    total = sum((abs(x - y) for x, y in zip(p.p, q.p)), ZERO)
-    return total / 2
+    n = len(p.p)
+    scale, ints = scaled(p.p + q.p)
+    return Fraction(sum(map(abs, map(sub, ints[:n], ints[n:]))), 2 * scale)
 
 
 def vdist_subset(p: Pmf, q: Pmf, limit: int = DEFAULT_SUBSET_LIMIT) -> Fraction:

@@ -69,6 +69,19 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational literal {_quote(text)}") from None
 
 
+def bounded_str(value: Fraction) -> str:
+    """``str(value)`` for an error message, or its denominator's size when that fails.
+
+    A numerator or denominator over Python's int-to-str digit limit makes
+    ``str`` raise ``ValueError``, which would replace the message being
+    built; such a value is described by its denominator's bit length.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a rational over a {value.denominator.bit_length()}-bit denominator>"
+
+
 def decimal_string(value: Fraction, places: int = 5) -> str:
     """Fixed-point decimal rendering, e.g. ``1/5 -> "0.20000"``.
 

@@ -22,9 +22,12 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   a pivot budget of ``MAX_PIVOTS_PER_CELL * N**2`` still guards the loop;
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
-  without trusting the solver's internals;
+  without trusting the solver's internals; :func:`certify` checks them
+  on ints of its own, the potentials and costs over one shared scale
+  and the coupling over its entries' common denominator;
 * :func:`vertex_enumerate` walks every spanning-forest basis at desk
-  scale, as a second, exhaustive oracle over the whole polytope.
+  scale in Fractions, as a second, exhaustive oracle over the whole
+  polytope.
 
 Everything is pure and reentrant; concurrent solves on separate inputs
 share no state.
@@ -35,13 +38,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import chain, combinations
 from operator import mul, sub
 from typing import Sequence
 
 from .coupling import Coupling
-from .distributions import ONE, ZERO, Pmf, require_same_alphabet
+from .distributions import (
+    ONE,
+    ZERO,
+    Pmf,
+    common_denominator,
+    numerators_over,
+    require_same_alphabet,
+    scaled,
+)
 from .errors import CorruptedCouplingError, EnumerationLimitError, ShapeMismatchError
 from .metrics import upper_set
 
@@ -201,12 +211,6 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
     return flow, basis
 
 
-def _scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the denominators of ``values``, and the values times it as ints."""
-    scale = lcm(*(x.denominator for x in values))
-    return scale, [x.numerator * (scale // x.denominator) for x in values]
-
-
 Tree = tuple[list[int], list[int], list[int], list[int]]
 
 
@@ -364,9 +368,9 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     integer ones over L.
     """
     n = len(tp.supply.alphabet)
-    mass_scale, marginals = _scaled(tp.supply.p + tp.demand.p)
+    mass_scale, marginals = scaled(tp.supply.p + tp.demand.p)
     flow, basis = _initial_basis(marginals[:n], marginals[n:])
-    scale, flat_cost = _scaled([c for row in tp.cost for c in row])
+    scale, flat_cost = scaled([c for row in tp.cost for c in row])
     cost = [flat_cost[i * n : (i + 1) * n] for i in range(n)]
     row_adj: list[set[int]] = [set() for _ in range(n)]
     col_adj: list[set[int]] = [set() for _ in range(n)]
@@ -440,19 +444,29 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     feasibility of the potentials, and exact equality of primal,
     certificate, and dual objectives.  Exact arithmetic rejects any
     perturbation, however small.
+
+    Runs on ints, one cost row at a time: the potentials and costs share
+    one scale S, the common denominator of all of them, so row i is
+    feasible iff max_j (V_j - C_ij) <= -U_i with every value times S.
+    The primal objective sums C_ij * J_ij, the coupling's entries taken
+    over their own common denominator.
     """
     n = len(tp.supply.alphabet)
     if len(c.alphabet) != n or len(cert.u) != n or len(cert.v) != n:
         raise ShapeMismatchError("coupling/certificate size does not match problem")
     if c.left != tp.supply or c.right != tp.demand:
         return False
-    for i in range(n):
-        for j in range(n):
-            if cert.u[i] + cert.v[j] > tp.cost[i][j]:
-                return False
-    primal = tp.objective(c)
+    scale = common_denominator(chain(cert.u, cert.v, *tp.cost))
+    mass = common_denominator(chain.from_iterable(c.j))
+    v = list(numerators_over(scale, cert.v))
+    primal = 0
+    for ui, crow, jrow in zip(numerators_over(scale, cert.u), tp.cost, c.j):
+        cost = list(numerators_over(scale, crow))
+        if max(map(sub, v, cost)) > -ui:
+            return False
+        primal += sum(map(mul, cost, numerators_over(mass, jrow)))
     dual = _dual_value(cert.u, cert.v, tp.supply, tp.demand)
-    return primal == cert.objective == dual
+    return Fraction(primal, scale * mass) == cert.objective == dual
 
 
 def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:

@@ -330,6 +330,27 @@ class TestBoundary:
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "has an exponent over 4300 in magnitude" in done.stderr
 
+    def test_oversize_coupling_total_exits_4_with_its_constraint(self, files, capsys):
+        # 256 distinct 64-bit denominators: every literal is short, but the
+        # entries' total has a 4486-digit denominator, past the int-to-str
+        # limit, so the message gives its bit length instead of its digits
+        n = 16
+        symbols = [str(i) for i in range(n)]
+        entries = [f"1/{2**63 + 2 * k + 1}" for k in range(n * n)]
+        bad = files("bad.json", {"alphabet": symbols, "matrix": [entries[i * n : (i + 1) * n] for i in range(n)]})
+        u = files("u.json", {"alphabet": symbols, "p": [f"1/{n}"] * n})
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert main(["verify", bad, u, u]) == 4
+        finally:
+            sys.set_int_max_str_digits(limit)
+        err = capsys.readouterr().err
+        assert err == (
+            "error: invalid coupling (total_mass): probabilities sum to "
+            "<a rational over a 14900-bit denominator>, expected 1\n"
+        )
+
     def test_long_literal_is_quoted_briefly(self, files, capsys):
         pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1" * 5000, "0"]})
         assert main(["audit", pk]) == 2

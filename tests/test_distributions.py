@@ -142,7 +142,7 @@ class TestCheckMass:
         return info.value.args
 
     def test_valid_entries_pass(self):
-        assert check_mass((F(1, 3), F(0), F(2, 3)), str, ValueError) is None
+        assert check_mass((F(1, 3), F(0), F(2, 3)), str, ValueError) == 3
 
     def test_first_failing_entry_is_reported_before_the_total(self):
         assert self.failure((F(1, 2), 0.5, F(-1))) == ("shape", "cell 1 must be a Fraction, got float")

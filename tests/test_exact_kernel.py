@@ -1,0 +1,270 @@
+"""The integer validators against their Fraction references.
+
+``check_mass``, ``Coupling`` and ``certify`` run on ints over a common
+denominator; :mod:`tests.fraction_reference` keeps the direct Fraction
+forms.  Both must reach the same verdict, fail on the same first
+constraint and say the same thing, on valid inputs and on inputs broken
+by one small change.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+import tracemalloc
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from couplingkit import (
+    Alphabet,
+    Coupling,
+    DualCertificate,
+    Pmf,
+    TransportProblem,
+    certify,
+    coupling_independent,
+    coupling_maximal,
+)
+from couplingkit.distributions import check_mass, common_denominator
+from couplingkit.errors import CouplingKitError
+
+from . import fraction_reference as reference
+from .test_transport import COPRIME_DENOMINATORS
+
+F = Fraction
+EPS = F(1, 10**30)
+# Its denominator has about 4771 digits, past the default int-to-str limit.
+HUGE = F(1, 3**10000)
+
+
+def outcome(call):
+    """What ``call()`` returned, or which error it raised saying what."""
+    try:
+        return call()
+    except CouplingKitError as exc:
+        return type(exc).__name__, getattr(exc, "constraint", None), getattr(exc, "symbol", None), str(exc)
+
+
+def random_marginal(rng: random.Random, n: int, denominators: str) -> Pmf:
+    """A distribution whose entries share small denominators, or have coprime ~108-bit ones."""
+    if denominators == "coprime":
+        # Up to eight entries over coprime ~108-bit denominators, the others
+        # over 4n, each at most 1/(2n); the last entry takes the rest, so
+        # its denominator is their product.
+        head = [F(rng.randrange(d // (2 * n)), d) for d in COPRIME_DENOMINATORS[: min(n - 1, 8)]]
+        head += [F(rng.randrange(3), 4 * n) for _ in range(n - 1 - len(head))]
+        rng.shuffle(head)
+        return Pmf(Alphabet.of_size(n), (*head, 1 - sum(head, F(0))))
+    weights = [rng.choice((0, rng.randint(1, 40))) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    total = sum(weights)
+    return Pmf(Alphabet.of_size(n), tuple(F(w, total) for w in weights))
+
+
+def random_coupling(rng: random.Random, p: Pmf, q: Pmf) -> Coupling:
+    kind = rng.choice(("maximal", "independent", "mix"))
+    if kind == "maximal":
+        return coupling_maximal(p, q)
+    if kind == "independent":
+        return coupling_independent(p, q)
+    w = F(rng.randint(1, 9), 10)
+    rows = tuple(
+        tuple(w * x + (1 - w) * y for x, y in zip(xs, ys))
+        for xs, ys in zip(coupling_independent(p, q).j, coupling_maximal(p, q).j)
+    )
+    return Coupling(rows, p, q)
+
+
+def moved(pmf: Pmf, rng: random.Random, amount: Fraction) -> Pmf:
+    """``pmf`` with ``amount`` moved from its largest entry to another symbol."""
+    n = len(pmf.p)
+    src = max(range(n), key=pmf.p.__getitem__)
+    dst = rng.choice([k for k in range(n) if k != src] or [src])
+    entries = list(pmf.p)
+    entries[src] -= amount
+    entries[dst] += amount
+    return Pmf(pmf.alphabet, entries)
+
+
+MATRIX_CHANGES = (
+    "none", "float", "int", "negative", "huge_negative", "total", "huge_total",
+    "row", "column", "left", "right",
+)
+
+
+def changed_matrix(rng: random.Random, change: str, rows, p: Pmf, q: Pmf):
+    """``rows`` and the marginals after one change; 'row' and 'column' keep the total."""
+    n = len(rows)
+    m = [list(row) for row in rows]
+    i, j = rng.randrange(n), rng.randrange(n)
+    other = (i + 1) % n
+    sign = rng.choice((1, -1))
+    if change == "float":
+        m[i][j] = float(m[i][j])
+    elif change == "int":
+        m[i][j] = 0
+    elif change == "negative":
+        m[i][j] = -m[i][j] - EPS
+    elif change == "huge_negative":
+        m[i][j] = -HUGE
+    elif change == "total":
+        m[i][j] += sign * EPS
+    elif change == "huge_total":
+        m[i][j] += HUGE
+    elif change == "row":  # rows i and other move, every column keeps its sum
+        m[i][j] += sign * EPS
+        m[other][j] -= sign * EPS
+    elif change == "column":  # columns j and other move, every row keeps its sum
+        m[i][j] += sign * EPS
+        m[i][other] -= sign * EPS
+    elif change == "left":
+        p = moved(p, rng, EPS)
+    elif change == "right":
+        q = moved(q, rng, EPS)
+    return m, p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32),
+    denominators=st.sampled_from(("shared", "coprime")),
+    change=st.sampled_from(MATRIX_CHANGES),
+)
+def test_coupling_and_check_mass_match_the_fraction_reference(n, seed, denominators, change):
+    rng = random.Random(seed)
+    p = random_marginal(rng, n, denominators)
+    q = random_marginal(rng, n, denominators)
+    rows = random_coupling(rng, p, q).j
+    m, p, q = changed_matrix(rng, change, rows, p, q)
+
+    expected = outcome(lambda: reference.validate_coupling(m, p, q))
+    assert outcome(lambda: Coupling(m, p, q).j) == expected
+    if change == "none":
+        assert expected == rows
+
+    flat = [x for row in m for x in row]
+
+    def error(message, constraint):
+        return CouplingKitError(message, constraint)
+
+    def label(k):
+        return f"cell {k}"
+
+    assert outcome(lambda: check_mass(flat, label, error)) == outcome(
+        lambda: reference.check_mass(flat, label, error)
+    )
+
+
+CERTIFICATE_CHANGES = (
+    "none", "u_up", "u_down", "v_up", "v_down", "objective_up", "objective_down",
+    "cost", "coupling", "supply", "shape",
+)
+
+
+def small_fraction(rng: random.Random) -> Fraction:
+    return F(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 7, 12)))
+
+
+def exact(value: Fraction, rng: random.Random):
+    """``value``, as an int when it is one and the coin says so."""
+    return int(value) if value.denominator == 1 and rng.random() < 0.5 else value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32),
+    denominators=st.sampled_from(("shared", "coprime")),
+    change=st.sampled_from(CERTIFICATE_CHANGES),
+)
+def test_certify_matches_the_fraction_reference(n, seed, denominators, change):
+    # An optimal pair by construction: cost = u_i + v_j + slack, with zero
+    # slack wherever the coupling has mass (complementary slackness).
+    rng = random.Random(seed)
+    p = random_marginal(rng, n, denominators)
+    q = random_marginal(rng, n, denominators)
+    c = random_coupling(rng, p, q)
+    u = [small_fraction(rng) for _ in range(n)]
+    v = [small_fraction(rng) for _ in range(n)]
+    cost = [
+        [
+            exact(u[i] + v[j] + (0 if c.j[i][j] else F(rng.randint(0, 5), rng.choice((1, 4)))), rng)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    objective = sum(map(F.__mul__, u, p.p), F(0)) + sum(map(F.__mul__, v, q.p), F(0))
+    supply = p
+    k = rng.randrange(n)
+    if change == "u_up":
+        u[k] += EPS
+    elif change == "u_down":
+        u[k] -= EPS
+    elif change == "v_up":
+        v[k] += EPS
+    elif change == "v_down":
+        v[k] -= EPS
+    elif change == "objective_up":
+        objective += EPS
+    elif change == "objective_down":
+        objective -= EPS
+    elif change == "cost":
+        i, j = max(((i, j) for i in range(n) for j in range(n)), key=lambda ij: c.j[ij[0]][ij[1]])
+        cost[i][j] -= EPS
+    elif change == "coupling":
+        c = random_coupling(rng, p, q)
+    elif change == "supply":
+        supply = moved(p, rng, EPS)
+    elif change == "shape":
+        u.append(F(0))
+    cert = DualCertificate(u=tuple(exact(x, rng) for x in u), v=tuple(v), objective=objective)
+    tp = TransportProblem(supply, q, cost)
+
+    expected = outcome(lambda: reference.certify(c, cert, tp))
+    assert outcome(lambda: certify(c, cert, tp)) == expected
+    if change == "none":
+        assert expected is True
+
+
+def test_common_denominator_is_the_lcm():
+    rng = random.Random(3)
+    for size in (0, 1, 2, 3, 5, 8, 33):
+        values = [F(1, rng.randint(1, 2**64)) for _ in range(size)] + [F(2, 3), F(5, 3)]
+        assert common_denominator(values) == math.lcm(*(x.denominator for x in values))
+    assert common_denominator([]) == 1
+
+
+def test_validation_memory_with_distinct_denominators():
+    """Validating a coupling whose 1024 entries all have distinct denominators stays small.
+
+    Entry (i, j) is 1/1024 plus +-1/q for each of the (up to four) 2 x 2
+    windows covering it, one prime q of 14 bits per window, with signs
+    + - / - + in each window.  Rows and columns keep 1/32 each, so every
+    check runs, while D, the lcm of all 1024 entry denominators (each about
+    64 bits), has over 13000 bits: an array of N^2 ints scaled by D would
+    take about 1.7 MB.
+    """
+    n = 32
+    primes = [x for x in range(2**13, 2**15) if all(x % d for d in range(2, math.isqrt(x) + 1))]
+    m = [[F(1, n * n)] * n for _ in range(n)]
+    for w, (i, j) in enumerate((i, j) for i in range(n - 1) for j in range(n - 1)):
+        e = F(1, primes[w])
+        m[i][j] += e
+        m[i][j + 1] -= e
+        m[i + 1][j] -= e
+        m[i + 1][j + 1] += e
+    flat = [x for row in m for x in row]
+    assert len({x.denominator for x in flat}) == n * n
+    assert common_denominator(flat).bit_length() > 13000
+    uniform = Pmf.uniform(Alphabet.of_size(n))
+
+    tracemalloc.start()
+    try:
+        Coupling(m, uniform, uniform)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
