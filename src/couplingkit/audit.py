@@ -19,17 +19,24 @@ audit computes, all exactly:
      (0, 1) on both sides, v < Pr{k != u} strictly.
 
 Every step does O(N) exact work on the couplings' structure, without an
-N x N matrix.  The independent coupling P_K x P_U has rank one: its
-entries are non-negative and its marginals are P_K and P_U because both
-factors are validated distributions of total 1, and its mismatch is
-1 - sum P_K(a) P_U(a).  The maximal coupling (a diagonal plus a rank-one
-residual product) is checked entry-for-entry equivalently to dense
-validation by :func:`~couplingkit.coupling.maximal_diagonal`.  The
-minimum over all couplings is certified by the closed-form dual
-:func:`~couplingkit.transport.mismatch_certificate`, checked exactly by
-:func:`~couplingkit.transport.certify_mismatch`.  The transportation
-simplex stays the independent oracle behind ``couplingkit oracle`` and
-the tests, which compare the two routes.
+N x N matrix, and on plain ints: P_K and P_U are scaled once by D, their
+common denominator, and a :class:`~fractions.Fraction` is built only for
+the scalar fields of the report.  v is sum |P_K(a) D - P_U(a) D| over
+2D.  The independent coupling P_K x P_U has rank one: its entries are
+non-negative and its marginals are P_K and P_U because both factors are
+validated distributions of total 1, and its mismatch is
+1 - sum P_K(a) P_U(a), which is 1 - sum P_K(a) D / (N D).  The maximal
+coupling (a diagonal plus a rank-one residual product) is checked
+entry-for-entry equivalently to dense validation by
+:func:`~couplingkit.coupling.check_maximal`.  The minimum over all
+couplings is certified by the closed-form dual on the event
+{P_K >= P_U} (:func:`~couplingkit.transport.upper_set_dual`), checked
+exactly by :func:`~couplingkit.transport.certify_mismatch_ints`.  The
+public :func:`~couplingkit.coupling.maximal_diagonal`,
+:func:`~couplingkit.transport.mismatch_certificate` and
+:func:`~couplingkit.transport.certify_mismatch` run the same integer
+code.  The transportation simplex stays the independent oracle behind
+``couplingkit oracle`` and the tests, which compare the two routes.
 
 An optional epsilon with v <= epsilon is accepted as a user-supplied
 bound and only sanity-checked; the audit never equates epsilon with any
@@ -41,13 +48,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import neg, sub
 
-from .coupling import maximal_diagonal
-from .distributions import ONE, ZERO, Alphabet, Pmf
+from .coupling import check_maximal
+from .distributions import ONE, ZERO, Alphabet, Pmf, scaled
 from .errors import CorruptedCouplingError, DistributionError
-from .metrics import vdist_halfsum
 from .rational import decimal_string
-from .transport import certify_mismatch, mismatch_certificate
+from .transport import certify_mismatch_ints, upper_set_dual
 
 
 @dataclass(frozen=True)
@@ -134,16 +141,20 @@ class EpsilonAuditReport:
 def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
     """Audit a real key distribution against the uniform ideal key."""
     pk = audit_input.pk
-    pu = Pmf.uniform(pk.alphabet)
+    n = len(pk.p)
+    uniform = (Fraction(1, n),) * n
+    scale, ints = scaled(pk.p + uniform)
+    p, q = ints[:n], ints[n:]
 
-    v = vdist_halfsum(pk, pu)
-    independent_mismatch = ONE - sum((x * y for x, y in zip(pk.p, pu.p)), ZERO)
-    diagonal = maximal_diagonal(pk, pu)
-    maximal_mismatch = ONE - sum(diagonal, ZERO)
+    v = Fraction(sum(map(abs, map(sub, p, q))), 2 * scale)
+    # P_U is 1/N everywhere, so sum P_K(a) P_U(a) = sum(p) / (N D).
+    independent_mismatch = Fraction(n * scale - sum(p), n * scale)
+    m = check_maximal(p, q, scale, pk.alphabet.symbols)
+    maximal_mismatch = Fraction(m, scale)
 
-    certificate = mismatch_certificate(pk, pu)
-    oracle_ok = certify_mismatch(diagonal, certificate, pk, pu)
-    oracle_min = certificate.objective
+    inside, objective = upper_set_dual(p, q)
+    oracle_min = Fraction(objective, scale)
+    oracle_ok = certify_mismatch_ints(m, inside, list(map(neg, inside)), 1, oracle_min, ints, scale)
 
     if not (oracle_ok and v == maximal_mismatch == oracle_min <= independent_mismatch):
         raise CorruptedCouplingError(
@@ -152,9 +163,9 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
             f"independent={independent_mismatch}, certified={oracle_ok}"
         )
 
-    interior = any(0 < x < 1 and 0 < y < 1 for x, y in zip(pk.p, pu.p))
+    interior = any(0 < x < scale and 0 < y < scale for x, y in zip(p, q))
     strict_gap = interior and v < independent_mismatch
-    degenerate = any(x == 0 or x == 1 for x in pk.p)
+    degenerate = any(x == 0 or x == scale for x in p)
 
     notes = []
     if degenerate:

@@ -6,9 +6,10 @@ produce byte-identical output.  Exit codes are stable API:
 
     0  success
     2  parse failure (file shape, rational literal, invalid distribution,
-       invalid flag value), an ``--out`` path that cannot be written (a
-       directory, or a missing parent directory), or a result too large
-       to write as text (an integer over Python's int-to-str digit limit,
+       invalid flag value, such as ``--precision`` outside 1..4300), an
+       ``--out`` path that cannot be written (a directory, or a missing
+       parent directory), or a result too large to write as text (an
+       integer over Python's int-to-str digit limit,
        ``sys.set_int_max_str_digits``)
     3  alphabet mismatch between inputs (including one-dim vs two-dim)
     4  invalid coupling (first violated constraint is reported)
@@ -16,7 +17,9 @@ produce byte-identical output.  Exit codes are stable API:
     6  regenerated golden table differs from the committed fixture
 
 All comparisons are exact; the decimal renderings next to each rational
-are display only (``--precision``, default 5 places).
+are display only (``--precision``, default 5 places, at most
+:data:`~couplingkit.rational.MAX_EXPONENT` = 4300, the longest decimal
+Python renders under its default int-to-str digit limit).
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from .multidim import (
     mismatch_components,
     vdist2,
 )
-from .rational import decimal_string, parse_rational
+from .rational import MAX_EXPONENT, decimal_string, parse_rational
 from .tables import resolve_fixtures_dir, sync_fixtures
 from .transport import TransportProblem, certify, lp_min_mismatch
 
@@ -81,6 +84,10 @@ class Config:
         # argparse's choices already reject a bad --format
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
+        # Checked before any file is read: a longer decimal would build
+        # 10**precision only to fail at the int-to-str limit.
+        if self.precision > MAX_EXPONENT:
+            raise ValueError(f"precision must be <= {MAX_EXPONENT}")
 
     def show(self, value) -> str:
         return f"{value} ({decimal_string(value, self.precision)})"

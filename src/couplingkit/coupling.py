@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Sequence
 
 from .distributions import (
@@ -29,6 +29,7 @@ from .distributions import (
     check_mass,
     numerators_over,
     require_same_alphabet,
+    scaled,
 )
 from .errors import CorruptedCouplingError, CouplingError
 from .metrics import vdist_halfsum
@@ -158,49 +159,67 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:
     """Diagonal of :func:`coupling_maximal`, after checking that coupling in O(N).
 
-    The coupling is diag(min{P, Q}) plus ``rx(a) * ry(b) / m`` off the
-    diagonal, ``m`` being the residual mass, so every check that
-    :class:`Coupling` makes on the dense matrix has an O(N) form: the
-    entries are non-negative iff the overlap, both residuals and ``m``
-    are; the total mass is ``1 - m + sum(rx) * sum(ry) / m``; row ``a``
-    sums to ``min(a) + rx(a) * (sum(ry) - ry(a)) / m`` and column ``b``
-    to ``min(b) + ry(b) * (sum(rx) - rx(b)) / m``.  ``rx(a) * ry(a) == 0``
-    is checked as well, because the product form relies on it.  When
-    ``m == 0`` the coupling is diagonal and the overlap must equal both
-    marginals.
-
-    Raises :class:`CorruptedCouplingError` naming the first failed check;
+    Scales P and Q once by D, their common denominator, and runs
+    :func:`check_maximal` on the ints; each diagonal entry, min{P, Q},
+    is then picked from P or Q by comparing those ints.  Raises
+    :class:`CorruptedCouplingError` naming the first failed check;
     validated :class:`Pmf` inputs never trigger it.
     """
     require_same_alphabet(p, q)
-    res = residuals(p, q)
-    m = res.mismatch
-    overlap = tuple(min(x, y) for x, y in zip(p.p, q.p))
+    n = len(p.p)
+    scale, ints = scaled(p.p + q.p)
+    left, right = ints[:n], ints[n:]
+    check_maximal(left, right, scale, p.alphabet.symbols)
+    return tuple(x if a <= b else y for x, y, a, b in zip(p.p, q.p, left, right))
+
+
+def check_maximal(p: list[int], q: list[int], scale: int, symbols: Sequence[str]) -> int:
+    """Check the maximal coupling of P and Q in O(N); return its residual mass m.
+
+    ``p`` and ``q`` are P and Q times ``scale``, a common multiple of
+    their denominators, and m, the coupling's mismatch probability
+    1 - sum(min{P, Q}), is returned times ``scale``.  The coupling is
+    diag(min{P, Q}) plus ``rx(a) * ry(b) / m`` off the diagonal, so
+    every check that :class:`Coupling` makes on the dense matrix has an
+    O(N) form on these ints: the entries are non-negative iff the
+    overlap, both residuals and ``m`` are; ``rx(a) * ry(a) == 0``, which
+    the product form relies on; the total mass
+    ``1 - m + sum(rx) * sum(ry) / m`` is 1; row ``a`` sums to
+    ``min(a) + rx(a) * sum(ry) / m`` and column ``b`` to
+    ``min(b) + ry(b) * sum(rx) / m``.  When ``m == 0`` the coupling is
+    diagonal and the overlap must equal both marginals.  No two
+    ``scale``-sized ints are multiplied per symbol.  Raises
+    :class:`CorruptedCouplingError` naming the first failed check.
+    """
+    overlap = list(map(min, p, q))
+    m = scale - sum(overlap)
     if m < 0:
-        raise CorruptedCouplingError(f"maximal coupling: residual mass {m} is negative")
-    for a, d, rx, ry in zip(p.alphabet, overlap, res.rx, res.ry):
-        if d < 0 or rx < 0 or ry < 0:
+        raise CorruptedCouplingError(
+            f"maximal coupling: residual mass {Fraction(m, scale)} is negative"
+        )
+    rx = list(map(sub, p, overlap))
+    ry = list(map(sub, q, overlap))
+    for a, d, x, y in zip(symbols, overlap, rx, ry):
+        if d < 0 or x < 0 or y < 0:
             raise CorruptedCouplingError(f"maximal coupling: negative factor at {a!r}")
-        if rx and ry:
+        if x and y:
             raise CorruptedCouplingError(f"maximal coupling: rx * ry != 0 at {a!r}")
     if m == 0:
-        if any(not (d == x == y) for d, x, y in zip(overlap, p.p, q.p)):
+        if not overlap == p == q:
             raise CorruptedCouplingError("maximal coupling: zero residual mass but P != Q")
-        return overlap
-    sx = sum(res.rx, ZERO)
-    sy = sum(res.ry, ZERO)
+        return m
+    sx = sum(rx)
+    sy = sum(ry)
     if sx * sy != m * m:
         raise CorruptedCouplingError("maximal coupling: total mass is not 1")
-    # With rx(a) * ry(a) == 0 the row sum is d + rx * sum(ry) / m and the
-    # column sum d + ry * sum(rx) / m; a zero factor leaves d alone.
-    row_scale = sy / m
-    col_scale = sx / m
-    for a, d, x, y, rx, ry in zip(p.alphabet, overlap, p.p, q.p, res.rx, res.ry):
-        if (d + rx * row_scale if rx else d) != x:
+    # d + rx == P holds by the definition of rx, so row a sums to
+    # d + rx * sy / m == P iff rx == 0 or sy == m; likewise column a.
+    for a, x, y in zip(symbols, rx, ry):
+        if x and sy != m:
             raise CorruptedCouplingError(f"maximal coupling: row marginal at {a!r} is not P({a})")
-        if (d + ry * col_scale if ry else d) != y:
+        if y and sx != m:
             raise CorruptedCouplingError(f"maximal coupling: column marginal at {a!r} is not Q({a})")
-    return overlap
+    return m
 
 
 def mismatch_prob(c: Coupling) -> Fraction:

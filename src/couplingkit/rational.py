@@ -87,6 +87,9 @@ def decimal_string(value: Fraction, places: int = 5) -> str:
 
     Rounds half away from zero using integer arithmetic.  Display only:
     nothing in the package compares or stores these strings as numbers.
+    The integer part and the ``places`` fractional digits are rendered
+    apart, so a value below 1 renders at up to :data:`MAX_EXPONENT`
+    places under the default int-to-str digit limit, 1 itself included.
     """
     if places < 0:
         raise ValueError("places must be >= 0")
@@ -97,5 +100,5 @@ def decimal_string(value: Fraction, places: int = 5) -> str:
         whole += 1
     if places == 0:
         return f"{sign}{whole}"
-    digits = str(whole).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    units, fraction = divmod(whole, 10**places)
+    return f"{sign}{units}.{str(fraction).rjust(places, '0')}"

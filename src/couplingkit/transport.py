@@ -23,8 +23,12 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
-  on ints of its own, the potentials and costs over one shared scale
-  and the coupling over its entries' common denominator;
+  on ints of its own, the potentials and costs over one shared scale,
+  the coupling over its entries' common denominator and the marginals
+  over theirs;
+* for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
+  closed-form optimal dual and :func:`certify_mismatch` checks it in
+  O(N), both on ints over one common denominator;
 * :func:`vertex_enumerate` walks every spanning-forest basis at desk
   scale in Fractions, as a second, exhaustive oracle over the whole
   polytope.
@@ -39,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from operator import mul, sub
+from operator import add, ge, mul, sub
 from typing import Sequence
 
 from .coupling import Coupling
@@ -53,7 +57,6 @@ from .distributions import (
     scaled,
 )
 from .errors import CorruptedCouplingError, EnumerationLimitError, ShapeMismatchError
-from .metrics import upper_set
 
 DEFAULT_VERTEX_LIMIT = 4
 # The pivot loop gives up after this many pivots per cell of the N x N
@@ -102,12 +105,6 @@ class TransportProblem:
             tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n)
         )
         return cls(p, q, cost)
-
-    def objective(self, c: Coupling) -> Fraction:
-        return sum(
-            (cv * jv for crow, jrow in zip(self.cost, c.j) for cv, jv in zip(crow, jrow)),
-            ZERO,
-        )
 
 
 @dataclass(frozen=True)
@@ -340,12 +337,6 @@ def _tree_path_cycle(
     return [entering, *col_side, *reversed(row_side)]
 
 
-def _dual_value(u: Sequence[Fraction], v: Sequence[Fraction], supply: Pmf, demand: Pmf) -> Fraction:
-    return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
-        (vj * dj for vj, dj in zip(v, demand.p)), ZERO
-    )
-
-
 def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, BasisTree]:
     """Exact optimal basic solution via transportation simplex.
 
@@ -449,7 +440,8 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     one scale S, the common denominator of all of them, so row i is
     feasible iff max_j (V_j - C_ij) <= -U_i with every value times S.
     The primal objective sums C_ij * J_ij, the coupling's entries taken
-    over their own common denominator.
+    over their own common denominator, and the dual sums U_i * S_i and
+    V_j * D_j, the marginals taken over theirs.
     """
     n = len(tp.supply.alphabet)
     if len(c.alphabet) != n or len(cert.u) != n or len(cert.v) != n:
@@ -458,31 +450,40 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
         return False
     scale = common_denominator(chain(cert.u, cert.v, *tp.cost))
     mass = common_denominator(chain.from_iterable(c.j))
+    u = list(numerators_over(scale, cert.u))
     v = list(numerators_over(scale, cert.v))
     primal = 0
-    for ui, crow, jrow in zip(numerators_over(scale, cert.u), tp.cost, c.j):
+    for ui, crow, jrow in zip(u, tp.cost, c.j):
         cost = list(numerators_over(scale, crow))
         if max(map(sub, v, cost)) > -ui:
             return False
         primal += sum(map(mul, cost, numerators_over(mass, jrow)))
-    dual = _dual_value(cert.u, cert.v, tp.supply, tp.demand)
-    return Fraction(primal, scale * mass) == cert.objective == dual
+    marginal_scale, marginals = scaled(tp.supply.p + tp.demand.p)
+    dual = sum(map(mul, chain(u, v), marginals))
+    return Fraction(primal, scale * mass) == cert.objective == Fraction(dual, scale * marginal_scale)
 
 
 def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:
     """Closed-form optimal dual for the 0/1 mismatch cost, without solving the LP.
 
-    With B = :func:`~couplingkit.metrics.upper_set` (the symbols where
-    P >= Q), the potentials u = 1_B and v = -1_B are dual-feasible
-    (u_i + v_i = 0 on the diagonal, u_i + v_j <= 1 off it) and their
-    value P(B) - Q(B) is v(P, Q), which the maximal coupling attains.
+    With B the symbols where P >= Q (:func:`~couplingkit.metrics.upper_set`),
+    the potentials u = 1_B and v = -1_B are dual-feasible (u_i + v_i = 0
+    on the diagonal, u_i + v_j <= 1 off it) and their value P(B) - Q(B)
+    is v(P, Q), which the maximal coupling attains.  Computed by
+    :func:`upper_set_dual` on P and Q scaled by their common denominator.
     """
-    members = set(upper_set(p, q).members)
-    inside = [s in members for s in p.alphabet]
+    require_same_alphabet(p, q)
+    n = len(p.p)
+    scale, ints = scaled(p.p + q.p)
+    inside, objective = upper_set_dual(ints[:n], ints[n:])
     u = tuple(ONE if b else ZERO for b in inside)
-    v = tuple(-x for x in u)
-    objective = sum((x - y for b, x, y in zip(inside, p.p, q.p) if b), ZERO)
-    return DualCertificate(u=u, v=v, objective=objective)
+    return DualCertificate(u=u, v=tuple(-x for x in u), objective=Fraction(objective, scale))
+
+
+def upper_set_dual(p: Sequence[int], q: Sequence[int]) -> tuple[list[bool], int]:
+    """Membership of each symbol in B = {P >= Q}, and P(B) - Q(B), on ints over one scale."""
+    inside = list(map(ge, p, q))
+    return inside, sum(x - y for x, y, b in zip(p, q, inside) if b)
 
 
 def certify_mismatch(
@@ -491,15 +492,10 @@ def certify_mismatch(
     """O(N) form of :func:`certify` for the 0/1 mismatch cost.
 
     ``diagonal`` is the diagonal of a coupling of ``supply`` and
-    ``demand`` whose feasibility the caller has checked; its cost is
-    1 - sum(diagonal).  Dual feasibility is u_i + v_i <= 0 on the
-    diagonal and u_i + v_j <= 1 off it.  Given the diagonal part, the
-    off-diagonal part holds iff max(u) + max(v) <= 1: the sum of the
-    maxima bounds every u_i + v_j, and it is attained off the diagonal
-    unless u and v each attain their maximum only at one and the same
-    symbol k, where it is u_k + v_k <= 0.  Then primal, certificate and
-    dual objectives must be exactly equal.  For the diagonal of a
-    coupling ``c`` this agrees with
+    ``demand`` whose feasibility the caller has checked.  The potentials
+    are scaled by their common denominator, the marginals and the
+    diagonal by theirs, and :func:`certify_mismatch_ints` checks the
+    ints.  For the diagonal of a coupling ``c`` this agrees with
     ``certify(c, cert, TransportProblem.mismatch(supply, demand))``,
     without the N x N scans.
     """
@@ -507,13 +503,43 @@ def certify_mismatch(
     n = len(supply.alphabet)
     if len(diagonal) != n or len(cert.u) != n or len(cert.v) != n:
         raise ShapeMismatchError("diagonal/certificate size does not match problem")
-    if any(ui + vi > 0 for ui, vi in zip(cert.u, cert.v)):
+    scale, potentials = scaled([*cert.u, *cert.v])
+    mass, ints = scaled([*supply.p, *demand.p, *diagonal])
+    return certify_mismatch_ints(
+        mass - sum(ints[2 * n :]), potentials[:n], potentials[n:], scale,
+        cert.objective, ints[: 2 * n], mass,
+    )
+
+
+def certify_mismatch_ints(
+    primal: int,
+    u: Sequence[int],
+    v: Sequence[int],
+    scale: int,
+    objective: Fraction,
+    marginals: Sequence[int],
+    mass: int,
+) -> bool:
+    """:func:`certify_mismatch` on ints: potentials over ``scale``, masses over ``mass``.
+
+    ``primal`` is the coupling's cost 1 - sum(diagonal) and ``marginals``
+    the supply followed by the demand, all times ``mass``; ``u`` and
+    ``v`` are the potentials times ``scale``.  Dual feasibility is
+    u_i + v_i <= 0 on the diagonal and u_i + v_j <= 1 off it.  Given the
+    diagonal part, the off-diagonal part holds iff max(u) + max(v) <= 1:
+    the sum of the maxima bounds every u_i + v_j, and it is attained off
+    the diagonal unless u and v each attain their maximum only at one
+    and the same symbol k, where it is u_k + v_k <= 0.  Then primal,
+    certificate and dual objectives must be exactly equal; the dual,
+    sum(u_i * S_i) + sum(v_j * D_j), is an int over ``scale * mass``.
+    Every product has one factor over ``scale`` and one over ``mass``.
+    """
+    if max(map(add, u, v)) > 0:
         return False
-    if max(cert.u) + max(cert.v) > 1:
+    if max(u) + max(v) > scale:
         return False
-    primal = ONE - sum(diagonal, ZERO)
-    dual = _dual_value(cert.u, cert.v, supply, demand)
-    return primal == cert.objective == dual
+    dual = sum(map(mul, chain(u, v), marginals))
+    return primal * objective.denominator == objective.numerator * mass and dual == primal * scale
 
 
 def _spanning_tree_flows(

@@ -1,9 +1,10 @@
 """Fraction-only reference versions of the package's exact validators.
 
-The package checks masses, coupling marginals and dual certificates on
-ints over a common denominator.  These are the direct Fraction forms of
-the same checks, with the same constraint order and the same messages;
-the property tests require both to agree on every verdict.
+The package checks masses, coupling marginals, dual certificates and the
+key audit on ints over a common denominator.  These are the direct
+Fraction forms of the same checks, with the same constraint order and
+the same messages; the property tests require both to agree on every
+verdict and every returned value.
 """
 
 from __future__ import annotations
@@ -11,9 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from couplingkit.distributions import ONE, ZERO, require_same_alphabet
-from couplingkit.errors import CouplingError, ShapeMismatchError
+from couplingkit.audit import EpsilonAuditReport
+from couplingkit.distributions import ONE, ZERO, Pmf, require_same_alphabet
+from couplingkit.errors import CorruptedCouplingError, CouplingError, ShapeMismatchError
 from couplingkit.rational import bounded_str
+from couplingkit.transport import DualCertificate
 
 
 def check_mass(entries, label, error) -> int:
@@ -73,8 +76,139 @@ def certify(c, cert, tp) -> bool:
         for j in range(n):
             if cert.u[i] + cert.v[j] > tp.cost[i][j]:
                 return False
-    primal = tp.objective(c)
-    dual = sum((ui * si for ui, si in zip(cert.u, tp.supply.p)), ZERO) + sum(
-        (vj * dj for vj, dj in zip(cert.v, tp.demand.p)), ZERO
+    primal = objective(tp, c)
+    return primal == cert.objective == dual_value(cert.u, cert.v, tp.supply, tp.demand)
+
+
+def objective(tp, c) -> Fraction:
+    """The cost of coupling ``c`` under problem ``tp``: sum of cost times mass."""
+    return sum(
+        (cv * jv for crow, jrow in zip(tp.cost, c.j) for cv, jv in zip(crow, jrow)),
+        ZERO,
     )
-    return primal == cert.objective == dual
+
+
+def dual_value(u, v, supply, demand) -> Fraction:
+    return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
+        (vj * dj for vj, dj in zip(v, demand.p)), ZERO
+    )
+
+
+def maximal_diagonal(p, q) -> tuple[Fraction, ...]:
+    """Diagonal of the product-residual maximal coupling, after its O(N) checks."""
+    require_same_alphabet(p, q)
+    overlap = tuple(min(x, y) for x, y in zip(p.p, q.p))
+    rxs = tuple(x - d for x, d in zip(p.p, overlap))
+    rys = tuple(y - d for y, d in zip(q.p, overlap))
+    m = ONE - sum(overlap, ZERO)
+    if m < 0:
+        raise CorruptedCouplingError(f"maximal coupling: residual mass {m} is negative")
+    for a, d, rx, ry in zip(p.alphabet, overlap, rxs, rys):
+        if d < 0 or rx < 0 or ry < 0:
+            raise CorruptedCouplingError(f"maximal coupling: negative factor at {a!r}")
+        if rx and ry:
+            raise CorruptedCouplingError(f"maximal coupling: rx * ry != 0 at {a!r}")
+    if m == 0:
+        if any(not (d == x == y) for d, x, y in zip(overlap, p.p, q.p)):
+            raise CorruptedCouplingError("maximal coupling: zero residual mass but P != Q")
+        return overlap
+    sx = sum(rxs, ZERO)
+    sy = sum(rys, ZERO)
+    if sx * sy != m * m:
+        raise CorruptedCouplingError("maximal coupling: total mass is not 1")
+    row_scale = sy / m
+    col_scale = sx / m
+    for a, d, x, y, rx, ry in zip(p.alphabet, overlap, p.p, q.p, rxs, rys):
+        if (d + rx * row_scale if rx else d) != x:
+            raise CorruptedCouplingError(f"maximal coupling: row marginal at {a!r} is not P({a})")
+        if (d + ry * col_scale if ry else d) != y:
+            raise CorruptedCouplingError(f"maximal coupling: column marginal at {a!r} is not Q({a})")
+    return overlap
+
+
+def mismatch_certificate(p, q) -> DualCertificate:
+    """u = 1 and v = -1 on B = {P >= Q}, with objective P(B) - Q(B)."""
+    require_same_alphabet(p, q)
+    inside = [x >= y for x, y in zip(p.p, q.p)]
+    u = tuple(ONE if b else ZERO for b in inside)
+    v = tuple(-x for x in u)
+    gap = sum((x - y for b, x, y in zip(inside, p.p, q.p) if b), ZERO)
+    return DualCertificate(u=u, v=v, objective=gap)
+
+
+def certify_mismatch(diagonal, cert, supply, demand) -> bool:
+    """Diagonal and off-diagonal dual feasibility, then primal == objective == dual."""
+    require_same_alphabet(supply, demand)
+    n = len(supply.alphabet)
+    if len(diagonal) != n or len(cert.u) != n or len(cert.v) != n:
+        raise ShapeMismatchError("diagonal/certificate size does not match problem")
+    if any(ui + vi > 0 for ui, vi in zip(cert.u, cert.v)):
+        return False
+    if max(cert.u) + max(cert.v) > 1:
+        return False
+    primal = ONE - sum(diagonal, ZERO)
+    return primal == cert.objective == dual_value(cert.u, cert.v, supply, demand)
+
+
+def epsilon_audit(audit_input) -> EpsilonAuditReport:
+    """The key audit with every quantity and check in Fractions."""
+    pk = audit_input.pk
+    pu = Pmf.uniform(pk.alphabet)
+
+    v = sum((abs(x - y) for x, y in zip(pk.p, pu.p)), ZERO) / 2
+    independent_mismatch = ONE - sum((x * y for x, y in zip(pk.p, pu.p)), ZERO)
+    diagonal = maximal_diagonal(pk, pu)
+    maximal_mismatch = ONE - sum(diagonal, ZERO)
+
+    certificate = mismatch_certificate(pk, pu)
+    oracle_ok = certify_mismatch(diagonal, certificate, pk, pu)
+    oracle_min = certificate.objective
+
+    if not (oracle_ok and v == maximal_mismatch == oracle_min <= independent_mismatch):
+        raise CorruptedCouplingError(
+            "audit invariant failed: "
+            f"v={v}, maximal={maximal_mismatch}, oracle={oracle_min}, "
+            f"independent={independent_mismatch}, certified={oracle_ok}"
+        )
+
+    interior = any(0 < x < 1 and 0 < y < 1 for x, y in zip(pk.p, pu.p))
+    strict_gap = interior and v < independent_mismatch
+    degenerate = any(x == 0 or x == 1 for x in pk.p)
+
+    notes = []
+    if degenerate:
+        notes.append(
+            "some key symbol has probability 0 or 1; such a sequence cannot "
+            "serve as a secret key, and the strict-gap flag is not asserted"
+        )
+    notes.append(
+        "v is the minimum of Pr{k != u} over all couplings, attained only "
+        "when real and ideal keys are correlated; it is not itself a "
+        "failure probability"
+    )
+
+    epsilon = audit_input.epsilon
+    epsilon_consistent = None if epsilon is None else v <= epsilon
+    if epsilon_consistent is False:
+        notes.append(
+            f"claimed bound epsilon = {epsilon} is below v = {v}; "
+            "the input is inconsistent with v <= epsilon"
+        )
+
+    return EpsilonAuditReport(
+        v=v,
+        independent_mismatch=independent_mismatch,
+        maximal_mismatch=maximal_mismatch,
+        oracle_min_mismatch=oracle_min,
+        interior_hypothesis=interior,
+        strict_gap_holds=strict_gap,
+        fact_maximal_requires_correlation=(
+            maximal_mismatch == v and independent_mismatch > v
+        ),
+        fact_lower_bound_over_all_couplings=(oracle_ok and oracle_min == v),
+        fact_independent_strict_gap=strict_gap,
+        degenerate_key=degenerate,
+        epsilon=epsilon,
+        epsilon_consistent=epsilon_consistent,
+        notes=tuple(notes),
+    )

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from couplingkit import (
     mismatch_prob,
     vdist_halfsum,
 )
+from couplingkit.cli import main
 
 from .conftest import pmf_batch, random_pmf
 
@@ -196,3 +198,26 @@ class TestAgainstDenseRoute:
         # and the O(N) check accepts the simplex's own optimum and potentials
         lp_diagonal = tuple(optimal.j[i][i] for i in range(len(pk.alphabet)))
         assert certify_mismatch(lp_diagonal, lp_cert, pk, pu)
+
+
+def test_cli_audit_of_a_65536_symbol_key(tmp_path, capsys):
+    """The O(N) audit through ``cli.main``, parsing included, on a 2^16-symbol key.
+
+    v is recomputed here from the integer weights alone:
+    v = sum |N w_a - T| / (2 N T) for weights w summing to T.
+    """
+    n = 2**16
+    rng = random.Random(65536)
+    weights = [rng.randint(300, 340) for _ in range(n)]
+    total = sum(weights)
+    path = tmp_path / "pk.json"
+    path.write_text(
+        json.dumps({"alphabet": [f"k{i}" for i in range(n)], "p": [f"{w}/{total}" for w in weights]}),
+        encoding="utf-8",
+    )
+    assert main(["audit", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    v = F(sum(abs(n * w - total) for w in weights), 2 * n * total)
+    assert 0 < v < F(1, 10)
+    assert F(report["v"]) == F(report["maximalMismatch"]) == F(report["oracleMinMismatch"]) == v
+    assert F(report["independentMismatch"]) == 1 - F(1, n)

@@ -86,6 +86,12 @@ class TestVdist:
         assert main(["vdist", "--precision", "0", ramp_file, uniform_file]) == 2
         assert capsys.readouterr().err == "error: precision must be >= 1\n"
 
+    def test_precision_bound_is_exact(self, capsys, ramp_file, uniform_file):
+        assert main(["vdist", "--precision", "4300", ramp_file, uniform_file]) == 0
+        assert capsys.readouterr().out.startswith("1/5 (0.2000")
+        assert main(["vdist", "--precision", "4301", ramp_file, uniform_file]) == 2
+        assert capsys.readouterr().err == "error: precision must be <= 4300\n"
+
     def test_parse_failure_exits_2(self, tmp_path, ramp_file, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops", encoding="utf-8")
@@ -329,6 +335,18 @@ class TestBoundary:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert "has an exponent over 4300 in magnitude" in done.stderr
+
+    def test_huge_precision_exits_2_before_reading_any_file(self, tmp_path):
+        # Without the bound, decimal_string would build 10**1000000000 and
+        # then fail at the int-to-str limit; the key file does not exist.
+        env = dict(os.environ, PYTHONPATH=str(Path(couplingkit.__file__).parents[1]))
+        missing = str(tmp_path / "missing.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "couplingkit.cli", "audit", missing, "--precision", "1000000000"],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert done.returncode == 2
+        assert done.stderr == "error: precision must be <= 4300\n"
 
     def test_oversize_coupling_total_exits_4_with_its_constraint(self, files, capsys):
         # 256 distinct 64-bit denominators: every literal is short, but the

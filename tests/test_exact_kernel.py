@@ -1,36 +1,46 @@
 """The integer validators against their Fraction references.
 
-``check_mass``, ``Coupling`` and ``certify`` run on ints over a common
-denominator; :mod:`tests.fraction_reference` keeps the direct Fraction
-forms.  Both must reach the same verdict, fail on the same first
-constraint and say the same thing, on valid inputs and on inputs broken
-by one small change.
+``check_mass``, ``Coupling``, ``certify`` and the key audit
+(``maximal_diagonal``, ``mismatch_certificate``, ``certify_mismatch``
+and ``epsilon_audit``) run on ints over a common denominator;
+:mod:`tests.fraction_reference` keeps the direct Fraction forms.  Both
+must reach the same verdict, fail on the same first constraint and say
+the same thing, on valid inputs and on inputs broken by one small change.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from couplingkit import (
     Alphabet,
     Coupling,
     DualCertificate,
+    EpsilonAuditInput,
     Pmf,
     TransportProblem,
     certify,
+    certify_mismatch,
     coupling_independent,
     coupling_maximal,
+    epsilon_audit,
+    maximal_diagonal,
+    mismatch_certificate,
 )
 from couplingkit.distributions import check_mass, common_denominator
-from couplingkit.errors import CouplingKitError
+from couplingkit.errors import CorruptedCouplingError, CouplingKitError
 
 from . import fraction_reference as reference
+from .test_coupling import unchecked_pmf
 from .test_transport import COPRIME_DENOMINATORS
 
 F = Fraction
@@ -48,7 +58,19 @@ def outcome(call):
 
 
 def random_marginal(rng: random.Random, n: int, denominators: str) -> Pmf:
-    """A distribution whose entries share small denominators, or have coprime ~108-bit ones."""
+    """A distribution whose entries share small denominators, or have coprime ~108-bit
+    or all-distinct 64-bit ones, or a point mass."""
+    if denominators == "point":
+        return Pmf.point_mass(Alphabet.of_size(n), str(rng.randint(1, n)))
+    if denominators == "distinct":
+        # N - 1 entries over distinct odd 64-bit denominators, each at most
+        # 1/(2N); the last entry takes the rest, over their lcm.
+        dens = set()
+        while len(dens) < n - 1:
+            dens.add(rng.getrandbits(64) | 2**63 | 1)
+        head = [F(rng.randrange(1, d // (2 * n)), d) for d in sorted(dens)]
+        rng.shuffle(head)
+        return Pmf(Alphabet.of_size(n), (*head, 1 - sum(head, F(0))))
     if denominators == "coprime":
         # Up to eight entries over coprime ~108-bit denominators, the others
         # over 4n, each at most 1/(2n); the last entry takes the rest, so
@@ -268,3 +290,142 @@ def test_validation_memory_with_distinct_denominators():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+KEYS = ("shared", "coprime", "distinct", "point")
+PMF_CHANGES = ("none", "negative", "total", "double", "half")
+
+
+def changed_pmf(rng: random.Random, change: str, pmf: Pmf) -> Pmf:
+    """``pmf``, or an unvalidated copy with one entry or every entry changed."""
+    if change == "none":
+        return pmf
+    entries = list(pmf.p)
+    k = rng.randrange(len(entries))
+    if change == "negative":
+        entries[k] = -entries[k] - EPS
+    elif change == "total":
+        entries[k] += EPS
+    elif change == "double":
+        entries = [2 * x for x in entries]
+    elif change == "half":
+        entries = [x / 2 for x in entries]
+    return unchecked_pmf(entries)
+
+
+def changed_certificate(rng: random.Random, change: str, cert: DualCertificate) -> DualCertificate:
+    u, v, objective = list(cert.u), list(cert.v), cert.objective
+    k = rng.randrange(len(u))
+    if change == "u_up":
+        u[k] += EPS
+    elif change == "u_down":
+        u[k] -= EPS
+    elif change == "v_up":
+        v[k] += EPS
+    elif change == "v_down":
+        v[k] -= EPS
+    elif change == "objective_up":
+        objective += EPS
+    elif change == "objective_down":
+        objective -= EPS
+    elif change == "shape":
+        u.append(F(0))
+    return DualCertificate(u=tuple(u), v=tuple(v), objective=objective)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32),
+    keys=st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS + ("same",))),
+    change=st.sampled_from(PMF_CHANGES),
+    side=st.sampled_from(("p", "q", "both")),
+    cert_change=st.sampled_from(CERTIFICATE_CHANGES[:7] + ("shape",)),
+)
+def test_maximal_diagonal_and_certificate_match_the_fraction_reference(
+    n, seed, keys, change, side, cert_change
+):
+    rng = random.Random(seed)
+    p = random_marginal(rng, n, keys[0])
+    q = p if keys[1] == "same" else random_marginal(rng, n, keys[1])
+    if side != "q":
+        p = changed_pmf(rng, change, p)
+    if side != "p":
+        q = changed_pmf(rng, change, q)
+
+    expected = outcome(lambda: reference.maximal_diagonal(p, q))
+    assert outcome(lambda: maximal_diagonal(p, q)) == expected
+    cert = reference.mismatch_certificate(p, q)
+    assert mismatch_certificate(p, q) == cert
+
+    try:
+        diagonal = reference.maximal_diagonal(p, q)
+    except CorruptedCouplingError:
+        diagonal = tuple(map(min, p.p, q.p))
+    cert = changed_certificate(rng, cert_change, cert)
+    verdict = outcome(lambda: reference.certify_mismatch(diagonal, cert, p, q))
+    assert outcome(lambda: certify_mismatch(diagonal, cert, p, q)) == verdict
+    if change == "none" and cert_change in ("none", "objective_up", "objective_down"):
+        assert verdict is (cert_change == "none")
+
+
+def _clamped_v(pk: Pmf) -> Fraction:
+    n = len(pk.p)
+    return min(F(1), max(F(0), sum((abs(x - F(1, n)) for x in pk.p), F(0)) / 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**32),
+    key=st.sampled_from(KEYS),
+    change=st.sampled_from(PMF_CHANGES),
+    epsilon=st.sampled_from((None, F(0), F(1, 10), F(1, 2), F(1), "v")),
+)
+def test_epsilon_audit_matches_the_fraction_reference(n, seed, key, change, epsilon):
+    rng = random.Random(seed)
+    pk = changed_pmf(rng, change, random_marginal(rng, n, key))
+    audit_input = EpsilonAuditInput(pk=pk, epsilon=_clamped_v(pk) if epsilon == "v" else epsilon)
+
+    expected = outcome(lambda: reference.epsilon_audit(audit_input))
+    assert outcome(lambda: epsilon_audit(audit_input)) == expected
+    if change == "none":
+        assert expected.v == expected.maximal_mismatch == expected.oracle_min_mismatch
+
+
+@pytest.mark.parametrize(
+    "p,q,message",
+    [
+        ((F(2, 3), F(2, 3)), (F(2, 3), F(2, 3)), "residual mass -1/3 is negative"),
+        ((F(-1, 10), F(11, 10)), (F(1, 2), F(1, 2)), "negative factor at '1'"),
+        ((F(1, 2), F(1)), (F(1, 2), F(1, 2)), "zero residual mass but P != Q"),
+        ((F(1, 2), F(2, 5)), (F(1, 2), F(1, 2)), "total mass is not 1"),
+        # disjoint supports with P(A) * Q(A) = 1: the total holds, the rows do not
+        ((F(2), F(0)), (F(0), F(1, 2)), "row marginal at '1' is not P(1)"),
+        ((F(0), F(1, 2)), (F(2), F(0)), "column marginal at '1' is not Q(1)"),
+    ],
+)
+def test_each_maximal_check_fails_as_in_the_fraction_reference(p, q, message):
+    # rx * ry != 0 cannot fail on either side: rx and ry are P and Q less
+    # their pointwise minimum, so one of them is 0 at every symbol.
+    p, q = unchecked_pmf(p), unchecked_pmf(q)
+    expected = outcome(lambda: reference.maximal_diagonal(p, q))
+    assert expected[0] == "CorruptedCouplingError"
+    assert expected[3] == f"maximal coupling: {message}"
+    assert outcome(lambda: maximal_diagonal(p, q)) == expected
+
+
+def test_audit_report_with_distinct_64_bit_denominators_at_n256():
+    rng = random.Random(256)
+    pk = random_marginal(rng, 256, "distinct")
+    assert len({x.denominator for x in pk.p}) == 256
+    assert common_denominator(pk.p).bit_length() > 10000
+    # v has over 4300 digits, and epsilon = 0 puts it in a note
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for epsilon in (None, F(0), F(1, 2), F(1)):
+            audit_input = EpsilonAuditInput(pk=pk, epsilon=epsilon)
+            assert epsilon_audit(audit_input) == reference.epsilon_audit(audit_input)
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -144,6 +144,17 @@ class TestDecimalString:
         assert decimal_string(F(5, 9), 2) == "0.56"
         assert decimal_string(F(7, 2), 0) == "4"  # half away from zero
 
+    def test_one_renders_at_the_precision_bound(self):
+        # 10**4300 has 4301 digits, one past the default int-to-str limit,
+        # so the integer part is rendered apart from the fractional digits
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            assert decimal_string(F(1), MAX_EXPONENT) == "1." + "0" * MAX_EXPONENT
+            assert decimal_string(F(2, 3), MAX_EXPONENT) == "0." + "6" * (MAX_EXPONENT - 1) + "7"
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):
             decimal_string(F(1, 2), -1)
