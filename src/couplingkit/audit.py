@@ -53,7 +53,7 @@ from operator import neg, sub
 from .coupling import check_maximal
 from .distributions import ONE, ZERO, Alphabet, Pmf, scaled
 from .errors import CorruptedCouplingError, DistributionError
-from .rational import decimal_string
+from .rational import bounded_str, decimal_string
 from .transport import certify_mismatch_ints, upper_set_dual
 
 
@@ -159,8 +159,9 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
     if not (oracle_ok and v == maximal_mismatch == oracle_min <= independent_mismatch):
         raise CorruptedCouplingError(
             "audit invariant failed: "
-            f"v={v}, maximal={maximal_mismatch}, oracle={oracle_min}, "
-            f"independent={independent_mismatch}, certified={oracle_ok}"
+            f"v={bounded_str(v)}, maximal={bounded_str(maximal_mismatch)}, "
+            f"oracle={bounded_str(oracle_min)}, "
+            f"independent={bounded_str(independent_mismatch)}, certified={oracle_ok}"
         )
 
     interior = any(0 < x < scale and 0 < y < scale for x, y in zip(p, q))
@@ -183,7 +184,7 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
     epsilon_consistent = None if epsilon is None else v <= epsilon
     if epsilon_consistent is False:
         notes.append(
-            f"claimed bound epsilon = {epsilon} is below v = {v}; "
+            f"claimed bound epsilon = {bounded_str(epsilon)} is below v = {bounded_str(v)}; "
             "the input is inconsistent with v <= epsilon"
         )
 

@@ -25,6 +25,7 @@ Python renders under its default int-to-str digit limit).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -288,7 +289,9 @@ def cmd_tables(args: argparse.Namespace) -> int:
     return EXIT_GOLDEN if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="couplingkit",
         description="Exact couplings, variational distance, and certified minimum mismatch.",

@@ -12,13 +12,17 @@ leftover row/column masses (the residuals) are spread off-diagonal in
 product form, normalized by the total residual mass.  Maximal couplings
 are not unique in general; this particular construction is fixed so that
 its output matrices are reproducible entry-for-entry.
+
+Both run on ints over one common denominator: the builder scales P and Q
+once and pays one reduced Fraction per non-zero cell, and :class:`Coupling`
+validation scales each non-zero entry once, in one pass over the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 from typing import Sequence
 
 from .distributions import (
@@ -26,8 +30,7 @@ from .distributions import (
     ZERO,
     Alphabet,
     Pmf,
-    check_mass,
-    numerators_over,
+    check_mass_rows,
     require_same_alphabet,
     scaled,
 )
@@ -44,10 +47,10 @@ class Coupling:
 
     Construction raises :class:`CouplingError` naming the first failed
     constraint: the shape, each entry's type and sign and the total mass
-    (:func:`~couplingkit.distributions.check_mass`), then every row
+    (:func:`~couplingkit.distributions.check_mass_rows`), then every row
     marginal, then every column marginal.  The sums run on ints over D,
-    the entries' common denominator, one scaled row at a time, so no
-    N x N array of scaled ints is ever held.
+    the entries' common denominator, in one pass that scales each
+    non-zero entry once and holds one row of ints at a time.
     """
 
     alphabet: Alphabet
@@ -63,16 +66,13 @@ class Coupling:
         if len(rows) != n or any(len(row) != n for row in rows):
             raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
         symbols = alphabet.symbols
-        scale = check_mass(
-            [v for row in rows for v in row],
+        scale, row_sums, columns = check_mass_rows(
+            rows,
             lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})",
             CouplingError,
         )
         # sum / scale == x is checked as sum * x.denominator == x.numerator * scale.
-        columns = [0] * n
-        for a, row, x in zip(symbols, rows, left.p):
-            ints = list(numerators_over(scale, row))
-            row_sum = sum(ints)
+        for a, row_sum, x in zip(symbols, row_sums, left.p):
             if row_sum * x.denominator != x.numerator * scale:
                 raise CouplingError(
                     f"row marginal at {a!r} is {bounded_str(Fraction(row_sum, scale))}, "
@@ -80,7 +80,6 @@ class Coupling:
                     constraint="row_marginal",
                     symbol=a,
                 )
-            columns = list(map(add, columns, ints))
         for b, col_sum, y in zip(symbols, columns, right.p):
             if col_sum * y.denominator != y.numerator * scale:
                 raise CouplingError(
@@ -137,23 +136,28 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
 
     Diagonal: j(a, a) = min{P(a), Q(a)}.  If the residual mass is zero
     (P == Q) every off-diagonal entry is zero; otherwise
-    j(a, b) = rx(a) * ry(b) / mismatch for a != b.
+    j(a, b) = rx(a) * ry(b) / mismatch for a != b.  On P, Q, rx, ry and
+    the mismatch m times D, their common denominator, that cell is one
+    ``Fraction(rx(a) * ry(b), m * D)``, or ``ZERO`` when either factor is 0.
     """
     require_same_alphabet(p, q)
-    n = len(p.alphabet)
-    res = residuals(p, q)
+    n = len(p.p)
+    scale, ints = scaled(p.p + q.p)
+    left, right = ints[:n], ints[n:]
+    overlap = list(map(min, left, right))
+    m = scale - sum(overlap)
+    ry = list(map(sub, right, overlap))
+    denominator = m * scale
     rows = []
-    for i in range(n):
-        row = []
-        for k in range(n):
-            if i == k:
-                row.append(min(p.p[i], q.p[i]))
-            elif res.mismatch == 0:
-                row.append(ZERO)
-            else:
-                row.append(res.rx[i] * res.ry[k] / res.mismatch)
-        rows.append(tuple(row))
-    return Coupling(tuple(rows), p, q)
+    for i, (x, y, a, d) in enumerate(zip(p.p, q.p, left, overlap)):
+        rx = a - d
+        if rx and m:
+            row = [Fraction(rx * b, denominator) if b else ZERO for b in ry]
+        else:
+            row = [ZERO] * n
+        row[i] = y if rx else x  # rx == 0 iff P(a) <= Q(a)
+        rows.append(row)
+    return Coupling(rows, p, q)
 
 
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:

@@ -7,16 +7,18 @@ is a distribution over ordered pairs from one alphabet, stored as an
 N x N matrix (row = first coordinate) beside the flat :class:`Pmf` over
 the product alphabet that validated it.  Matrix row/column order is the
 alphabet order, fixed at construction, which keeps every table this
-package emits deterministic and diff-able.  :func:`check_mass` is the one
-check of "non-negative Fractions with an exact total of 1"; :class:`Pmf`
-and :class:`~couplingkit.coupling.Coupling` both call it.
+package emits deterministic and diff-able.  :func:`check_mass_rows` is the one
+check of "non-negative Fractions with an exact total of 1": :class:`Pmf`
+calls its one-row form :func:`check_mass`, and
+:class:`~couplingkit.coupling.Coupling` calls it on the matrix.
 
 The exact loops run on plain ints over one common denominator:
 :func:`common_denominator` is the lcm of the distinct denominators of a
 set of values, :func:`numerators_over` gives the values times such a
-scale, and :func:`scaled` turns a vector into its lcm and those ints.  :func:`check_mass` sums the scaled numerators and
-returns the lcm, which :class:`~couplingkit.coupling.Coupling` reuses for
-its marginals; a :class:`Fraction` is built only for an error message.
+scale, and :func:`scaled` turns a vector into its lcm and those ints.
+:func:`check_mass_rows` returns the lcm with the row and column sums, which
+:class:`~couplingkit.coupling.Coupling` checks against its marginals; a
+:class:`Fraction` is built only for an error message.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -26,7 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import AlphabetMismatchError, DistributionError
@@ -111,8 +115,8 @@ def common_denominator(values: Iterable[Fraction]) -> int:
 
 
 def numerators_over(scale: int, values: Iterable[Fraction]) -> Iterator[int]:
-    """Each value times ``scale``, as an int; ``scale`` is a multiple of every denominator."""
-    return (x.numerator * (scale // x.denominator) for x in values)
+    """Each value times ``scale``, as an int (0 without a division for a zero value)."""
+    return (x.numerator * (scale // x.denominator) if x.numerator else 0 for x in values)
 
 
 def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
@@ -121,33 +125,48 @@ def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, list(numerators_over(scale, values))
 
 
-def check_mass(
-    entries: Sequence[Fraction],
+def check_mass_rows(
+    rows: Sequence[Sequence[Fraction]],
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
-) -> int:
-    """Check that ``entries`` are non-negative Fractions with an exact total of 1.
+) -> tuple[int, list[int], list[int]]:
+    """Check that the entries of ``rows`` are non-negative Fractions with an exact total of 1.
 
-    The first failure, entry by entry and then the total, is raised as
-    ``error(message, constraint)`` with ``constraint`` one of ``"shape"``
-    (not a Fraction), ``"negative_entry"`` or ``"total_mass"``;
-    ``label(k)`` names entry ``k`` in the message.  The total is summed
-    on ints over D, the :func:`common_denominator` of the entries, and D
-    is returned.
+    The first failure, entry by entry in row-major order and then the
+    total, is raised as ``error(message, constraint)`` with ``constraint``
+    one of ``"shape"`` (not a Fraction), ``"negative_entry"`` or
+    ``"total_mass"``; ``label(k)`` names the ``k``-th entry in that order.
+    Returns D, the :func:`common_denominator` of the entries, with every
+    row sum and column sum times D; each entry is scaled once.
     """
-    for k, value in enumerate(entries):
+    for k, value in enumerate(chain.from_iterable(rows)):
         if not isinstance(value, Fraction):
             raise error(f"{label(k)} must be a Fraction, got {type(value).__name__}", "shape")
         if value.numerator < 0:
             raise error(f"{label(k)} is negative: {bounded_str(value)}", "negative_entry")
-    scale = common_denominator(entries)
-    total = sum(numerators_over(scale, entries))
+    scale = common_denominator(chain.from_iterable(rows))
+    row_sums = []
+    columns = [0] * len(rows[0])
+    for row in rows:
+        ints = list(numerators_over(scale, row))
+        row_sums.append(sum(ints))
+        columns = list(map(add, columns, ints))
+    total = sum(row_sums)
     if total != scale:
         raise error(
             f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
             "total_mass",
         )
-    return scale
+    return scale, row_sums, columns
+
+
+def check_mass(
+    entries: Sequence[Fraction],
+    label: Callable[[int], str],
+    error: Callable[[str, str], Exception],
+) -> int:
+    """:func:`check_mass_rows` on the one row ``entries``; returns D alone."""
+    return check_mass_rows((entries,), label, error)[0]
 
 
 def _distribution_error(message: str, constraint: str) -> DistributionError:

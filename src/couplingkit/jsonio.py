@@ -1,7 +1,7 @@
 """JSON file formats for distributions and couplings.
 
 All probabilities travel as rational strings ("1/9", "0.03750", "2"),
-parsed exactly.  Shapes:
+parsed exactly, each distinct literal once per file.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -61,10 +61,19 @@ def _parse_alphabet(obj: dict, where: str) -> Alphabet:
     return Alphabet(symbols)
 
 
-def _parse_row(row, n: int, where: str) -> tuple[Fraction, ...]:
+class _Literals(dict):
+    """Literal -> Fraction for one file; a literal that fails to parse is not stored."""
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_rational(text)
+        return value
+
+
+def _parse_row(row, n: int, where: str, literals: _Literals) -> tuple[Fraction, ...]:
     if not isinstance(row, list) or len(row) != n:
         raise ParseError(f"{where}: expected a list of {n} rational strings")
-    return tuple(parse_rational(v) for v in row)
+    # Lists and dicts cannot be keys; parse_rational rejects every non-string.
+    return tuple(literals[v] if isinstance(v, str) else parse_rational(v) for v in row)
 
 
 def _parse_matrix(obj: dict, alphabet: Alphabet, where: str) -> tuple[tuple[Fraction, ...], ...]:
@@ -72,7 +81,8 @@ def _parse_matrix(obj: dict, alphabet: Alphabet, where: str) -> tuple[tuple[Frac
     matrix = obj.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != n:
         raise ParseError(f"{where}: 'matrix' must be a list of {n} rows")
-    return tuple(_parse_row(row, n, f"{where} row {i}") for i, row in enumerate(matrix))
+    literals = _Literals()
+    return tuple(_parse_row(row, n, f"{where} row {i}", literals) for i, row in enumerate(matrix))
 
 
 def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
@@ -85,7 +95,7 @@ def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
         raise ParseError(f"{where}: neither 'p' nor 'matrix' present")
     alphabet = _parse_alphabet(obj, where)
     if has_p:
-        probs = _parse_row(obj["p"], len(alphabet), f"{where} 'p'")
+        probs = _parse_row(obj["p"], len(alphabet), f"{where} 'p'", _Literals())
         return Pmf(alphabet, probs)
     return Pmf2(alphabet, _parse_matrix(obj, alphabet, where))
 
@@ -157,6 +167,7 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
     if not isinstance(blocks, dict):
         raise ParseError(f"{where}: coupling file must carry 'blocks'")
     tensor: list = [[None] * n for _ in range(n)]
+    literals = _Literals()
     for x1, a in enumerate(alphabet.symbols):
         for x2, b in enumerate(alphabet.symbols):
             label = alphabet.pair_label(a, b)
@@ -167,7 +178,8 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
             for y1, c in enumerate(alphabet.symbols):
                 if c not in block:
                     raise ParseError(f"{where}: block {label!r} missing column {c!r}")
-                rows.append(_parse_row(block[c], n, f"{where} block {label!r} column {c!r}"))
+                where_c = f"{where} block {label!r} column {c!r}"
+                rows.append(_parse_row(block[c], n, where_c, literals))
             tensor[x1][x2] = rows
     return alphabet, tensor
 

@@ -1,9 +1,10 @@
 """Fraction-only reference versions of the package's exact validators.
 
 The package checks masses, coupling marginals, dual certificates and the
-key audit on ints over a common denominator.  These are the direct
-Fraction forms of the same checks, with the same constraint order and
-the same messages; the property tests require both to agree on every
+key audit on ints over a common denominator, and builds the maximal
+coupling from the same ints.  These are the direct Fraction forms of the
+same checks and of that construction, with the same constraint order
+and the same messages; the property tests require both to agree on every
 verdict and every returned value.
 """
 
@@ -92,6 +93,32 @@ def dual_value(u, v, supply, demand) -> Fraction:
     return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
         (vj * dj for vj, dj in zip(v, demand.p)), ZERO
     )
+
+
+def coupling_maximal_rows(p, q) -> tuple[tuple[Fraction, ...], ...]:
+    """The product-residual maximal coupling's matrix, cell by cell in Fractions.
+
+    Diagonal min{P, Q}; off the diagonal zero when the residual mass is
+    zero, else rx(a) * ry(b) / mismatch.  Not validated.
+    """
+    require_same_alphabet(p, q)
+    n = len(p.alphabet)
+    overlap = [min(x, y) for x, y in zip(p.p, q.p)]
+    rx = [x - d for x, d in zip(p.p, overlap)]
+    ry = [y - d for y, d in zip(q.p, overlap)]
+    mismatch = ONE - sum(overlap, ZERO)
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(n):
+            if i == k:
+                row.append(min(p.p[i], q.p[i]))
+            elif mismatch == 0:
+                row.append(ZERO)
+            else:
+                row.append(rx[i] * ry[k] / mismatch)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def maximal_diagonal(p, q) -> tuple[Fraction, ...]:

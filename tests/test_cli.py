@@ -10,7 +10,7 @@ import pytest
 
 import couplingkit
 from couplingkit import distributions
-from couplingkit.cli import Config, main
+from couplingkit.cli import Config, build_parser, main
 from couplingkit.multidim import Coupling4
 from couplingkit.jsonio import load_coupling_matrix
 from couplingkit.rational import parse_rational
@@ -426,6 +426,53 @@ class TestValidationWork:
         monkeypatch.setattr(distributions.Pmf, "__init__", counting_pmf_init)
         assert main(argv) == 0
         assert calls == {"product": 2, "pmf": 2}
+
+
+class TestParserReuse:
+    """main() reuses one parser; every call must print what a fresh parser prints."""
+
+    @staticmethod
+    def run(capsys, argv, fresh=False):
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_consecutive_calls_match_fresh_parsers(self, tmp_path, capsys, ramp_file, uniform_file):
+        out = str(tmp_path / "c.json")
+        sequence = [
+            ["vdist", "--format", "json", "--precision", "3", ramp_file, uniform_file],
+            ["vdist", ramp_file, uniform_file],
+            ["couple", ramp_file, uniform_file, "--kind", "maximal", "--out", out],
+            ["couple", ramp_file, uniform_file, "--kind", "independent"],
+            ["verify", out, ramp_file, uniform_file, "--format", "json"],
+            ["verify", out, ramp_file, uniform_file],
+            ["oracle", ramp_file, uniform_file, "--precision", "2"],
+            ["oracle", ramp_file, uniform_file],
+            ["audit", ramp_file, "--epsilon", "1/10"],
+            ["audit", ramp_file],
+            ["couple", ramp_file, uniform_file],
+            ["vdist", ramp_file, uniform_file],
+        ]
+        assert build_parser() is build_parser()
+        reused = [self.run(capsys, argv) for argv in sequence]
+        fresh = [self.run(capsys, argv, fresh=True) for argv in sequence]
+        assert reused == fresh
+        assert reused[-2][0] == ("exit", 2)
+
+    def test_usage_error_leaks_no_state(self, capsys, ramp_file, uniform_file):
+        before = self.run(capsys, ["vdist", ramp_file, uniform_file])
+        code, out, err = self.run(
+            capsys, ["vdist", "--format", "json", "--precision", "x", ramp_file, uniform_file]
+        )
+        assert code == ("exit", 2) and out == ""
+        assert "invalid int value: 'x'" in err
+        assert self.run(capsys, ["vdist", ramp_file, uniform_file]) == before
+        assert before == (0, "1/5 (0.20000)\n", "")
 
 
 class TestPublicNames:

@@ -27,6 +27,7 @@ from couplingkit import (
     DualCertificate,
     EpsilonAuditInput,
     Pmf,
+    Pmf2,
     TransportProblem,
     certify,
     certify_mismatch,
@@ -393,18 +394,20 @@ def test_epsilon_audit_matches_the_fraction_reference(n, seed, key, change, epsi
         assert expected.v == expected.maximal_mismatch == expected.oracle_min_mismatch
 
 
-@pytest.mark.parametrize(
-    "p,q,message",
-    [
-        ((F(2, 3), F(2, 3)), (F(2, 3), F(2, 3)), "residual mass -1/3 is negative"),
-        ((F(-1, 10), F(11, 10)), (F(1, 2), F(1, 2)), "negative factor at '1'"),
-        ((F(1, 2), F(1)), (F(1, 2), F(1, 2)), "zero residual mass but P != Q"),
-        ((F(1, 2), F(2, 5)), (F(1, 2), F(1, 2)), "total mass is not 1"),
-        # disjoint supports with P(A) * Q(A) = 1: the total holds, the rows do not
-        ((F(2), F(0)), (F(0), F(1, 2)), "row marginal at '1' is not P(1)"),
-        ((F(0), F(1, 2)), (F(2), F(0)), "column marginal at '1' is not Q(1)"),
-    ],
-)
+BROKEN_MAXIMAL_INPUTS = [
+    ((F(2, 3), F(2, 3)), (F(2, 3), F(2, 3)), "residual mass -1/3 is negative"),
+    ((F(-1, 10), F(11, 10)), (F(1, 2), F(1, 2)), "negative factor at '1'"),
+    ((F(1, 2), F(1)), (F(1, 2), F(1, 2)), "zero residual mass but P != Q"),
+    ((F(1, 2), F(2, 5)), (F(1, 2), F(1, 2)), "total mass is not 1"),
+    # disjoint supports with P(A) * Q(A) = 1: the total holds, the rows do not
+    ((F(2), F(0)), (F(0), F(1, 2)), "row marginal at '1' is not P(1)"),
+    ((F(0), F(1, 2)), (F(2), F(0)), "column marginal at '1' is not Q(1)"),
+    # zero residual mass, yet rx(2) and ry(3) are both positive
+    ((F(1, 2), F(1, 2), F(1, 4)), (F(1, 2), F(1, 4), F(1, 2)), "zero residual mass but P != Q"),
+]
+
+
+@pytest.mark.parametrize("p,q,message", BROKEN_MAXIMAL_INPUTS)
 def test_each_maximal_check_fails_as_in_the_fraction_reference(p, q, message):
     # rx * ry != 0 cannot fail on either side: rx and ry are P and Q less
     # their pointwise minimum, so one of them is 0 at every symbol.
@@ -413,6 +416,68 @@ def test_each_maximal_check_fails_as_in_the_fraction_reference(p, q, message):
     assert expected[0] == "CorruptedCouplingError"
     assert expected[3] == f"maximal coupling: {message}"
     assert outcome(lambda: maximal_diagonal(p, q)) == expected
+
+
+def diagonal_and_band(rng: random.Random, side: int) -> tuple[Pmf, Pmf]:
+    """A diagonal P2 and a band Q2 (|i - j| <= 1), both with zero weights, flattened."""
+
+    def pmf2(allowed) -> Pmf:
+        weights = [[rng.choice((0, rng.randint(1, 40))) if allowed(i, j) else 0
+                    for j in range(side)] for i in range(side)]
+        weights[0][0] += 1
+        total = sum(map(sum, weights))
+        return Pmf2(Alphabet.of_size(side), [[F(w, total) for w in row] for row in weights]).flatten()
+
+    return pmf2(lambda i, j: i == j), pmf2(lambda i, j: abs(i - j) <= 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32),
+    pair=st.sampled_from(KEYS + ("equal", "diagonal_band")),
+)
+def test_coupling_maximal_matches_the_fraction_reference(n, seed, pair):
+    rng = random.Random(seed)
+    if pair == "diagonal_band":
+        p, q = diagonal_and_band(rng, 1 + n % 5)
+    elif pair == "equal":  # zero residual mass
+        p = q = random_marginal(rng, n, rng.choice(KEYS))
+    else:  # "shared" draws zero entries, "point" is mostly zeros
+        p = random_marginal(rng, n, pair)
+        q = random_marginal(rng, n, rng.choice(KEYS))
+    rows = coupling_maximal(p, q).j
+    assert rows == reference.coupling_maximal_rows(p, q)
+    assert all(type(x) is Fraction for row in rows for x in row)
+
+
+@pytest.mark.parametrize("p,q,message", BROKEN_MAXIMAL_INPUTS)
+def test_coupling_maximal_fails_on_broken_inputs_as_the_fraction_reference(p, q, message):
+    # The builder runs no maximal check of its own: dense validation rejects
+    # what it builds, negative cells (residual mass below 0) included.
+    p, q = unchecked_pmf(p), unchecked_pmf(q)
+    expected = outcome(lambda: Coupling(reference.coupling_maximal_rows(p, q), p, q).j)
+    assert expected[0] == "CouplingError"
+    assert outcome(lambda: coupling_maximal(p, q).j) == expected
+
+
+def test_epsilon_audit_reports_a_v_past_the_int_to_str_limit():
+    # v has over 4300 digits, and epsilon = 0 puts it in a note
+    pk = random_marginal(random.Random(256), 256, "distinct")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        report = epsilon_audit(EpsilonAuditInput(pk=pk, epsilon=F(0)))
+        with pytest.raises(ValueError):
+            str(report.v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert report.epsilon_consistent is False
+    bits = report.v.denominator.bit_length()
+    assert report.notes[-1] == (
+        f"claimed bound epsilon = 0 is below v = <a rational over a {bits}-bit denominator>; "
+        "the input is inconsistent with v <= epsilon"
+    )
 
 
 def test_audit_report_with_distinct_64_bit_denominators_at_n256():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from couplingkit import ParseError, Pmf, Pmf2, coupling_maximal
+from couplingkit import ParseError, Pmf, Pmf2, coupling_maximal, jsonio
+from couplingkit.cli import main
 from couplingkit.jsonio import (
     coupling4_to_obj,
     coupling_to_obj,
@@ -15,6 +16,7 @@ from couplingkit.jsonio import (
     load_distribution,
     load_pmf,
     parse_coupling4_blocks,
+    parse_coupling_matrix,
     parse_distribution,
     pmf2_to_obj,
     pmf_to_obj,
@@ -128,6 +130,49 @@ class TestCouplingFiles:
         neither = write(tmp_path, "n.json", {"alphabet": ["1"]})
         with pytest.raises(ParseError):
             detect_coupling_kind(neither)
+
+
+class TestLiteralsParsedOnce:
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The literals handed to ``parse_rational``, in call order."""
+        calls = []
+
+        def recording(text):
+            calls.append(text)
+            return parse_rational(text)
+
+        parse_rational = jsonio.parse_rational
+        monkeypatch.setattr(jsonio, "parse_rational", recording)
+        return calls
+
+    def test_repeated_literals_parse_once_to_equal_values(self, parsed, diag3, band3):
+        pmf = parse_distribution({"alphabet": ["a", "b", "c", "d"], "p": ["1/4"] * 4})
+        assert pmf.p == (F(1, 4),) * 4
+        assert parsed == ["1/4"]
+        parsed.clear()
+        obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
+        literals = [x for block in obj["blocks"].values() for column in block.values() for x in column]
+        _, tensor = parse_coupling4_blocks(obj)
+        assert [x for block in tensor for rows in block for row in rows for x in row] == [
+            F(x) for x in literals
+        ]
+        assert sorted(parsed) == sorted(set(literals))
+
+    def test_first_bad_literal_is_reported_though_it_repeats(self, parsed):
+        # "x" recurs after "1/0"; parsing each distinct literal up front could report either
+        obj = {"alphabet": ["1", "2"], "matrix": [["0", "x"], ["1/0", "x"]]}
+        with pytest.raises(ParseError, match="malformed rational literal 'x'"):
+            parse_coupling_matrix(obj)
+        assert parsed == ["0", "x"]
+
+    @pytest.mark.parametrize("bad", [["1/2"], {"1": "1/2"}, 1, None])
+    def test_non_string_literal_exits_2(self, tmp_path, capsys, bad):
+        coupling = write(tmp_path, "c.json", {"alphabet": ["1", "2"], "matrix": [["1/2", bad], ["0", "1/2"]]})
+        marginal = write(tmp_path, "p.json", {"alphabet": ["1", "2"], "p": ["1/2", "1/2"]})
+        assert main(["verify", str(coupling), str(marginal), str(marginal)]) == 2
+        expected = f"error: rational literal must be a string, got {type(bad).__name__}\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestDumpDeterminism:
