@@ -62,9 +62,9 @@ from .multidim import (
     mismatch_components,
     vdist2,
 )
-from .rational import MAX_EXPONENT, decimal_string, parse_rational
+from .rational import MAX_EXPONENT, bounded_str, decimal_string, parse_rational
 from .tables import resolve_fixtures_dir, sync_fixtures
-from .transport import TransportProblem, certify, lp_min_mismatch
+from .transport import TransportProblem, certify, solve_transport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -171,12 +171,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise AlphabetMismatchError(
                 "a matrix coupling file needs one-dim marginal files"
             )
-        alphabet, rows = parse_coupling_matrix(obj, where=args.coupling_file)
+        alphabet, scale, cells = parse_coupling_matrix(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
-        c = Coupling(rows, p, q)
+        c = Coupling.over(scale, cells, p, q)
         audit = lemma_audit(c)
         lines = ["valid: true"] + _audit_lines(cfg, audit)
         payload = {"valid": True, **audit.to_json_dict()}
@@ -185,12 +185,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise AlphabetMismatchError(
                 "a blocks coupling file needs two-dim marginal files"
             )
-        alphabet, tensor = parse_coupling4_blocks(obj, where=args.coupling_file)
+        alphabet, scale, cells = parse_coupling4_blocks(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
-        c4 = Coupling4.from_tensor(tensor, p, q)
+        c4 = Coupling4(Coupling.over(scale, cells, p.flatten(), q.flatten()), p, q)
         audit = lemma_audit(c4.flat)
         parts = mismatch_components(c4)
         lines = (
@@ -220,15 +220,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     p, q = _load_pair(args.p_file, args.q_file)
     if isinstance(p, Pmf2):
         p, q = p.flatten(), q.flatten()
-    coupling, certificate = lp_min_mismatch(p, q)
     problem = TransportProblem.mismatch(p, q)
+    coupling, certificate, _ = solve_transport(problem)
     certified = certify(coupling, certificate, problem)
     v = vdist_halfsum(p, q)
     agreement = certified and certificate.objective == v
     if not agreement:
         raise CorruptedCouplingError(
-            f"oracle disagreement: objective {certificate.objective}, v {v}, "
-            f"certified {certified}"
+            f"oracle disagreement: objective {bounded_str(certificate.objective)}, "
+            f"v {bounded_str(v)}, certified {certified}"
         )
     solution = {
         "coupling": coupling_to_obj(coupling),

@@ -14,14 +14,20 @@ are not unique in general; this particular construction is fixed so that
 its output matrices are reproducible entry-for-entry.
 
 Both run on ints over one common denominator: the builder scales P and Q
-once and pays one reduced Fraction per non-zero cell, and :class:`Coupling`
-validation scales each non-zero entry once, in one pass over the rows.
+once and pays one reduced Fraction per non-zero cell.  A :class:`Coupling`
+has its entries both as Fractions and as ints over D, a common
+denominator, and builds whichever form it was not given when that form
+is first read: :meth:`Coupling.over` takes the ints, from a coupling
+file or the transportation simplex, with no Fraction per cell.  The
+readers, :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
+:func:`lemma_audit`, sum the ints and build one Fraction per result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 from typing import Sequence
 
@@ -30,7 +36,9 @@ from .distributions import (
     ZERO,
     Alphabet,
     Pmf,
+    check_mass_over,
     check_mass_rows,
+    numerators_over,
     require_same_alphabet,
     scaled,
 )
@@ -39,72 +47,135 @@ from .metrics import vdist_halfsum
 from .rational import bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Cells = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Coupling:
     """Validated joint distribution with cached marginals (row = x, column = y).
+
+    ``scale`` is D, a common denominator of the entries, and ``cells``
+    every entry times D as an int; ``j`` is the entries as Fractions.
+    ``Coupling(j, left, right)`` keeps the Fractions it is given, takes
+    D as the lcm of their denominators and builds ``cells`` when they are
+    first read; :meth:`over` keeps the ints and the D it is given and
+    builds ``j`` when it is first read.  Equality and hashing compare
+    ``j`` and the marginals, so they do not depend on the constructor or
+    on D.
 
     Construction raises :class:`CouplingError` naming the first failed
     constraint: the shape, each entry's type and sign and the total mass
     (:func:`~couplingkit.distributions.check_mass_rows`), then every row
-    marginal, then every column marginal.  The sums run on ints over D,
-    the entries' common denominator, in one pass that scales each
-    non-zero entry once and holds one row of ints at a time.
+    marginal, then every column marginal.  The sums run on ints over D;
+    from Fractions, each non-zero entry is scaled once and one row of
+    ints is held at a time.
     """
 
     alphabet: Alphabet
-    j: Matrix
+    scale: int
     left: Pmf
     right: Pmf
 
     def __init__(self, j: Sequence[Sequence[Fraction]], left: Pmf, right: Pmf):
-        require_same_alphabet(left, right)
-        alphabet = left.alphabet
-        n = len(alphabet)
-        rows = tuple(tuple(row) for row in j)
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
-        symbols = alphabet.symbols
-        scale, row_sums, columns = check_mass_rows(
-            rows,
-            lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})",
-            CouplingError,
+        rows = _square(j, left, right)
+        scale, row_sums, columns = check_mass_rows(rows, _entry_label(left), CouplingError)
+        _check_marginals(scale, row_sums, columns, left, right)
+        self._store(alphabet=left.alphabet, scale=scale, left=left, right=right, j=rows)
+
+    @classmethod
+    def over(cls, scale: int, cells: Sequence[Sequence[int]], left: Pmf, right: Pmf) -> "Coupling":
+        """The coupling whose entry (a, b) is ``cells[a][b] / scale``, for ints and a positive ``scale``.
+
+        Runs the checks of the constructor in its order, with its
+        messages, on the ints (:func:`~couplingkit.distributions.check_mass_over`).
+        """
+        rows = _square(cells, left, right)
+        row_sums, columns = check_mass_over(scale, rows, _entry_label(left), CouplingError)
+        _check_marginals(scale, row_sums, columns, left, right)
+        self = cls.__new__(cls)
+        self._store(alphabet=left.alphabet, scale=scale, left=left, right=right, cells=rows)
+        return self
+
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def j(self) -> Matrix:
+        """The entries as Fractions, ``cells`` over ``scale``; zero cells are ``ZERO``."""
+        scale = self.scale
+        return tuple(tuple(Fraction(x, scale) if x else ZERO for x in row) for row in self.cells)
+
+    @cached_property
+    def cells(self) -> Cells:
+        """Every entry times ``scale``, as an int."""
+        return tuple(tuple(numerators_over(self.scale, row)) for row in self.j)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.j, self.left, self.right) == (other.j, other.left, other.right)
+
+    def __hash__(self) -> int:
+        return hash((self.j, self.left, self.right))
+
+    def __repr__(self) -> str:
+        return (
+            f"Coupling(alphabet={self.alphabet!r}, j={self.j!r}, "
+            f"left={self.left!r}, right={self.right!r})"
         )
-        # sum / scale == x is checked as sum * x.denominator == x.numerator * scale.
-        for a, row_sum, x in zip(symbols, row_sums, left.p):
-            if row_sum * x.denominator != x.numerator * scale:
-                raise CouplingError(
-                    f"row marginal at {a!r} is {bounded_str(Fraction(row_sum, scale))}, "
-                    f"expected {bounded_str(x)}",
-                    constraint="row_marginal",
-                    symbol=a,
-                )
-        for b, col_sum, y in zip(symbols, columns, right.p):
-            if col_sum * y.denominator != y.numerator * scale:
-                raise CouplingError(
-                    f"column marginal at {b!r} is {bounded_str(Fraction(col_sum, scale))}, "
-                    f"expected {bounded_str(y)}",
-                    constraint="column_marginal",
-                    symbol=b,
-                )
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "j", rows)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
 
     def __getitem__(self, pair: tuple[str, str]) -> Fraction:
         a, b = pair
-        return self.j[self.alphabet.index(a)][self.alphabet.index(b)]
+        return Fraction(self.cells[self.alphabet.index(a)][self.alphabet.index(b)], self.scale)
 
     def diagonal_mass(self) -> Fraction:
-        return sum((self.j[i][i] for i in range(len(self.alphabet))), ZERO)
+        return Fraction(sum(row[i] for i, row in enumerate(self.cells)), self.scale)
+
+
+def _check_marginals(scale: int, row_sums, columns, left: Pmf, right: Pmf) -> None:
+    """Check the row and column sums, ints over ``scale``, against the marginals."""
+    symbols = left.alphabet.symbols
+    # sum / scale == x is checked as sum * x.denominator == x.numerator * scale.
+    for a, row_sum, x in zip(symbols, row_sums, left.p):
+        if row_sum * x.denominator != x.numerator * scale:
+            raise CouplingError(
+                f"row marginal at {a!r} is {bounded_str(Fraction(row_sum, scale))}, "
+                f"expected {bounded_str(x)}",
+                constraint="row_marginal",
+                symbol=a,
+            )
+    for b, col_sum, y in zip(symbols, columns, right.p):
+        if col_sum * y.denominator != y.numerator * scale:
+            raise CouplingError(
+                f"column marginal at {b!r} is {bounded_str(Fraction(col_sum, scale))}, "
+                f"expected {bounded_str(y)}",
+                constraint="column_marginal",
+                symbol=b,
+            )
+
+
+def _square(j: Sequence[Sequence], left: Pmf, right: Pmf) -> tuple[tuple, ...]:
+    """The rows of ``j`` as tuples, after checking the marginals' alphabets and the shape."""
+    require_same_alphabet(left, right)
+    n = len(left.alphabet)
+    rows = tuple(tuple(row) for row in j)
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
+    return rows
+
+
+def _entry_label(left: Pmf):
+    symbols = left.alphabet.symbols
+    n = len(symbols)
+    return lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})"
 
 
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
-    """The product coupling j(a, b) = P(a) * Q(b)."""
+    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives ``ZERO``."""
     require_same_alphabet(p, q)
-    rows = tuple(tuple(x * y for y in q.p) for x in p.p)
+    zeros = (ZERO,) * len(q.p)
+    rows = tuple(tuple(x * y if y else ZERO for y in q.p) if x else zeros for x in p.p)
     return Coupling(rows, p, q)
 
 
@@ -199,7 +270,7 @@ def check_maximal(p: list[int], q: list[int], scale: int, symbols: Sequence[str]
     m = scale - sum(overlap)
     if m < 0:
         raise CorruptedCouplingError(
-            f"maximal coupling: residual mass {Fraction(m, scale)} is negative"
+            f"maximal coupling: residual mass {bounded_str(Fraction(m, scale))} is negative"
         )
     rx = list(map(sub, p, overlap))
     ry = list(map(sub, q, overlap))
@@ -261,6 +332,6 @@ def lemma_audit(c: Coupling) -> LemmaAudit:
     m = mismatch_prob(c)
     if v > m:
         raise CorruptedCouplingError(
-            f"coupling inequality violated: v={v} > mismatch={m}"
+            f"coupling inequality violated: v={bounded_str(v)} > mismatch={bounded_str(m)}"
         )
     return LemmaAudit(v=v, mismatch=m, holds=True, maximal=(v == m), gap=m - v)

@@ -10,15 +10,18 @@ alphabet order, fixed at construction, which keeps every table this
 package emits deterministic and diff-able.  :func:`check_mass_rows` is the one
 check of "non-negative Fractions with an exact total of 1": :class:`Pmf`
 calls its one-row form :func:`check_mass`, and
-:class:`~couplingkit.coupling.Coupling` calls it on the matrix.
+:class:`~couplingkit.coupling.Coupling` calls it on the matrix, or
+:func:`check_mass_over` on a matrix already given as ints.
 
 The exact loops run on plain ints over one common denominator:
-:func:`common_denominator` is the lcm of the distinct denominators of a
-set of values, :func:`numerators_over` gives the values times such a
-scale, and :func:`scaled` turns a vector into its lcm and those ints.
-:func:`check_mass_rows` returns the lcm with the row and column sums, which
-:class:`~couplingkit.coupling.Coupling` checks against its marginals; a
-:class:`Fraction` is built only for an error message.
+:func:`lcm_of` is the lcm of a set of denominators and
+:func:`common_denominator` that of a set of values,
+:func:`numerators_over` gives the values times such a scale, and
+:func:`scaled` turns a vector into its lcm and those ints.
+:func:`check_mass_rows` and :func:`check_mass_over` return the lcm's
+row and column sums, which :class:`~couplingkit.coupling.Coupling`
+checks against its marginals; a :class:`Fraction` is built only for an
+error message.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -100,14 +103,19 @@ def require_same_alphabet(left: "Pmf | Pmf2", right: "Pmf | Pmf2") -> None:
 
 
 def common_denominator(values: Iterable[Fraction]) -> int:
-    """The lcm of the distinct denominators of ``values``; 1 when there are none.
+    """The lcm of the distinct denominators of ``values``; 1 when there are none."""
+    return lcm_of({x.denominator for x in values})
+
+
+def lcm_of(denominators: Iterable[int]) -> int:
+    """The lcm of distinct positive ints; 1 when there are none.
 
     The lcm is taken pairwise over a balanced tree, so both operands of
     each step grow together.  Folding the denominators in one at a time
     would multiply an ever longer lcm by each one in turn, which is
     quadratic in the lcm's length when the denominators are coprime.
     """
-    layer = list({x.denominator for x in values})
+    layer = list(denominators)
     while len(layer) > 1:
         # An odd layer carries its last element up unpaired.
         layer = [*map(lcm, layer[::2], layer[1::2]), *layer[len(layer) & ~1 :]]
@@ -137,7 +145,8 @@ def check_mass_rows(
     one of ``"shape"`` (not a Fraction), ``"negative_entry"`` or
     ``"total_mass"``; ``label(k)`` names the ``k``-th entry in that order.
     Returns D, the :func:`common_denominator` of the entries, with every
-    row sum and column sum times D; each entry is scaled once.
+    row sum and column sum times D; each entry is scaled once, and one
+    row of ints is held at a time.
     """
     for k, value in enumerate(chain.from_iterable(rows)):
         if not isinstance(value, Fraction):
@@ -151,13 +160,35 @@ def check_mass_rows(
         ints = list(numerators_over(scale, row))
         row_sums.append(sum(ints))
         columns = list(map(add, columns, ints))
-    total = sum(row_sums)
+    _check_total(scale, sum(row_sums), error)
+    return scale, row_sums, columns
+
+
+def check_mass_over(
+    scale: int,
+    rows: Sequence[Sequence[int]],
+    label: Callable[[int], str],
+    error: Callable[[str, str], Exception],
+) -> tuple[list[int], list[int]]:
+    """:func:`check_mass_rows` on entries given as ints over ``scale``; returns the row and column sums.
+
+    The same checks in the same order with the same messages: the sign
+    of each entry in row-major order, then the total.
+    """
+    if min(chain.from_iterable(rows)) < 0:
+        k, x = next((k, x) for k, x in enumerate(chain.from_iterable(rows)) if x < 0)
+        raise error(f"{label(k)} is negative: {bounded_str(Fraction(x, scale))}", "negative_entry")
+    row_sums = list(map(sum, rows))
+    _check_total(scale, sum(row_sums), error)
+    return row_sums, list(map(sum, zip(*rows)))
+
+
+def _check_total(scale: int, total: int, error: Callable[[str, str], Exception]) -> None:
     if total != scale:
         raise error(
             f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
             "total_mass",
         )
-    return scale, row_sums, columns
 
 
 def check_mass(

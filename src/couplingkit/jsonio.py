@@ -1,7 +1,14 @@
 """JSON file formats for distributions and couplings.
 
 All probabilities travel as rational strings ("1/9", "0.03750", "2"),
-parsed exactly, each distinct literal once per file.  Shapes:
+parsed exactly, each distinct literal once per file.  A distribution's
+literals become Fractions (:func:`~couplingkit.rational.parse_rational`).
+A coupling's become (numerator, denominator) pairs of ints
+(:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
+integers cost two ``int`` calls and no gcd), and the coupling parsers
+return D, the lcm of the denominators, with every cell times D as an
+int, ready for :meth:`~couplingkit.coupling.Coupling.over`; no Fraction
+is built per cell.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -23,11 +30,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .coupling import Coupling
-from .distributions import Alphabet, Pmf, Pmf2
+from .coupling import Cells, Coupling
+from .distributions import Alphabet, Pmf, Pmf2, lcm_of
 from .errors import ParseError
 from .multidim import Coupling4
-from .rational import decimal_string, parse_rational
+from .rational import decimal_string, parse_ratio, parse_rational
 
 Render = Callable[[Fraction], str]
 
@@ -61,28 +68,39 @@ def _parse_alphabet(obj: dict, where: str) -> Alphabet:
     return Alphabet(symbols)
 
 
-class _Literals(dict):
-    """Literal -> Fraction for one file; a literal that fails to parse is not stored."""
+def _read_row(row, n: int, where: str, literals: dict, parse: Callable) -> list[str]:
+    """``row`` after checking its length and parsing, in order, each literal not yet in ``literals``.
 
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_rational(text)
-        return value
-
-
-def _parse_row(row, n: int, where: str, literals: _Literals) -> tuple[Fraction, ...]:
+    A literal that fails to parse is not stored, so the first bad literal
+    is the one reported.
+    """
     if not isinstance(row, list) or len(row) != n:
         raise ParseError(f"{where}: expected a list of {n} rational strings")
-    # Lists and dicts cannot be keys; parse_rational rejects every non-string.
-    return tuple(literals[v] if isinstance(v, str) else parse_rational(v) for v in row)
+    for text in row:
+        # Lists and dicts cannot be keys; the parsers reject every non-string.
+        if not isinstance(text, str):
+            parse(text)
+        elif text not in literals:
+            literals[text] = parse(text)
+    return row
 
 
-def _parse_matrix(obj: dict, alphabet: Alphabet, where: str) -> tuple[tuple[Fraction, ...], ...]:
+def _parse_matrix(obj: dict, alphabet: Alphabet, where: str, literals: dict, parse: Callable) -> list[list[str]]:
     n = len(alphabet)
     matrix = obj.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != n:
         raise ParseError(f"{where}: 'matrix' must be a list of {n} rows")
-    literals = _Literals()
-    return tuple(_parse_row(row, n, f"{where} row {i}", literals) for i, row in enumerate(matrix))
+    return [_read_row(row, n, f"{where} row {i}", literals, parse) for i, row in enumerate(matrix)]
+
+
+def _cells(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> tuple[int, Cells]:
+    """D, the lcm of the literals' denominators, and every literal of ``rows`` times D.
+
+    Each distinct literal is scaled once.
+    """
+    scale = lcm_of({d for _, d in literals.values()})
+    ints = {text: n * (scale // d) for text, (n, d) in literals.items()}
+    return scale, tuple(tuple(map(ints.__getitem__, row)) for row in rows)
 
 
 def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
@@ -94,10 +112,12 @@ def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
     if not has_p and not has_matrix:
         raise ParseError(f"{where}: neither 'p' nor 'matrix' present")
     alphabet = _parse_alphabet(obj, where)
+    literals: dict[str, Fraction] = {}
     if has_p:
-        probs = _parse_row(obj["p"], len(alphabet), f"{where} 'p'", _Literals())
-        return Pmf(alphabet, probs)
-    return Pmf2(alphabet, _parse_matrix(obj, alphabet, where))
+        row = _read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse_rational)
+        return Pmf(alphabet, [literals[text] for text in row])
+    rows = _parse_matrix(obj, alphabet, where, literals, parse_rational)
+    return Pmf2(alphabet, [[literals[text] for text in row] for row in rows])
 
 
 def load_distribution(path: str | Path) -> Pmf | Pmf2:
@@ -125,15 +145,21 @@ def pmf2_to_obj(pmf2: Pmf2, render: Render = str) -> dict:
     }
 
 
-def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, tuple[tuple[Fraction, ...], ...]]:
-    """Raw alphabet + matrix of a one-dim coupling file; validation is the caller's."""
+def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, int, Cells]:
+    """Alphabet, D and cells of a one-dim coupling file: each entry is ``cells[a][b] / D``.
+
+    D is the lcm of the literals' denominators as written.  Validation,
+    :meth:`~couplingkit.coupling.Coupling.over`, is the caller's.
+    """
     alphabet = _parse_alphabet(obj, where)
     if "matrix" not in obj:
         raise ParseError(f"{where}: coupling file must carry a 'matrix'")
-    return alphabet, _parse_matrix(obj, alphabet, where)
+    literals: dict[str, tuple[int, int]] = {}
+    rows = _parse_matrix(obj, alphabet, where, literals, parse_ratio)
+    return alphabet, *_cells(rows, literals)
 
 
-def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, tuple[tuple[Fraction, ...], ...]]:
+def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, int, Cells]:
     return parse_coupling_matrix(_load_obj(path), where=str(path))
 
 
@@ -159,32 +185,37 @@ def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:
     return {"alphabet": list(alphabet.symbols), "blocks": blocks}
 
 
-def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, list]:
-    """Raw alphabet + four-index tensor from the nested-block layout."""
+def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, int, Cells]:
+    """Alphabet, D and cells of the nested-block layout, as :func:`parse_coupling_matrix`.
+
+    The cells are those of the flat coupling over the product alphabet:
+    row (x1, x2) is block (x1, x2), its columns y1 in turn, each indexed
+    by y2.
+    """
     alphabet = _parse_alphabet(obj, where)
     n = len(alphabet)
     blocks = obj.get("blocks")
     if not isinstance(blocks, dict):
         raise ParseError(f"{where}: coupling file must carry 'blocks'")
-    tensor: list = [[None] * n for _ in range(n)]
-    literals = _Literals()
-    for x1, a in enumerate(alphabet.symbols):
-        for x2, b in enumerate(alphabet.symbols):
+    rows = []
+    literals: dict[str, tuple[int, int]] = {}
+    for a in alphabet.symbols:
+        for b in alphabet.symbols:
             label = alphabet.pair_label(a, b)
             block = blocks.get(label)
             if not isinstance(block, dict):
                 raise ParseError(f"{where}: missing block {label!r}")
-            rows = []
-            for y1, c in enumerate(alphabet.symbols):
+            row = []
+            for c in alphabet.symbols:
                 if c not in block:
                     raise ParseError(f"{where}: block {label!r} missing column {c!r}")
                 where_c = f"{where} block {label!r} column {c!r}"
-                rows.append(_parse_row(block[c], n, where_c, literals))
-            tensor[x1][x2] = rows
-    return alphabet, tensor
+                row += _read_row(block[c], n, where_c, literals, parse_ratio)
+            rows.append(row)
+    return alphabet, *_cells(rows, literals)
 
 
-def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, list]:
+def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, int, Cells]:
     return parse_coupling4_blocks(_load_obj(path), where=str(path))
 
 

@@ -6,7 +6,9 @@ reduced), with exact arithmetic and comparison.  This module adds the
 text conventions used by the file formats and the CLI:
 
 * parsing accepts ``"p/q"``, finite decimal strings (``"0.03750"``),
-  and plain integers, all converted exactly;
+  and plain integers, all converted exactly, either to a Fraction
+  (:func:`parse_rational`) or to a (numerator, denominator) pair of ints
+  (:func:`parse_ratio`, which skips the reduction);
 * rendering is either the canonical fraction form (``str(Fraction)``,
   which round-trips) or a fixed-width decimal used only for display.
 """
@@ -69,16 +71,49 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational literal {_quote(text)}") from None
 
 
-def bounded_str(value: Fraction) -> str:
-    """``str(value)`` for an error message, or its denominator's size when that fails.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """:func:`parse_rational` as a (numerator, denominator) pair of ints, not reduced.
+
+    An ASCII ``"digits/digits"`` with a non-zero denominator, or ASCII
+    ``"digits"``, is read by ``int`` alone, with no gcd; every other
+    literal goes through :func:`parse_rational`, so the accepted
+    language and every error are the same.
+    """
+    if isinstance(text, str) and text.isascii() and "_" not in text:
+        head, slash, tail = text.partition("/")
+        # Of the ASCII strings without "_" that start and end with a digit,
+        # int() reads exactly those made of digits alone.  ("_" is kept
+        # out because Fraction rejects it before Python 3.11, and int()
+        # does not.)
+        if _digit_ends(head) and (_digit_ends(tail) or not slash):
+            try:
+                pair = int(head), (int(tail) if slash else 1)
+            except ValueError:  # a non-digit inside, or a run over the digit limit
+                pass
+            else:
+                if pair[1]:
+                    return pair
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
+def _digit_ends(text: str) -> bool:
+    return text[:1].isdigit() and text[-1:].isdigit()
+
+
+def bounded_str(value: Fraction | int) -> str:
+    """``str(value)`` for an error message, or its size when that fails.
 
     A numerator or denominator over Python's int-to-str digit limit makes
     ``str`` raise ``ValueError``, which would replace the message being
-    built; such a value is described by its denominator's bit length.
+    built; such a value is described by its denominator's bit length, or
+    an integer by its own.
     """
     try:
         return str(value)
     except ValueError:
+        if value.denominator == 1:
+            return f"<an integer of {abs(value.numerator).bit_length()} bits>"
         return f"<a rational over a {value.denominator.bit_length()}-bit denominator>"
 
 

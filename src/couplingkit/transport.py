@@ -11,8 +11,9 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   their denominators, so the tree potentials and reduced costs are
   integers with the signs of the exact ones; the marginals are scaled
   once by D, the lcm of theirs, and total unimodularity makes every
-  basic flow an integer over D.  The coupling's entries are the flows
-  over D, and the certificate's potentials the integer ones over L;
+  basic flow an integer over D.  The coupling is those flows over D,
+  handed to :meth:`~couplingkit.coupling.Coupling.over` as ints, and
+  the certificate's potentials are the integer ones over L;
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
@@ -23,9 +24,8 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
-  on ints of its own, the potentials and costs over one shared scale,
-  the coupling over its entries' common denominator and the marginals
-  over theirs;
+  on ints of its own, the potentials and costs over one shared scale
+  and the marginals over theirs, with the coupling's own ints;
 * for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
   closed-form optimal dual and :func:`certify_mismatch` checks it in
   O(N), both on ints over one common denominator;
@@ -57,6 +57,7 @@ from .distributions import (
     scaled,
 )
 from .errors import CorruptedCouplingError, EnumerationLimitError, ShapeMismatchError
+from .rational import bounded_str
 
 DEFAULT_VERTEX_LIMIT = 4
 # The pivot loop gives up after this many pivots per cell of the N x N
@@ -354,9 +355,10 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     matrix is totally unimodular, so every basic flow is an integer over
     D.  The potentials are walked over the whole tree once and then,
     after each pivot, only over the subtree that the leaving cell cuts
-    off.  Strong duality is checked on the integers; the coupling's
-    entries are the flows over D and the certificate's potentials the
-    integer ones over L.
+    off.  Strong duality is checked on the integers; the coupling is the
+    flows over D (:meth:`~couplingkit.coupling.Coupling.over`, with no
+    Fraction per cell) and the certificate's potentials the integer ones
+    over L.
     """
     n = len(tp.supply.alphabet)
     mass_scale, marginals = scaled(tp.supply.p + tp.demand.p)
@@ -406,14 +408,10 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     dual = sum(map(mul, u, marginals[:n])) + sum(map(mul, v, marginals[n:]))
     if dual != primal:
         raise CorruptedCouplingError(
-            f"strong duality failed: dual {dual} != primal {primal}, "
-            f"both over {scale * mass_scale}"
+            f"strong duality failed: dual {bounded_str(dual)} != primal {bounded_str(primal)}, "
+            f"both over {bounded_str(scale * mass_scale)}"
         )
-    coupling = Coupling(
-        tuple(tuple(Fraction(x, mass_scale) if x else ZERO for x in row) for row in flow),
-        tp.supply,
-        tp.demand,
-    )
+    coupling = Coupling.over(mass_scale, flow, tp.supply, tp.demand)
     certificate = DualCertificate(
         u=tuple(Fraction(x, scale) for x in u),
         v=tuple(Fraction(x, scale) for x in v),
@@ -439,9 +437,9 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     Runs on ints, one cost row at a time: the potentials and costs share
     one scale S, the common denominator of all of them, so row i is
     feasible iff max_j (V_j - C_ij) <= -U_i with every value times S.
-    The primal objective sums C_ij * J_ij, the coupling's entries taken
-    over their own common denominator, and the dual sums U_i * S_i and
-    V_j * D_j, the marginals taken over theirs.
+    The primal objective sums C_ij * J_ij, the coupling's own ints over
+    its ``scale``, and the dual sums U_i * S_i and V_j * D_j, the
+    marginals taken over their common denominator.
     """
     n = len(tp.supply.alphabet)
     if len(c.alphabet) != n or len(cert.u) != n or len(cert.v) != n:
@@ -449,18 +447,17 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     if c.left != tp.supply or c.right != tp.demand:
         return False
     scale = common_denominator(chain(cert.u, cert.v, *tp.cost))
-    mass = common_denominator(chain.from_iterable(c.j))
     u = list(numerators_over(scale, cert.u))
     v = list(numerators_over(scale, cert.v))
     primal = 0
-    for ui, crow, jrow in zip(u, tp.cost, c.j):
+    for ui, crow, jrow in zip(u, tp.cost, c.cells):
         cost = list(numerators_over(scale, crow))
         if max(map(sub, v, cost)) > -ui:
             return False
-        primal += sum(map(mul, cost, numerators_over(mass, jrow)))
+        primal += sum(map(mul, cost, jrow))
     marginal_scale, marginals = scaled(tp.supply.p + tp.demand.p)
     dual = sum(map(mul, chain(u, v), marginals))
-    return Fraction(primal, scale * mass) == cert.objective == Fraction(dual, scale * marginal_scale)
+    return Fraction(primal, scale * c.scale) == cert.objective == Fraction(dual, scale * marginal_scale)
 
 
 def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:

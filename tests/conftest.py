@@ -11,6 +11,7 @@ infrastructure, not API.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,15 @@ from couplingkit import (
 )
 
 F = Fraction
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int-to-str digit limit (4300) for one test, restored after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(limit)
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
 """Fraction-only reference versions of the package's exact validators.
 
 The package checks masses, coupling marginals, dual certificates and the
-key audit on ints over a common denominator, and builds the maximal
-coupling from the same ints.  These are the direct Fraction forms of the
-same checks and of that construction, with the same constraint order
-and the same messages; the property tests require both to agree on every
-verdict and every returned value.
+key audit on ints over a common denominator, builds the maximal coupling
+from the same ints, and reads coupling files straight into ints.  These
+are the direct Fraction forms of the same checks, of that construction
+and of ``couplingkit verify`` (:func:`cmd_verify`: one Fraction per
+literal, Fraction validation and Fraction sums), with the same
+constraint order and the same messages; the property tests require both
+to agree on every verdict, every returned value and every printed line.
 """
 
 from __future__ import annotations
@@ -13,10 +15,19 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from couplingkit import cli
 from couplingkit.audit import EpsilonAuditReport
-from couplingkit.distributions import ONE, ZERO, Pmf, require_same_alphabet
-from couplingkit.errors import CorruptedCouplingError, CouplingError, ShapeMismatchError
-from couplingkit.rational import bounded_str
+from couplingkit.coupling import LemmaAudit
+from couplingkit.distributions import ONE, ZERO, Pmf, Pmf2, require_same_alphabet
+from couplingkit.errors import (
+    AlphabetMismatchError,
+    CorruptedCouplingError,
+    CouplingError,
+    ParseError,
+    ShapeMismatchError,
+)
+from couplingkit.jsonio import _parse_alphabet, dump_json, read_coupling
+from couplingkit.rational import bounded_str, parse_rational
 from couplingkit.transport import DualCertificate
 
 
@@ -239,3 +250,87 @@ def epsilon_audit(audit_input) -> EpsilonAuditReport:
         epsilon_consistent=epsilon_consistent,
         notes=tuple(notes),
     )
+
+
+def _parse_row(row, n, where, literals):
+    if not isinstance(row, list) or len(row) != n:
+        raise ParseError(f"{where}: expected a list of {n} rational strings")
+    values = []
+    for text in row:
+        if isinstance(text, str):
+            if text not in literals:
+                literals[text] = parse_rational(text)
+            values.append(literals[text])
+        else:
+            values.append(parse_rational(text))
+    return values
+
+
+def parse_coupling_rows(kind, obj, where):
+    """Alphabet and flat Fraction rows of a coupling file, one Fraction per distinct literal."""
+    alphabet = _parse_alphabet(obj, where)
+    n = len(alphabet)
+    literals = {}
+    if kind == "matrix":
+        if "matrix" not in obj:
+            raise ParseError(f"{where}: coupling file must carry a 'matrix'")
+        matrix = obj.get("matrix")
+        if not isinstance(matrix, list) or len(matrix) != n:
+            raise ParseError(f"{where}: 'matrix' must be a list of {n} rows")
+        return alphabet, [_parse_row(row, n, f"{where} row {i}", literals) for i, row in enumerate(matrix)]
+    blocks = obj.get("blocks")
+    if not isinstance(blocks, dict):
+        raise ParseError(f"{where}: coupling file must carry 'blocks'")
+    rows = []
+    for a in alphabet.symbols:
+        for b in alphabet.symbols:
+            label = alphabet.pair_label(a, b)
+            block = blocks.get(label)
+            if not isinstance(block, dict):
+                raise ParseError(f"{where}: missing block {label!r}")
+            row = []
+            for c in alphabet.symbols:
+                if c not in block:
+                    raise ParseError(f"{where}: block {label!r} missing column {c!r}")
+                row += _parse_row(block[c], n, f"{where} block {label!r} column {c!r}", literals)
+            rows.append(row)
+    return alphabet, rows
+
+
+def cmd_verify(args) -> int:
+    """``couplingkit verify`` with every entry a Fraction: parse, validate, then Fraction sums."""
+    cfg = cli._config(args)
+    kind, obj = read_coupling(args.coupling_file)
+    p, q = cli._load_pair(args.p_file, args.q_file)
+    if kind == "matrix" and not isinstance(p, Pmf):
+        raise AlphabetMismatchError("a matrix coupling file needs one-dim marginal files")
+    if kind == "blocks" and not isinstance(p, Pmf2):
+        raise AlphabetMismatchError("a blocks coupling file needs two-dim marginal files")
+    alphabet, rows = parse_coupling_rows(kind, obj, args.coupling_file)
+    if alphabet != p.alphabet:
+        raise AlphabetMismatchError("coupling file alphabet differs from the marginals' alphabet")
+    left, right = (p, q) if kind == "matrix" else (p.flatten(), q.flatten())
+    rows = validate_coupling(rows, left, right)
+    v = sum((abs(x - y) for x, y in zip(left.p, right.p)), ZERO) / 2
+    mismatch = ONE - sum((row[i] for i, row in enumerate(rows)), ZERO)
+    if v > mismatch:
+        raise CorruptedCouplingError(
+            f"coupling inequality violated: v={bounded_str(v)} > mismatch={bounded_str(mismatch)}"
+        )
+    audit = LemmaAudit(v=v, mismatch=mismatch, holds=True, maximal=(v == mismatch), gap=mismatch - v)
+    lines = ["valid: true"] + cli._audit_lines(cfg, audit)
+    payload = {"valid": True, **audit.to_json_dict()}
+    if kind == "blocks":
+        n = len(alphabet)
+        coord = ONE - sum(
+            (rows[x1 * n + x2][y1 * n + x2] for x1 in range(n) for x2 in range(n) for y1 in range(n)),
+            ZERO,
+        )
+        lines += [f"pair mismatch: {cfg.show(mismatch)}", f"coordinate mismatch: {cfg.show(coord)}"]
+        payload.update(pairMismatch=str(mismatch), coordMismatch=str(coord))
+    if cfg.format == "json":
+        cli._emit(dump_json(payload).rstrip("\n"))
+    else:
+        for line in lines:
+            cli._emit(line)
+    return cli.EXIT_OK

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import couplingkit
-from couplingkit import distributions
+from couplingkit import cli, distributions
 from couplingkit.cli import Config, build_parser, main
 from couplingkit.multidim import Coupling4
 from couplingkit.jsonio import load_coupling_matrix
@@ -117,7 +117,8 @@ class TestCouple:
     def test_maximal_matches_golden_fixture(self, tmp_path, capsys, ramp_file, uniform_file):
         out = tmp_path / "cmax.json"
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, rows = load_coupling_matrix(out)
+        _, scale, cells = load_coupling_matrix(out)
+        rows = tuple(tuple(F(x, scale) for x in row) for row in cells)
         golden = json.loads(generate_fixtures()["ramp_uniform_maximal.json"])
         expected = tuple(
             tuple(parse_rational(v) for v in row) for row in golden["matrix"]
@@ -136,8 +137,8 @@ class TestCouple:
     def test_equal_inputs_give_diagonal(self, tmp_path, ramp_file):
         out = tmp_path / "diag.json"
         assert main(["couple", ramp_file, ramp_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, rows = load_coupling_matrix(out)
-        assert all(rows[i][j] == 0 for i in range(4) for j in range(4) if i != j)
+        _, _, cells = load_coupling_matrix(out)
+        assert all(cells[i][j] == 0 for i in range(4) for j in range(4) if i != j)
 
     def test_stdout_payload_without_out(self, capsys, ramp_file, uniform_file):
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal"]) == 0
@@ -367,6 +368,21 @@ class TestBoundary:
         assert err == (
             "error: invalid coupling (total_mass): probabilities sum to "
             "<a rational over a 14900-bit denominator>, expected 1\n"
+        )
+
+    def test_oracle_disagreement_past_the_limit_exits_1_with_its_message(
+        self, files, capsys, monkeypatch, default_digit_limit
+    ):
+        # Every literal is under 4300 digits; v, over 3**6000 * 5**4000, is not
+        a, b = 3**6000, 5**4000
+        p = files("p.json", {"alphabet": ["1", "2"], "p": [f"1/{a}", f"{a - 1}/{a}"]})
+        q = files("q.json", {"alphabet": ["1", "2"], "p": [f"1/{b}", f"{b - 1}/{b}"]})
+        monkeypatch.setattr(cli, "certify", lambda *args: False)
+        assert main(["oracle", p, q]) == 1
+        bits = (a * b).bit_length()
+        assert capsys.readouterr().err == (
+            f"internal error: oracle disagreement: objective <a rational over a {bits}-bit denominator>, "
+            f"v <a rational over a {bits}-bit denominator>, certified False\n"
         )
 
     def test_long_literal_is_quoted_briefly(self, files, capsys):

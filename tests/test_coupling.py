@@ -20,6 +20,10 @@ from couplingkit import (
     vdist_halfsum,
 )
 
+import couplingkit.coupling as coupling_module
+from couplingkit.coupling import check_maximal
+from couplingkit.distributions import ZERO
+
 from .conftest import (
     GENERIC_COUPLING,
     convex_combination,
@@ -124,6 +128,34 @@ class TestIndependent:
         p = Pmf(a, (F(1), F(0)))
         c = coupling_independent(p, p)
         assert c.j == ((F(1), F(0)), (F(0), F(0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pmf_pairs())
+    def test_each_entry_is_the_product_zero_factors_included(self, pair):
+        p, q = pair
+        rows = coupling_independent(p, q).j
+        assert rows == tuple(tuple(x * y for y in q.p) for x in p.p)
+        assert all(type(v) is Fraction for row in rows for v in row)
+
+
+class TestIntConstructor:
+    def test_equal_and_hash_equal_to_the_fraction_constructor(self, ramp, uniform4):
+        c = coupling_maximal(ramp, uniform4)
+        # Over 6 D, a multiple of the lcm of the denominators
+        d = Coupling.over(6 * c.scale, [[6 * x for x in row] for row in c.cells], ramp, uniform4)
+        assert d.scale == 6 * c.scale
+        assert d == c and hash(d) == hash(c)
+        assert d != coupling_independent(ramp, uniform4)
+
+    def test_j_is_built_on_first_read_and_equals_the_eager_one(self, ramp, uniform4):
+        c = coupling_maximal(ramp, uniform4)
+        d = Coupling.over(c.scale, c.cells, ramp, uniform4)
+        assert lemma_audit(d) == lemma_audit(c)
+        assert d[("4", "1")] == c[("4", "1")] == F(9, 80)
+        assert "j" not in vars(d)
+        assert d.j == c.j and repr(d.j) == repr(c.j) and repr(d) == repr(c)
+        assert all(x is ZERO for row in d.j for x in row if not x)
+        assert d.j is d.j
 
 
 class TestResiduals:
@@ -322,3 +354,24 @@ class TestAlphabetChecks:
         for op in (coupling_independent, coupling_maximal, residuals):
             with pytest.raises(AlphabetMismatchError):
                 op(ramp, other)
+
+
+# The denominator has about 4771 digits, past the default int-to-str limit.
+HUGE_DENOMINATOR = 3**10000
+
+
+class TestMessagesPastTheDigitLimit:
+    def test_violated_inequality_names_its_values(self, monkeypatch, default_digit_limit):
+        tiny = F(1, HUGE_DENOMINATOR)
+        p = Pmf(Alphabet.of_size(2), (tiny, 1 - tiny))
+        c = coupling_independent(p, p)
+        monkeypatch.setattr(coupling_module, "vdist_halfsum", lambda p, q: F(1))
+        pattern = r"coupling inequality violated: v=1 > mismatch=<a rational over a \d+-bit denominator>"
+        with pytest.raises(CorruptedCouplingError, match=pattern):
+            lemma_audit(c)
+
+    def test_negative_residual_mass_names_its_value(self, default_digit_limit):
+        scale = HUGE_DENOMINATOR
+        pattern = r"maximal coupling: residual mass <a rational over a \d+-bit denominator> is negative"
+        with pytest.raises(CorruptedCouplingError, match=pattern):
+            check_maximal([scale - 1, 2], [scale - 1, 2], scale, ("1", "2"))

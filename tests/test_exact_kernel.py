@@ -1,6 +1,7 @@
 """The integer validators against their Fraction references.
 
-``check_mass``, ``Coupling``, ``certify`` and the key audit
+``check_mass``, ``Coupling`` (from Fractions and from ints),
+``couplingkit verify``, ``certify`` and the key audit
 (``maximal_diagonal``, ``mismatch_certificate``, ``certify_mismatch``
 and ``epsilon_audit``) run on ints over a common denominator;
 :mod:`tests.fraction_reference` keeps the direct Fraction forms.  Both
@@ -10,13 +11,18 @@ the same thing, on valid inputs and on inputs broken by one small change.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import random
 import sys
+import tempfile
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import pytest
@@ -37,8 +43,12 @@ from couplingkit import (
     maximal_diagonal,
     mismatch_certificate,
 )
+from couplingkit import cli
 from couplingkit.distributions import check_mass, common_denominator
 from couplingkit.errors import CorruptedCouplingError, CouplingKitError
+from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj, pmf2_to_obj, pmf_to_obj
+from couplingkit.multidim import coupling4_maximal
+from couplingkit.rational import decimal_string
 
 from . import fraction_reference as reference
 from .test_coupling import unchecked_pmf
@@ -167,6 +177,13 @@ def test_coupling_and_check_mass_match_the_fraction_reference(n, seed, denominat
     assert outcome(lambda: Coupling(m, p, q).j) == expected
     if change == "none":
         assert expected == rows
+    if all(type(x) is Fraction for row in m for x in row):
+        # The int entry point, over a multiple of the entries' lcm
+        scale = common_denominator(x for row in m for x in row) * rng.randint(1, 6)
+        cells = [[x.numerator * scale // x.denominator for x in row] for row in m]
+        assert outcome(lambda: Coupling.over(scale, cells, p, q).j) == expected
+        if change == "none":
+            assert Coupling.over(scale, cells, p, q) == Coupling(m, p, q)
 
     flat = [x for row in m for x in row]
 
@@ -494,3 +511,118 @@ def test_audit_report_with_distinct_64_bit_denominators_at_n256():
             assert epsilon_audit(audit_input) == reference.epsilon_audit(audit_input)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _literal(x: Fraction, form: str) -> str:
+    """``x`` written as a coupling-file literal of the given form."""
+    if form == "unreduced":
+        return f"{3 * x.numerator}/{3 * x.denominator}"
+    if form == "decimal" and 10**6 % x.denominator == 0:
+        return decimal_string(x, 6)
+    if form == "padded":
+        return f" {x} "
+    return str(x)
+
+
+def _run_cli(argv, verify=None):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, with ``verify`` as the verify command."""
+    out, err = io.StringIO(), io.StringIO()
+    original = cli.cmd_verify
+    if verify is not None:
+        cli.cmd_verify = verify
+        cli.build_parser.cache_clear()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        if verify is not None:
+            cli.cmd_verify = original
+            cli.build_parser.cache_clear()
+    return code, out.getvalue(), err.getvalue()
+
+
+VERIFY_CHANGES = ("none", "none", "negative", "total", "row", "column")
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim=st.sampled_from((1, 2)),
+    n=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32),
+    change=st.sampled_from(VERIFY_CHANGES),
+    form=st.sampled_from(("canonical", "unreduced", "decimal", "padded", "mixed")),
+    options=st.sampled_from((["--format", "table"], ["--format", "json"], ["--precision", "8"])),
+)
+def test_verify_prints_what_the_fraction_path_prints(dim, n, seed, change, form, options):
+    m = n**dim
+    assume(m > 1 or change not in ("row", "column"))
+    rng = random.Random(seed)
+    weights = [[rng.choice((0, 0, 1, 2, 3, 5)) for _ in range(m)] for _ in range(m)]
+    weights[rng.randrange(m)][rng.randrange(m)] += 1
+    total = sum(map(sum, weights))
+    cells = [[F(w, total) for w in row] for row in weights]
+    p = [sum(row, F(0)) for row in cells]
+    q = [sum(col, F(0)) for col in zip(*cells)]
+    i, j = rng.randrange(m), rng.randrange(m)
+    step = F(1, 13 * total)  # below every non-zero cell
+    if change == "negative":
+        cells[i][j] = -cells[i][j] - F(1, 7)
+    elif change == "total":
+        cells[i][j] += F(1, 11)
+    elif change == "row":  # rows i and i + 1 move, every column keeps its sum
+        cells[i][j] += step
+        cells[(i + 1) % m][j] -= step
+    elif change == "column":  # columns j and j + 1 move, every row keeps its sum
+        cells[i][j] += step
+        cells[i][(j + 1) % m] -= step
+    forms = ("canonical", "unreduced", "decimal", "padded")
+    text = [[_literal(x, rng.choice(forms) if form == "mixed" else form) for x in row] for row in cells]
+    symbols = [str(k) for k in range(1, n + 1)]
+    if dim == 1:
+        coupling = {"alphabet": symbols, "matrix": text}
+        marginals = [{"alphabet": symbols, "p": [str(x) for x in r]} for r in (p, q)]
+    else:
+        blocks = {
+            f"({a},{b})": {c: text[x1 * n + x2][y1 * n : (y1 + 1) * n] for y1, c in enumerate(symbols)}
+            for x1, a in enumerate(symbols)
+            for x2, b in enumerate(symbols)
+        }
+        coupling = {"alphabet": symbols, "blocks": blocks}
+        marginals = [
+            {"alphabet": symbols, "matrix": [[str(x) for x in r[k * n : (k + 1) * n]] for k in range(n)]}
+            for r in (p, q)
+        ]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, body in zip("cpq", (coupling, *marginals)):
+            path = Path(tmp) / f"{name}.json"
+            path.write_text(json.dumps(body), encoding="utf-8")
+            paths.append(str(path))
+        argv = ["verify", *paths, *options]
+        expected = _run_cli(argv, verify=reference.cmd_verify)
+        assert _run_cli(argv) == expected
+    if change == "none":
+        assert expected[0] == 0
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_verify_never_builds_the_fraction_matrix(monkeypatch, dim, ramp, uniform4, diag3, band3, tmp_path):
+    if dim == 1:
+        coupling = coupling_to_obj(coupling_maximal(ramp, uniform4))
+        marginals = [pmf_to_obj(x) for x in (ramp, uniform4)]
+    else:
+        coupling = coupling4_to_obj(coupling4_maximal(diag3, band3))
+        marginals = [pmf2_to_obj(x) for x in (diag3, band3)]
+    paths = []
+    for name, body in zip("cpq", (coupling, *marginals)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body), encoding="utf-8")
+        paths.append(str(path))
+    expected = _run_cli(["verify", *paths])
+    assert expected[0] == 0
+
+    def unread(self):
+        raise AssertionError("verify read Coupling.j")
+
+    monkeypatch.setattr(Coupling, "j", property(unread))
+    assert _run_cli(["verify", *paths]) == expected

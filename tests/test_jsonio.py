@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from couplingkit import ParseError, Pmf, Pmf2, coupling_maximal, jsonio
+from couplingkit import Coupling, ParseError, Pmf, Pmf2, coupling_maximal, jsonio
 from couplingkit.cli import main
 from couplingkit.jsonio import (
     coupling4_to_obj,
@@ -88,8 +88,8 @@ class TestCouplingFiles:
     def test_matrix_round_trip(self, tmp_path, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
         path = write(tmp_path, "c.json", coupling_to_obj(c))
-        alphabet, rows = load_coupling_matrix(path)
-        assert alphabet == ramp.alphabet and rows == c.j
+        alphabet, scale, cells = load_coupling_matrix(path)
+        assert alphabet == ramp.alphabet and Coupling.over(scale, cells, ramp, uniform4) == c
 
     def test_decimal_render(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
@@ -100,9 +100,9 @@ class TestCouplingFiles:
     def test_blocks_round_trip(self, tmp_path, diag3, band3):
         c4 = coupling4_maximal(diag3, band3)
         path = write(tmp_path, "c4.json", coupling4_to_obj(c4))
-        alphabet, tensor = load_coupling4_blocks(path)
-        rebuilt = Coupling4.from_tensor(tensor, diag3, band3)
-        assert rebuilt.flat.j == c4.flat.j
+        alphabet, scale, cells = load_coupling4_blocks(path)
+        rebuilt = Coupling4(Coupling.over(scale, cells, diag3.flatten(), band3.flatten()), diag3, band3)
+        assert alphabet == diag3.alphabet and rebuilt.flat.j == c4.flat.j
 
     def test_blocks_layout_mirrors_tables(self, diag3, band3):
         obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
@@ -135,15 +135,18 @@ class TestCouplingFiles:
 class TestLiteralsParsedOnce:
     @pytest.fixture
     def parsed(self, monkeypatch):
-        """The literals handed to ``parse_rational``, in call order."""
+        """The literals handed to ``parse_rational`` (distributions) or ``parse_ratio`` (couplings), in call order."""
         calls = []
 
-        def recording(text):
-            calls.append(text)
-            return parse_rational(text)
+        def recording(parse):
+            def record(text):
+                calls.append(text)
+                return parse(text)
 
-        parse_rational = jsonio.parse_rational
-        monkeypatch.setattr(jsonio, "parse_rational", recording)
+            return record
+
+        for name in ("parse_rational", "parse_ratio"):
+            monkeypatch.setattr(jsonio, name, recording(getattr(jsonio, name)))
         return calls
 
     def test_repeated_literals_parse_once_to_equal_values(self, parsed, diag3, band3):
@@ -153,10 +156,8 @@ class TestLiteralsParsedOnce:
         parsed.clear()
         obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
         literals = [x for block in obj["blocks"].values() for column in block.values() for x in column]
-        _, tensor = parse_coupling4_blocks(obj)
-        assert [x for block in tensor for rows in block for row in rows for x in row] == [
-            F(x) for x in literals
-        ]
+        _, scale, cells = parse_coupling4_blocks(obj)
+        assert [F(x, scale) for row in cells for x in row] == [F(x) for x in literals]
         assert sorted(parsed) == sorted(set(literals))
 
     def test_first_bad_literal_is_reported_though_it_repeats(self, parsed):

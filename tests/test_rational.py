@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplingkit import ParseError, decimal_string, parse_rational
-from couplingkit.rational import MAX_EXPONENT
+from couplingkit.rational import MAX_EXPONENT, bounded_str, parse_ratio
 
 F = Fraction
 
@@ -158,3 +158,63 @@ class TestDecimalString:
     def test_negative_places_rejected(self):
         with pytest.raises(ValueError):
             decimal_string(F(1, 2), -1)
+
+
+ascii_digits = st.text(alphabet="0123456789", min_size=1, max_size=5)
+arabic_indic_digits = st.text(alphabet="\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669", min_size=1, max_size=3)
+numerals = st.one_of(
+    ascii_digits,
+    arabic_indic_digits,
+    st.sampled_from(["0", "00", "007", "1_000", "1__0", "_1", "1_", "1.5", ".5", "1.", "2.50", ""]),
+    st.sampled_from(["1 ", " 1", "1 2", "1\t", "1+2", "1-"]),
+)
+literal_grammar = st.one_of(
+    st.fractions(min_value=0, max_value=3).map(str),
+    st.builds("{0}/{1}".format, ascii_digits, ascii_digits),  # unreduced, leading zeros, 1/0
+    st.builds(
+        "{0}{1}{2}{3}{4}{5}".format,
+        st.sampled_from(["", " ", "\t", "\n "]),
+        st.sampled_from(["", "+", "-"]),
+        numerals,
+        st.one_of(st.just(""), numerals.map("/{}".format)),
+        st.sampled_from(["", "e3", "E-2", "e+0", "e4301", "e1_0"]),
+        st.sampled_from(["", " ", "\n"]),
+    ),
+    st.sampled_from(["1" * 4300, "1" * 4301, "1/" + "7" * 4301, "3" * 4301 + "/1", "1/" + "0" * 4301]),
+    st.one_of(st.none(), st.integers(), st.floats(), st.lists(st.just("1"), max_size=1)),
+)
+
+
+# Near misses of the "digits/digits" shape that int() alone would misread.
+NEAR_MISSES = ["1 /2", "1/ 2", "12 ", " 12", "1/2 ", "+1/2", "1/+2", "1/-2", "1 2", "1_0/3", "3/1_0",
+               "\u0661/\u0662", "1/2/3", "0/0", "1e2/3", "0x10"]
+
+
+def assert_parse_ratio_agrees(text):
+    """``parse_ratio`` gives the value of ``parse_rational``, or raises its ParseError message."""
+    try:
+        expected = parse_rational(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_ratio(text)
+        assert str(info.value) == str(exc)
+    else:
+        numerator, denominator = parse_ratio(text)
+        assert denominator > 0 and F(numerator, denominator) == expected
+
+
+@given(literal_grammar)
+def test_parse_ratio_agrees_with_parse_rational(text):
+    assert_parse_ratio_agrees(text)
+
+
+@pytest.mark.parametrize("text", NEAR_MISSES)
+def test_parse_ratio_agrees_on_near_misses(text):
+    assert_parse_ratio_agrees(text)
+
+
+def test_bounded_str_gives_the_size_of_a_value_past_the_limit(default_digit_limit):
+    assert bounded_str(F(7, 3)) == "7/3" and bounded_str(-5) == "-5"
+    assert bounded_str(F(1, 3**10000)) == "<a rational over a 15850-bit denominator>"
+    assert bounded_str(-(10**5000)) == "<an integer of 16610 bits>"
+    assert bounded_str(F(10**5000)) == "<an integer of 16610 bits>"

@@ -508,3 +508,25 @@ class TestBasisTree:
         assert isinstance(basis, BasisTree)
         assert len(basis.cells) == 2 * n - 1
         assert len(set(basis.cells)) == 2 * n - 1
+
+
+def test_strong_duality_message_past_the_digit_limit(monkeypatch, default_digit_limit):
+    # Doubled initial flows stay doubled through every pivot, so the primal
+    # is twice the dual; D has about 4771 digits, so every int in the
+    # message is past the int-to-str limit.
+    tiny = F(1, 3**10000)
+    p = Pmf(Alphabet.of_size(2), (tiny, 1 - tiny))
+    q = Pmf.uniform(Alphabet.of_size(2))
+    initial_basis = transport_module._initial_basis
+
+    def doubled(supply, demand):
+        flow, basis = initial_basis(supply, demand)
+        return [[2 * x for x in row] for row in flow], basis
+
+    monkeypatch.setattr(transport_module, "_initial_basis", doubled)
+    pattern = (
+        r"strong duality failed: dual <an integer of \d+ bits> != primal <an integer of \d+ bits>, "
+        r"both over <an integer of \d+ bits>"
+    )
+    with pytest.raises(CorruptedCouplingError, match=pattern):
+        solve_transport(TransportProblem.mismatch(p, q))
