@@ -171,12 +171,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise AlphabetMismatchError(
                 "a matrix coupling file needs one-dim marginal files"
             )
-        alphabet, scale, cells = parse_coupling_matrix(obj, where=args.coupling_file)
+        alphabet, ratios = parse_coupling_matrix(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
-        c = Coupling.over(scale, cells, p, q)
+        c = Coupling.over(ratios, p, q)
         audit = lemma_audit(c)
         lines = ["valid: true"] + _audit_lines(cfg, audit)
         payload = {"valid": True, **audit.to_json_dict()}
@@ -185,12 +185,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise AlphabetMismatchError(
                 "a blocks coupling file needs two-dim marginal files"
             )
-        alphabet, scale, cells = parse_coupling4_blocks(obj, where=args.coupling_file)
+        alphabet, ratios = parse_coupling4_blocks(obj, where=args.coupling_file)
         if alphabet != p.alphabet:
             raise AlphabetMismatchError(
                 "coupling file alphabet differs from the marginals' alphabet"
             )
-        c4 = Coupling4(Coupling.over(scale, cells, p.flatten(), q.flatten()), p, q)
+        c4 = Coupling4(Coupling.over(ratios, p.flatten(), q.flatten()), p, q)
         audit = lemma_audit(c4.flat)
         parts = mismatch_components(c4)
         lines = (

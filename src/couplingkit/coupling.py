@@ -15,12 +15,14 @@ its output matrices are reproducible entry-for-entry.
 
 Both run on ints over one common denominator: the builder scales P and Q
 once and pays one reduced Fraction per non-zero cell.  A :class:`Coupling`
-has its entries both as Fractions and as ints over D, a common
-denominator, and builds whichever form it was not given when that form
-is first read: :meth:`Coupling.over` takes the ints, from a coupling
-file or the transportation simplex, with no Fraction per cell.  The
-readers, :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
-:func:`lemma_audit`, sum the ints and build one Fraction per result.
+keeps its entries as it was given them: as Fractions, or, by
+:meth:`Coupling.over`, as (numerator, denominator) pairs of ints from a
+coupling file or the transportation simplex, with no Fraction and no
+gcd per cell.  Validation and the readers, :meth:`Coupling.diagonal_mass`,
+:func:`mismatch_prob` and :func:`lemma_audit`, sum the entries they read
+as ints over D, the lcm of the denominators, and build one Fraction per
+result; the Fractions of a pair-built coupling are made only when
+``j`` is first read.
 """
 
 from __future__ import annotations
@@ -29,16 +31,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .distributions import (
     ONE,
     ZERO,
     Alphabet,
     Pmf,
-    check_mass_over,
+    check_mass_ratios,
     check_mass_rows,
     numerators_over,
+    ratios_over,
     require_same_alphabet,
     scaled,
 )
@@ -47,28 +50,32 @@ from .metrics import vdist_halfsum
 from .rational import bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Cells = tuple[tuple[int, ...], ...]
+Ratios = tuple[tuple[tuple[int, int], ...], ...]
+
+
+class _Ratios(tuple):
+    """The rows handed to :meth:`Coupling.over`, marked for the constructor."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Coupling:
     """Validated joint distribution with cached marginals (row = x, column = y).
 
-    ``scale`` is D, a common denominator of the entries, and ``cells``
-    every entry times D as an int; ``j`` is the entries as Fractions.
-    ``Coupling(j, left, right)`` keeps the Fractions it is given, takes
-    D as the lcm of their denominators and builds ``cells`` when they are
-    first read; :meth:`over` keeps the ints and the D it is given and
-    builds ``j`` when it is first read.  Equality and hashing compare
-    ``j`` and the marginals, so they do not depend on the constructor or
-    on D.
+    The entries are held as given: as Fractions, ``j``, by
+    ``Coupling(j, left, right)``, or as (numerator, denominator) pairs
+    of ints by :meth:`over`, which builds ``j`` when it is first read.
+    ``scale`` is D, the lcm of the non-zero entries' denominators, and
+    :meth:`row_ints` reads entries times D as ints from either form, so
+    no N x N array of ints over D is ever kept.  Equality and hashing
+    compare ``j`` and the marginals, so they do not depend on the
+    constructor or on D.
 
     Construction raises :class:`CouplingError` naming the first failed
-    constraint: the shape, each entry's type and sign and the total mass
+    constraint: the shape, each entry's type (Fraction entries) and sign
+    and the total mass
     (:func:`~couplingkit.distributions.check_mass_rows`), then every row
-    marginal, then every column marginal.  The sums run on ints over D;
-    from Fractions, each non-zero entry is scaled once and one row of
-    ints is held at a time.
+    marginal, then every column marginal.  The sums run on ints over D,
+    each entry scaled once and one row of ints held at a time.
     """
 
     alphabet: Alphabet
@@ -78,38 +85,38 @@ class Coupling:
 
     def __init__(self, j: Sequence[Sequence[Fraction]], left: Pmf, right: Pmf):
         rows = _square(j, left, right)
-        scale, row_sums, columns = check_mass_rows(rows, _entry_label(left), CouplingError)
+        if isinstance(j, _Ratios):
+            scale, row_sums, columns = check_mass_ratios(rows, _entry_label(left), CouplingError)
+            entries = {"_ratios": rows}
+        else:
+            scale, row_sums, columns = check_mass_rows(rows, _entry_label(left), CouplingError)
+            entries = {"_ratios": None, "j": rows}
         _check_marginals(scale, row_sums, columns, left, right)
-        self._store(alphabet=left.alphabet, scale=scale, left=left, right=right, j=rows)
-
-    @classmethod
-    def over(cls, scale: int, cells: Sequence[Sequence[int]], left: Pmf, right: Pmf) -> "Coupling":
-        """The coupling whose entry (a, b) is ``cells[a][b] / scale``, for ints and a positive ``scale``.
-
-        Runs the checks of the constructor in its order, with its
-        messages, on the ints (:func:`~couplingkit.distributions.check_mass_over`).
-        """
-        rows = _square(cells, left, right)
-        row_sums, columns = check_mass_over(scale, rows, _entry_label(left), CouplingError)
-        _check_marginals(scale, row_sums, columns, left, right)
-        self = cls.__new__(cls)
-        self._store(alphabet=left.alphabet, scale=scale, left=left, right=right, cells=rows)
-        return self
-
-    def _store(self, **fields) -> None:
+        fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, **entries)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
-    @cached_property
-    def j(self) -> Matrix:
-        """The entries as Fractions, ``cells`` over ``scale``; zero cells are ``ZERO``."""
-        scale = self.scale
-        return tuple(tuple(Fraction(x, scale) if x else ZERO for x in row) for row in self.cells)
+    @classmethod
+    def over(cls, ratios: Sequence[Sequence[tuple[int, int]]], left: Pmf, right: Pmf) -> "Coupling":
+        """The coupling whose entry (a, b) is n / d for ``ratios[a][b] == (n, d)``.
+
+        ``n`` and ``d`` are ints, ``d`` positive, the pair not necessarily
+        reduced.  The constructor runs its checks in its order, with its
+        messages, on the ints
+        (:func:`~couplingkit.distributions.check_mass_ratios`).
+        """
+        return cls(_Ratios(ratios), left, right)
 
     @cached_property
-    def cells(self) -> Cells:
-        """Every entry times ``scale``, as an int."""
-        return tuple(tuple(numerators_over(self.scale, row)) for row in self.j)
+    def j(self) -> Matrix:
+        """The entries as Fractions; zero entries are ``ZERO``."""
+        return tuple(tuple(Fraction(x, d) if x else ZERO for x, d in row) for row in self._ratios)
+
+    def row_ints(self, row: int, columns: slice = slice(None)) -> Iterator[int]:
+        """The entries of row ``row``, or of its ``columns``, times ``scale``, as ints."""
+        if self._ratios is None:
+            return numerators_over(self.scale, self.j[row][columns])
+        return ratios_over(self.scale, self._ratios[row][columns])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -126,11 +133,12 @@ class Coupling:
         )
 
     def __getitem__(self, pair: tuple[str, str]) -> Fraction:
-        a, b = pair
-        return Fraction(self.cells[self.alphabet.index(a)][self.alphabet.index(b)], self.scale)
+        a, b = map(self.alphabet.index, pair)
+        return Fraction(next(self.row_ints(a, slice(b, b + 1))), self.scale)
 
     def diagonal_mass(self) -> Fraction:
-        return Fraction(sum(row[i] for i, row in enumerate(self.cells)), self.scale)
+        diagonal = (x for i in range(len(self.alphabet)) for x in self.row_ints(i, slice(i, i + 1)))
+        return Fraction(sum(diagonal), self.scale)
 
 
 def _check_marginals(scale: int, row_sums, columns, left: Pmf, right: Pmf) -> None:

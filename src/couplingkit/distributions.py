@@ -11,17 +11,18 @@ package emits deterministic and diff-able.  :func:`check_mass_rows` is the one
 check of "non-negative Fractions with an exact total of 1": :class:`Pmf`
 calls its one-row form :func:`check_mass`, and
 :class:`~couplingkit.coupling.Coupling` calls it on the matrix, or
-:func:`check_mass_over` on a matrix already given as ints.
+:func:`check_mass_ratios` on a matrix given as (numerator, denominator)
+pairs of ints.
 
 The exact loops run on plain ints over one common denominator:
 :func:`lcm_of` is the lcm of a set of denominators and
 :func:`common_denominator` that of a set of values,
-:func:`numerators_over` gives the values times such a scale, and
-:func:`scaled` turns a vector into its lcm and those ints.
-:func:`check_mass_rows` and :func:`check_mass_over` return the lcm's
-row and column sums, which :class:`~couplingkit.coupling.Coupling`
-checks against its marginals; a :class:`Fraction` is built only for an
-error message.
+:func:`numerators_over` and :func:`ratios_over` give the values, or
+the pairs, times such a scale, and :func:`scaled` turns a vector into
+its lcm and those ints.  :func:`check_mass_rows` and
+:func:`check_mass_ratios` return the lcm with its row and column sums,
+which :class:`~couplingkit.coupling.Coupling` checks against its
+marginals; a :class:`Fraction` is built only for an error message.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -133,6 +134,11 @@ def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return scale, list(numerators_over(scale, values))
 
 
+def ratios_over(scale: int, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
+    """Each (numerator, denominator) pair times ``scale``, as an int (0 without a division for a zero)."""
+    return (x * (scale // d) if x else 0 for x, d in pairs)
+
+
 def check_mass_rows(
     rows: Sequence[Sequence[Fraction]],
     label: Callable[[int], str],
@@ -154,33 +160,44 @@ def check_mass_rows(
         if value.numerator < 0:
             raise error(f"{label(k)} is negative: {bounded_str(value)}", "negative_entry")
     scale = common_denominator(chain.from_iterable(rows))
-    row_sums = []
-    columns = [0] * len(rows[0])
-    for row in rows:
-        ints = list(numerators_over(scale, row))
-        row_sums.append(sum(ints))
-        columns = list(map(add, columns, ints))
-    _check_total(scale, sum(row_sums), error)
-    return scale, row_sums, columns
+    return scale, *_sums(scale, (numerators_over(scale, row) for row in rows), error)
 
 
-def check_mass_over(
-    scale: int,
-    rows: Sequence[Sequence[int]],
+def check_mass_ratios(
+    rows: Sequence[Sequence[tuple[int, int]]],
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
-) -> tuple[list[int], list[int]]:
-    """:func:`check_mass_rows` on entries given as ints over ``scale``; returns the row and column sums.
+) -> tuple[int, list[int], list[int]]:
+    """:func:`check_mass_rows` on entries given as (numerator, denominator) pairs of ints.
 
     The same checks in the same order with the same messages: the sign
-    of each entry in row-major order, then the total.
+    of each entry in row-major order, then the total.  Denominators must
+    be positive; a pair need not be reduced.  D is the lcm of the
+    non-zero entries' denominators as given, so an unreduced pair can
+    make it larger than the entries need, never a zero entry.
     """
-    if min(chain.from_iterable(rows)) < 0:
-        k, x = next((k, x) for k, x in enumerate(chain.from_iterable(rows)) if x < 0)
-        raise error(f"{label(k)} is negative: {bounded_str(Fraction(x, scale))}", "negative_entry")
-    row_sums = list(map(sum, rows))
+    for k, (x, d) in enumerate(chain.from_iterable(rows)):
+        if x < 0:
+            raise error(f"{label(k)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry")
+    scale = lcm_of({d for x, d in chain.from_iterable(rows) if x})
+    return scale, *_sums(scale, (ratios_over(scale, row) for row in rows), error)
+
+
+def _sums(
+    scale: int, rows: Iterable[Iterable[int]], error: Callable[[str, str], Exception]
+) -> tuple[list[int], list[int]]:
+    """The row and column sums of ``rows``, ints over ``scale``, after checking their total.
+
+    One row of ints is held at a time.
+    """
+    row_sums = []
+    columns = None
+    for row in rows:
+        ints = list(row)
+        row_sums.append(sum(ints))
+        columns = ints if columns is None else list(map(add, columns, ints))
     _check_total(scale, sum(row_sums), error)
-    return row_sums, list(map(sum, zip(*rows)))
+    return row_sums, columns
 
 
 def _check_total(scale: int, total: int, error: Callable[[str, str], Exception]) -> None:

@@ -6,9 +6,9 @@ literals become Fractions (:func:`~couplingkit.rational.parse_rational`).
 A coupling's become (numerator, denominator) pairs of ints
 (:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
 integers cost two ``int`` calls and no gcd), and the coupling parsers
-return D, the lcm of the denominators, with every cell times D as an
-int, ready for :meth:`~couplingkit.coupling.Coupling.over`; no Fraction
-is built per cell.  Shapes:
+return the rows of those pairs, ready for
+:meth:`~couplingkit.coupling.Coupling.over`; no Fraction is built per
+cell.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -30,8 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-from .coupling import Cells, Coupling
-from .distributions import Alphabet, Pmf, Pmf2, lcm_of
+from .coupling import Coupling, Ratios
+from .distributions import Alphabet, Pmf, Pmf2
 from .errors import ParseError
 from .multidim import Coupling4
 from .rational import decimal_string, parse_ratio, parse_rational
@@ -93,14 +93,9 @@ def _parse_matrix(obj: dict, alphabet: Alphabet, where: str, literals: dict, par
     return [_read_row(row, n, f"{where} row {i}", literals, parse) for i, row in enumerate(matrix)]
 
 
-def _cells(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> tuple[int, Cells]:
-    """D, the lcm of the literals' denominators, and every literal of ``rows`` times D.
-
-    Each distinct literal is scaled once.
-    """
-    scale = lcm_of({d for _, d in literals.values()})
-    ints = {text: n * (scale // d) for text, (n, d) in literals.items()}
-    return scale, tuple(tuple(map(ints.__getitem__, row)) for row in rows)
+def _ratios(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Ratios:
+    """The literals of ``rows`` as their parsed pairs; a literal's pair is shared by its cells."""
+    return tuple(tuple(map(literals.__getitem__, row)) for row in rows)
 
 
 def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
@@ -145,21 +140,24 @@ def pmf2_to_obj(pmf2: Pmf2, render: Render = str) -> dict:
     }
 
 
-def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, int, Cells]:
-    """Alphabet, D and cells of a one-dim coupling file: each entry is ``cells[a][b] / D``.
+def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, Ratios]:
+    """Alphabet and entries of a one-dim coupling file, each a (numerator, denominator) pair.
 
-    D is the lcm of the literals' denominators as written.  Validation,
-    :meth:`~couplingkit.coupling.Coupling.over`, is the caller's.
+    The pairs are the literals as written, not reduced, and validation,
+    :meth:`~couplingkit.coupling.Coupling.over`, is the caller's; there
+    the lcm of the non-zero entries' denominators becomes the scale of
+    every sum, so an unreduced literal such as ``"2/6"`` can make it
+    larger than the values need.
     """
     alphabet = _parse_alphabet(obj, where)
     if "matrix" not in obj:
         raise ParseError(f"{where}: coupling file must carry a 'matrix'")
     literals: dict[str, tuple[int, int]] = {}
     rows = _parse_matrix(obj, alphabet, where, literals, parse_ratio)
-    return alphabet, *_cells(rows, literals)
+    return alphabet, _ratios(rows, literals)
 
 
-def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, int, Cells]:
+def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, Ratios]:
     return parse_coupling_matrix(_load_obj(path), where=str(path))
 
 
@@ -185,10 +183,10 @@ def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:
     return {"alphabet": list(alphabet.symbols), "blocks": blocks}
 
 
-def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, int, Cells]:
-    """Alphabet, D and cells of the nested-block layout, as :func:`parse_coupling_matrix`.
+def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, Ratios]:
+    """Alphabet and entries of the nested-block layout, as :func:`parse_coupling_matrix`.
 
-    The cells are those of the flat coupling over the product alphabet:
+    The entries are those of the flat coupling over the product alphabet:
     row (x1, x2) is block (x1, x2), its columns y1 in turn, each indexed
     by y2.
     """
@@ -212,10 +210,10 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
                 where_c = f"{where} block {label!r} column {c!r}"
                 row += _read_row(block[c], n, where_c, literals, parse_ratio)
             rows.append(row)
-    return alphabet, *_cells(rows, literals)
+    return alphabet, _ratios(rows, literals)
 
 
-def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, int, Cells]:
+def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, Ratios]:
     return parse_coupling4_blocks(_load_obj(path), where=str(path))
 
 

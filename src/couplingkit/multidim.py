@@ -159,7 +159,7 @@ def mismatch_components(c: Coupling4) -> MismatchComponents:
     """
     n = len(c.alphabet)
     flat = c.flat
-    coord_match = sum(sum(row[r % n :: n]) for r, row in enumerate(flat.cells))
+    coord_match = sum(sum(flat.row_ints(r, slice(r % n, None, n))) for r in range(n * n))
     return MismatchComponents(
         pair_mismatch=mismatch_prob(flat),
         coord_mismatch=Fraction(flat.scale - coord_match, flat.scale),

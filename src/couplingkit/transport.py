@@ -12,8 +12,8 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   integers with the signs of the exact ones; the marginals are scaled
   once by D, the lcm of theirs, and total unimodularity makes every
   basic flow an integer over D.  The coupling is those flows over D,
-  handed to :meth:`~couplingkit.coupling.Coupling.over` as ints, and
-  the certificate's potentials are the integer ones over L;
+  handed to :meth:`~couplingkit.coupling.Coupling.over` as pairs of
+  ints, and the certificate's potentials are the integer ones over L;
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
@@ -411,7 +411,7 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
             f"strong duality failed: dual {bounded_str(dual)} != primal {bounded_str(primal)}, "
             f"both over {bounded_str(scale * mass_scale)}"
         )
-    coupling = Coupling.over(mass_scale, flow, tp.supply, tp.demand)
+    coupling = Coupling.over([[(x, mass_scale) for x in row] for row in flow], tp.supply, tp.demand)
     certificate = DualCertificate(
         u=tuple(Fraction(x, scale) for x in u),
         v=tuple(Fraction(x, scale) for x in v),
@@ -437,9 +437,10 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     Runs on ints, one cost row at a time: the potentials and costs share
     one scale S, the common denominator of all of them, so row i is
     feasible iff max_j (V_j - C_ij) <= -U_i with every value times S.
-    The primal objective sums C_ij * J_ij, the coupling's own ints over
-    its ``scale``, and the dual sums U_i * S_i and V_j * D_j, the
-    marginals taken over their common denominator.
+    The primal objective sums C_ij * J_ij, the coupling's entries over
+    its ``scale`` (:meth:`~couplingkit.coupling.Coupling.row_ints`), and
+    the dual sums U_i * S_i and V_j * D_j, the marginals taken over
+    their common denominator.
     """
     n = len(tp.supply.alphabet)
     if len(c.alphabet) != n or len(cert.u) != n or len(cert.v) != n:
@@ -450,11 +451,11 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     u = list(numerators_over(scale, cert.u))
     v = list(numerators_over(scale, cert.v))
     primal = 0
-    for ui, crow, jrow in zip(u, tp.cost, c.cells):
+    for i, (ui, crow) in enumerate(zip(u, tp.cost)):
         cost = list(numerators_over(scale, crow))
         if max(map(sub, v, cost)) > -ui:
             return False
-        primal += sum(map(mul, cost, jrow))
+        primal += sum(map(mul, cost, c.row_ints(i)))
     marginal_scale, marginals = scaled(tp.supply.p + tp.demand.p)
     dual = sum(map(mul, chain(u, v), marginals))
     return Fraction(primal, scale * c.scale) == cert.objective == Fraction(dual, scale * marginal_scale)

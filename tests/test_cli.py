@@ -117,8 +117,8 @@ class TestCouple:
     def test_maximal_matches_golden_fixture(self, tmp_path, capsys, ramp_file, uniform_file):
         out = tmp_path / "cmax.json"
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, scale, cells = load_coupling_matrix(out)
-        rows = tuple(tuple(F(x, scale) for x in row) for row in cells)
+        _, ratios = load_coupling_matrix(out)
+        rows = tuple(tuple(F(*x) for x in row) for row in ratios)
         golden = json.loads(generate_fixtures()["ramp_uniform_maximal.json"])
         expected = tuple(
             tuple(parse_rational(v) for v in row) for row in golden["matrix"]
@@ -137,8 +137,8 @@ class TestCouple:
     def test_equal_inputs_give_diagonal(self, tmp_path, ramp_file):
         out = tmp_path / "diag.json"
         assert main(["couple", ramp_file, ramp_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, _, cells = load_coupling_matrix(out)
-        assert all(cells[i][j] == 0 for i in range(4) for j in range(4) if i != j)
+        _, ratios = load_coupling_matrix(out)
+        assert all(ratios[i][j] == (0, 1) for i in range(4) for j in range(4) if i != j)
 
     def test_stdout_payload_without_out(self, capsys, ramp_file, uniform_file):
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal"]) == 0

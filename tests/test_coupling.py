@@ -141,21 +141,41 @@ class TestIndependent:
 class TestIntConstructor:
     def test_equal_and_hash_equal_to_the_fraction_constructor(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
-        # Over 6 D, a multiple of the lcm of the denominators
-        d = Coupling.over(6 * c.scale, [[6 * x for x in row] for row in c.cells], ramp, uniform4)
+        # Every pair unreduced by 6, so D is 6 times the lcm of the denominators
+        d = Coupling.over([[(6 * x.numerator, 6 * x.denominator) for x in row] for row in c.j], ramp, uniform4)
         assert d.scale == 6 * c.scale
         assert d == c and hash(d) == hash(c)
         assert d != coupling_independent(ramp, uniform4)
 
     def test_j_is_built_on_first_read_and_equals_the_eager_one(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
-        d = Coupling.over(c.scale, c.cells, ramp, uniform4)
+        d = Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
         assert lemma_audit(d) == lemma_audit(c)
         assert d[("4", "1")] == c[("4", "1")] == F(9, 80)
         assert "j" not in vars(d)
         assert d.j == c.j and repr(d.j) == repr(c.j) and repr(d) == repr(c)
         assert all(x is ZERO for row in d.j for x in row if not x)
         assert d.j is d.j
+
+    def test_zero_entries_leave_the_scale_alone(self):
+        half = Pmf(Alphabet(["1", "2"]), (F(1, 2), F(1, 2)))
+        d = Coupling.over([[(1, 2), (0, 3**200)], [(0, 5**200), (2, 4)]], half, half)
+        assert d.scale == 4
+        assert d == Coupling(((F(1, 2), ZERO), (ZERO, F(1, 2))), half, half)
+
+    def test_builds_through_the_constructor(self, monkeypatch, ramp, uniform4):
+        # One validation path: a wrapper around __init__ sees both entry points.
+        seen = []
+        init = Coupling.__init__
+
+        def recording(self, j, left, right):
+            seen.append(type(j).__name__)
+            init(self, j, left, right)
+
+        monkeypatch.setattr(Coupling, "__init__", recording)
+        c = coupling_maximal(ramp, uniform4)
+        Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
+        assert seen == ["list", "_Ratios"]
 
 
 class TestResiduals:

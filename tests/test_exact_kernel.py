@@ -40,6 +40,7 @@ from couplingkit import (
     coupling_independent,
     coupling_maximal,
     epsilon_audit,
+    lemma_audit,
     maximal_diagonal,
     mismatch_certificate,
 )
@@ -178,12 +179,15 @@ def test_coupling_and_check_mass_match_the_fraction_reference(n, seed, denominat
     if change == "none":
         assert expected == rows
     if all(type(x) is Fraction for row in m for x in row):
-        # The int entry point, over a multiple of the entries' lcm
-        scale = common_denominator(x for row in m for x in row) * rng.randint(1, 6)
-        cells = [[x.numerator * scale // x.denominator for x in row] for row in m]
-        assert outcome(lambda: Coupling.over(scale, cells, p, q).j) == expected
+        # The int entry point, each pair unreduced by a factor of its own
+        def unreduced(x):
+            k = rng.randint(1, 6)
+            return x.numerator * k, x.denominator * k
+
+        ratios = [[unreduced(x) for x in row] for row in m]
+        assert outcome(lambda: Coupling.over(ratios, p, q).j) == expected
         if change == "none":
-            assert Coupling.over(scale, cells, p, q) == Coupling(m, p, q)
+            assert Coupling.over(ratios, p, q) == Coupling(m, p, q)
 
     flat = [x for row in m for x in row]
 
@@ -277,15 +281,16 @@ def test_common_denominator_is_the_lcm():
     assert common_denominator([]) == 1
 
 
-def test_validation_memory_with_distinct_denominators():
-    """Validating a coupling whose 1024 entries all have distinct denominators stays small.
+def test_validation_memory_with_distinct_denominators(tmp_path):
+    """Validating and reading a coupling whose 1024 entries all have distinct denominators stays small.
 
     Entry (i, j) is 1/1024 plus +-1/q for each of the (up to four) 2 x 2
     windows covering it, one prime q of 14 bits per window, with signs
     + - / - + in each window.  Rows and columns keep 1/32 each, so every
     check runs, while D, the lcm of all 1024 entry denominators (each about
     64 bits), has over 13000 bits: an array of N^2 ints scaled by D would
-    take about 1.7 MB.
+    take about 1.7 MB.  The bound covers building the coupling from
+    Fractions and auditing it, and ``verify`` on the same matrix as a file.
     """
     n = 32
     primes = [x for x in range(2**13, 2**15) if all(x % d for d in range(2, math.isqrt(x) + 1))]
@@ -300,14 +305,23 @@ def test_validation_memory_with_distinct_denominators():
     assert len({x.denominator for x in flat}) == n * n
     assert common_denominator(flat).bit_length() > 13000
     uniform = Pmf.uniform(Alphabet.of_size(n))
+    paths = [tmp_path / "c.json", tmp_path / "u.json"]
+    paths[0].write_text(json.dumps(coupling_to_obj(Coupling(m, uniform, uniform))), encoding="utf-8")
+    paths[1].write_text(json.dumps(pmf_to_obj(uniform)), encoding="utf-8")
+    verify = ["verify", *map(str, paths), str(paths[1])]
 
-    tracemalloc.start()
-    try:
-        Coupling(m, uniform, uniform)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1_000_000
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: Coupling(m, uniform, uniform)) < 1_000_000
+    assert peak(lambda: lemma_audit(Coupling(m, uniform, uniform))) < 1_000_000
+    assert peak(lambda: _run_cli(verify)) < 1_000_000
+    assert _run_cli(verify)[0] == 0
 
 
 KEYS = ("shared", "coprime", "distinct", "point")

@@ -88,8 +88,8 @@ class TestCouplingFiles:
     def test_matrix_round_trip(self, tmp_path, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
         path = write(tmp_path, "c.json", coupling_to_obj(c))
-        alphabet, scale, cells = load_coupling_matrix(path)
-        assert alphabet == ramp.alphabet and Coupling.over(scale, cells, ramp, uniform4) == c
+        alphabet, ratios = load_coupling_matrix(path)
+        assert alphabet == ramp.alphabet and Coupling.over(ratios, ramp, uniform4) == c
 
     def test_decimal_render(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
@@ -100,8 +100,8 @@ class TestCouplingFiles:
     def test_blocks_round_trip(self, tmp_path, diag3, band3):
         c4 = coupling4_maximal(diag3, band3)
         path = write(tmp_path, "c4.json", coupling4_to_obj(c4))
-        alphabet, scale, cells = load_coupling4_blocks(path)
-        rebuilt = Coupling4(Coupling.over(scale, cells, diag3.flatten(), band3.flatten()), diag3, band3)
+        alphabet, ratios = load_coupling4_blocks(path)
+        rebuilt = Coupling4(Coupling.over(ratios, diag3.flatten(), band3.flatten()), diag3, band3)
         assert alphabet == diag3.alphabet and rebuilt.flat.j == c4.flat.j
 
     def test_blocks_layout_mirrors_tables(self, diag3, band3):
@@ -156,8 +156,8 @@ class TestLiteralsParsedOnce:
         parsed.clear()
         obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
         literals = [x for block in obj["blocks"].values() for column in block.values() for x in column]
-        _, scale, cells = parse_coupling4_blocks(obj)
-        assert [F(x, scale) for row in cells for x in row] == [F(x) for x in literals]
+        _, ratios = parse_coupling4_blocks(obj)
+        assert [F(*x) for row in ratios for x in row] == [F(x) for x in literals]
         assert sorted(parsed) == sorted(set(literals))
 
     def test_first_bad_literal_is_reported_though_it_repeats(self, parsed):
