@@ -13,8 +13,10 @@ product form, normalized by the total residual mass.  Maximal couplings
 are not unique in general; this particular construction is fixed so that
 its output matrices are reproducible entry-for-entry.
 
-Both run on ints over one common denominator: the builder scales P and Q
-once and pays one reduced Fraction per non-zero cell.  A :class:`Coupling`
+Both builders form each non-zero cell already reduced: the full-size
+gcds run once per row and once per column, and a cell pays at most a
+gcd with a small cofactor, none when that cofactor is 1, and no gcd to
+build its Fraction.  A :class:`Coupling`
 keeps its entries as it was given them: as Fractions, or, by
 :meth:`Coupling.over`, as (numerator, denominator) pairs of ints from a
 coupling file or the transportation simplex, with no Fraction and no
@@ -27,9 +29,11 @@ result; the Fractions of a pair-built coupling are made only when
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from operator import sub
 from typing import Iterator, Sequence
 
@@ -40,6 +44,7 @@ from .distributions import (
     Pmf,
     check_mass_ratios,
     check_mass_rows,
+    common_denominator,
     numerators_over,
     ratios_over,
     require_same_alphabet,
@@ -179,12 +184,56 @@ def _entry_label(left: Pmf):
     return lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})"
 
 
+# _reduced(n, d) is n / d with no gcd, for ints the caller has proven
+# coprime with d > 0; Python 3.10 and 3.11 spell it as a constructor flag.
+if sys.version_info >= (3, 12):
+    _reduced = Fraction._from_coprime_ints
+else:
+
+    def _reduced(numerator: int, denominator: int) -> Fraction:
+        return Fraction(numerator, denominator, _normalize=False)
+
+
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
-    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives ``ZERO``."""
+    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives ``ZERO``.
+
+    For P(a) = x/y and Q(b) = u/v, both reduced, the cell is
+    (x/g1)(u/g2) / ((y/g2)(v/g1)) with g1 = gcd(x, v) and g2 = gcd(u, y).
+    As v divides L_Q, the lcm of Q's denominators, g1 = gcd(gcd(x, L_Q), v),
+    and likewise g2 = gcd(gcd(u, L_P), y): the full-size gcds run once per
+    row and once per column, and a cell's gcd only when its cofactor is not 1.
+    """
     require_same_alphabet(p, q)
+    lcm_p = common_denominator(p.p)
+    lcm_q = common_denominator(q.p)
+    columns = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) if y else None for y in q.p]
     zeros = (ZERO,) * len(q.p)
-    rows = tuple(tuple(x * y if y else ZERO for y in q.p) if x else zeros for x in p.p)
+    rows = []
+    for x in p.p:
+        if x:
+            a, b = x.numerator, x.denominator
+            g = gcd(a, lcm_q)
+            rows.append(tuple(_product(a, b, g, *column) if column else ZERO for column in columns))
+        else:
+            rows.append(zeros)
     return Coupling(rows, p, q)
+
+
+def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> Fraction:
+    """(a / b) * (c / d) in lowest terms, for a / b and c / d in lowest terms, d > 0, b > 0.
+
+    ``g`` is gcd(a, L) for a multiple L of d, and ``h`` is gcd(c, L') for
+    a multiple L' of b; each takes one more gcd only when it is not 1.
+    """
+    if g != 1:
+        g = gcd(g, d)
+        a //= g
+        d //= g
+    if h != 1:
+        h = gcd(h, b)
+        c //= h
+        b //= h
+    return _reduced(a * c, b * d)
 
 
 @dataclass(frozen=True)
@@ -215,9 +264,14 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
 
     Diagonal: j(a, a) = min{P(a), Q(a)}.  If the residual mass is zero
     (P == Q) every off-diagonal entry is zero; otherwise
-    j(a, b) = rx(a) * ry(b) / mismatch for a != b.  On P, Q, rx, ry and
-    the mismatch m times D, their common denominator, that cell is one
-    ``Fraction(rx(a) * ry(b), m * D)``, or ``ZERO`` when either factor is 0.
+    j(a, b) = rx(a) * ry(b) / mismatch for a != b, or ``ZERO`` when either
+    factor is 0.  On P, Q, rx, ry and the mismatch m times D, their common
+    denominator, that cell is rx(a) * ry(b) / M with M = m * D.  As
+    gcd(x * y, M) = gcd(x, M) * gcd(y, M / gcd(x, M)), it is built reduced
+    from g = gcd(rx(a), M) per row, h = gcd(ry(b), M) per column and, when
+    h != 1, e = gcd(h, M / g) per cell.  A negative m, which only an
+    unvalidated :class:`Pmf` gives, takes ``Fraction(rx(a) * ry(b), M)``,
+    which moves the sign to the numerator for validation to reject.
     """
     require_same_alphabet(p, q)
     n = len(p.p)
@@ -227,10 +281,15 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     m = scale - sum(overlap)
     ry = list(map(sub, right, overlap))
     denominator = m * scale
+    column_gcds = [gcd(b, denominator) if b else 0 for b in ry]
     rows = []
     for i, (x, y, a, d) in enumerate(zip(p.p, q.p, left, overlap)):
         rx = a - d
-        if rx and m:
+        if rx and m > 0:
+            g = gcd(rx, denominator)
+            factor, rest = rx // g, denominator // g
+            row = [_product(factor, rest, 1, b, 1, h) if b else ZERO for b, h in zip(ry, column_gcds)]
+        elif rx and m < 0:
             row = [Fraction(rx * b, denominator) if b else ZERO for b in ry]
         else:
             row = [ZERO] * n

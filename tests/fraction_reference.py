@@ -1,13 +1,14 @@
 """Fraction-only reference versions of the package's exact validators.
 
 The package checks masses, coupling marginals, dual certificates and the
-key audit on ints over a common denominator, builds the maximal coupling
-from the same ints, and reads coupling files straight into ints.  These
-are the direct Fraction forms of the same checks, of that construction
-and of ``couplingkit verify`` (:func:`cmd_verify`: one Fraction per
-literal, Fraction validation and Fraction sums), with the same
-constraint order and the same messages; the property tests require both
-to agree on every verdict, every returned value and every printed line.
+key audit on ints over a common denominator, builds the independent and
+maximal couplings with each cell already reduced, and reads coupling
+files straight into ints.  These are the direct Fraction forms of the
+same checks, of those constructions and of ``couplingkit verify``
+(:func:`cmd_verify`: one Fraction per literal, Fraction validation and
+Fraction sums), with the same constraint order and the same messages;
+the property tests require both to agree on every verdict, every
+returned value and every printed line.
 """
 
 from __future__ import annotations
@@ -104,6 +105,12 @@ def dual_value(u, v, supply, demand) -> Fraction:
     return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
         (vj * dj for vj, dj in zip(v, demand.p)), ZERO
     )
+
+
+def coupling_independent_rows(p, q) -> tuple[tuple[Fraction, ...], ...]:
+    """The product coupling's matrix, P(a) * Q(b) cell by cell in Fractions.  Not validated."""
+    require_same_alphabet(p, q)
+    return tuple(tuple(x * y for y in q.p) for x in p.p)
 
 
 def coupling_maximal_rows(p, q) -> tuple[tuple[Fraction, ...], ...]:

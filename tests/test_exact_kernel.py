@@ -3,7 +3,8 @@
 ``check_mass``, ``Coupling`` (from Fractions and from ints),
 ``couplingkit verify``, ``certify`` and the key audit
 (``maximal_diagonal``, ``mismatch_certificate``, ``certify_mismatch``
-and ``epsilon_audit``) run on ints over a common denominator;
+and ``epsilon_audit``) run on ints over a common denominator, and the
+independent and maximal coupling builders form each cell already reduced;
 :mod:`tests.fraction_reference` keeps the direct Fraction forms.  Both
 must reach the same verdict, fail on the same first constraint and say
 the same thing, on valid inputs and on inputs broken by one small change.
@@ -71,7 +72,8 @@ def outcome(call):
 
 def random_marginal(rng: random.Random, n: int, denominators: str) -> Pmf:
     """A distribution whose entries share small denominators, or have coprime ~108-bit
-    or all-distinct 64-bit ones, or a point mass."""
+    or all-distinct 64-bit ones, or 2-, 3- and 5-smooth numerators and denominators,
+    or a point mass."""
     if denominators == "point":
         return Pmf.point_mass(Alphabet.of_size(n), str(rng.randint(1, n)))
     if denominators == "distinct":
@@ -91,8 +93,16 @@ def random_marginal(rng: random.Random, n: int, denominators: str) -> Pmf:
         head += [F(rng.randrange(3), 4 * n) for _ in range(n - 1 - len(head))]
         rng.shuffle(head)
         return Pmf(Alphabet.of_size(n), (*head, 1 - sum(head, F(0))))
-    weights = [rng.choice((0, rng.randint(1, 40))) for _ in range(n)]
-    weights[rng.randrange(n)] += 1
+    if denominators == "smooth":
+        # Weights 2^i 3^j 5^k over a total that 900 divides: one side's
+        # numerators share the primes 2, 3 and 5 with the other's
+        # denominators, so the builders' gcds are mostly not 1.
+        weights = [2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2) * 5 ** rng.randint(0, 2)
+                   for _ in range(n)]
+        weights[-1] += -sum(weights) % 900
+    else:
+        weights = [rng.choice((0, rng.randint(1, 40))) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
     total = sum(weights)
     return Pmf(Alphabet.of_size(n), tuple(F(w, total) for w in weights))
 
@@ -324,7 +334,7 @@ def test_validation_memory_with_distinct_denominators(tmp_path):
     assert _run_cli(verify)[0] == 0
 
 
-KEYS = ("shared", "coprime", "distinct", "point")
+KEYS = ("shared", "coprime", "distinct", "smooth", "point")
 PMF_CHANGES = ("none", "negative", "total", "double", "half")
 
 
@@ -435,6 +445,8 @@ BROKEN_MAXIMAL_INPUTS = [
     ((F(0), F(1, 2)), (F(2), F(0)), "column marginal at '1' is not Q(1)"),
     # zero residual mass, yet rx(2) and ry(3) are both positive
     ((F(1, 2), F(1, 2), F(1, 4)), (F(1, 2), F(1, 4), F(1, 2)), "zero residual mass but P != Q"),
+    # negative residual mass, yet rx(2) and ry(3) are both positive: a negative cell
+    ((F(9, 10), F(9, 10), F(1, 10)), (F(9, 10), F(1, 2), F(1, 2)), "residual mass -1/2 is negative"),
 ]
 
 
@@ -479,7 +491,29 @@ def test_coupling_maximal_matches_the_fraction_reference(n, seed, pair):
         q = random_marginal(rng, n, rng.choice(KEYS))
     rows = coupling_maximal(p, q).j
     assert rows == reference.coupling_maximal_rows(p, q)
-    assert all(type(x) is Fraction for row in rows for x in row)
+    assert_reduced(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=24),
+    seed=st.integers(min_value=0, max_value=2**32),
+    kinds=st.tuples(st.sampled_from(KEYS), st.sampled_from(KEYS)),
+)
+def test_coupling_independent_matches_the_fraction_reference(n, seed, kinds):
+    rng = random.Random(seed)
+    p, q = (random_marginal(rng, n, kind) for kind in kinds)
+    rows = coupling_independent(p, q).j
+    assert rows == reference.coupling_independent_rows(p, q)
+    assert_reduced(rows)
+
+
+def assert_reduced(rows) -> None:
+    """Every cell is a Fraction in lowest terms over a positive denominator."""
+    for row in rows:
+        for x in row:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1, x
 
 
 @pytest.mark.parametrize("p,q,message", BROKEN_MAXIMAL_INPUTS)
@@ -490,6 +524,42 @@ def test_coupling_maximal_fails_on_broken_inputs_as_the_fraction_reference(p, q,
     expected = outcome(lambda: Coupling(reference.coupling_maximal_rows(p, q), p, q).j)
     assert expected[0] == "CouplingError"
     assert outcome(lambda: coupling_maximal(p, q).j) == expected
+    if message == "residual mass -1/2 is negative":
+        assert expected[1:] == ("negative_entry", None, "entry (2,3) is negative: -8/25")
+
+
+def test_builders_run_full_size_gcds_per_row_and_column_not_per_cell(monkeypatch):
+    # P and Q over one prime, so no numerator shares a factor with a
+    # denominator.  The residual mass is m / prime for the prime m = 65537,
+    # and every ry(b) lies below m, so gcd(ry(b), m * prime) == 1 as well.
+    n, prime, m = 32, 2**61 - 1, 65537
+    half = [4096] * 15 + [m - 15 * 4096]
+    rx, ry = half + [0] * 16, [0] * 16 + half
+    overlap = [(prime - m) // n] * n
+    overlap[0] += prime - m - sum(overlap)
+    p = Pmf(Alphabet.of_size(n), [F(o + x, prime) for o, x in zip(overlap, rx)])
+    q = Pmf(Alphabet.of_size(n), [F(o + y, prime) for o, y in zip(overlap, ry)])
+    references = {coupling_independent: reference.coupling_independent_rows(p, q),
+                  coupling_maximal: reference.coupling_maximal_rows(p, q)}
+    gcd = math.gcd
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    counts, built = {}, {}
+    with monkeypatch.context() as patch:
+        # fractions reads math.gcd at call time; the builders use their own binding.
+        patch.setattr(math, "gcd", counting_gcd)
+        patch.setattr("couplingkit.coupling.gcd", counting_gcd, raising=False)
+        for build in references:
+            calls.clear()
+            built[build] = build(p, q)
+            counts[build.__name__] = len(calls)
+    assert all(count <= 2 * n + 8 for count in counts.values()), counts
+    for build, rows in references.items():
+        assert built[build].j == rows
 
 
 def test_epsilon_audit_reports_a_v_past_the_int_to_str_limit():
