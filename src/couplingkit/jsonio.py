@@ -126,20 +126,6 @@ def load_pmf(path: str | Path) -> Pmf:
     return dist
 
 
-def pmf_to_obj(pmf: Pmf, render: Render = str) -> dict:
-    return {
-        "alphabet": list(pmf.alphabet.symbols),
-        "p": [render(v) for v in pmf.p],
-    }
-
-
-def pmf2_to_obj(pmf2: Pmf2, render: Render = str) -> dict:
-    return {
-        "alphabet": list(pmf2.alphabet.symbols),
-        "matrix": [[render(v) for v in row] for row in pmf2.p],
-    }
-
-
 def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, Ratios]:
     """Alphabet and entries of a one-dim coupling file, each a (numerator, denominator) pair.
 

@@ -7,13 +7,16 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 
 * transportation simplex on a spanning-tree basis, chosen over general
   simplex because the constraint matrix is totally unimodular;
-* every pivot on integers: the costs are scaled once by L, the lcm of
-  their denominators, so the tree potentials and reduced costs are
-  integers with the signs of the exact ones; the marginals are scaled
-  once by D, the lcm of theirs, and total unimodularity makes every
-  basic flow an integer over D.  The coupling is those flows over D,
-  handed to :meth:`~couplingkit.coupling.Coupling.over` as pairs of
-  ints, and the certificate's potentials are the integer ones over L;
+* one integer form per problem: :class:`TransportProblem` scales its
+  costs by L, the lcm of their denominators, and its marginals by D,
+  the lcm of theirs, once, when it is built, and the solver,
+  :func:`certify` and :func:`vertex_enumerate` all read those ints;
+* every pivot on integers: the tree potentials and reduced costs over
+  L are integers with the signs of the exact ones, and total
+  unimodularity makes every basic flow an integer over D.  The coupling
+  is those flows over D, handed to
+  :meth:`~couplingkit.coupling.Coupling.over` as pairs of ints, and the
+  certificate's potentials are the integer ones over L;
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
@@ -24,14 +27,16 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
-  on ints of its own, the potentials and costs over one shared scale
-  and the marginals over theirs, with the coupling's own ints;
+  on the problem's ints and its own: the potentials over S, the lcm of
+  L and their denominators, the cost ints times S // L, and the
+  problem's marginals over D, with the coupling's own ints;
 * for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
   closed-form optimal dual and :func:`certify_mismatch` checks it in
   O(N), both on ints over one common denominator;
-* :func:`vertex_enumerate` walks every spanning-forest basis at desk
-  scale in Fractions, as a second, exhaustive oracle over the whole
-  polytope.
+* :func:`vertex_enumerate` walks every spanning-tree basis at desk
+  scale, depth-first with an undoable union-find, and strips each
+  tree's leaves on the ints over D, as a second, exhaustive oracle over
+  the whole polytope.
 
 Everything is pure and reentrant; concurrent solves on separate inputs
 share no state.
@@ -39,10 +44,10 @@ share no state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
+from math import lcm
 from operator import add, ge, mul, sub
 from typing import Sequence
 
@@ -74,7 +79,11 @@ class TransportProblem:
     """Transportation instance: row/column marginals plus a cost matrix.
 
     Both marginals are validated :class:`Pmf` values of total 1, so the
-    instance is balanced by construction.
+    instance is balanced by construction.  The constructor also scales
+    the problem to ints, once, for every consumer: ``_scaled_cost`` is
+    (L, the cost rows times L) and ``_scaled_marginals`` is (D, the
+    supply followed by the demand, times D), each scale the lcm of the
+    denominators it covers.
     """
 
     supply: Pmf
@@ -97,6 +106,11 @@ class TransportProblem:
         object.__setattr__(self, "supply", supply)
         object.__setattr__(self, "demand", demand)
         object.__setattr__(self, "cost", rows)
+        # Not dataclass fields, so ==, hash and repr still compare the three above.
+        scale, flat = scaled([c for row in rows for c in row])
+        cost_rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+        object.__setattr__(self, "_scaled_cost", (scale, cost_rows))
+        object.__setattr__(self, "_scaled_marginals", scaled(supply.p + demand.p))
 
     @classmethod
     def mismatch(cls, p: Pmf, q: Pmf) -> "TransportProblem":
@@ -348,23 +362,23 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     ``MAX_PIVOTS_PER_CELL * N**2`` pivots guards the loop, and exceeding
     it raises :class:`CorruptedCouplingError`.
 
-    Every pivot works on integers.  The costs are scaled once by L, the
-    lcm of their denominators, so the tree potentials are integers and
-    every reduced cost has the sign of the unscaled one.  The marginals
-    are scaled once by D, the lcm of their denominators; the constraint
-    matrix is totally unimodular, so every basic flow is an integer over
-    D.  The potentials are walked over the whole tree once and then,
-    after each pivot, only over the subtree that the leaving cell cuts
-    off.  Strong duality is checked on the integers; the coupling is the
+    Every pivot works on integers, the problem's own: its costs times
+    L, the lcm of their denominators, so the tree potentials are
+    integers and every reduced cost has the sign of the unscaled one,
+    and its marginals times D, the lcm of theirs; the constraint matrix
+    is totally unimodular, so every basic flow is an integer over D.
+    Neither is scaled here: :class:`TransportProblem` did it once when
+    it was built.  The potentials are walked over the whole tree once
+    and then, after each pivot, only over the subtree that the leaving
+    cell cuts off.  Strong duality is checked on the integers; the coupling is the
     flows over D (:meth:`~couplingkit.coupling.Coupling.over`, with no
     Fraction per cell) and the certificate's potentials the integer ones
     over L.
     """
     n = len(tp.supply.alphabet)
-    mass_scale, marginals = scaled(tp.supply.p + tp.demand.p)
+    mass_scale, marginals = tp._scaled_marginals
+    scale, cost = tp._scaled_cost
     flow, basis = _initial_basis(marginals[:n], marginals[n:])
-    scale, flat_cost = scaled([c for row in tp.cost for c in row])
-    cost = [flat_cost[i * n : (i + 1) * n] for i in range(n)]
     row_adj: list[set[int]] = [set() for _ in range(n)]
     col_adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in basis:
@@ -434,29 +448,34 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     certificate, and dual objectives.  Exact arithmetic rejects any
     perturbation, however small.
 
-    Runs on ints, one cost row at a time: the potentials and costs share
-    one scale S, the common denominator of all of them, so row i is
-    feasible iff max_j (V_j - C_ij) <= -U_i with every value times S.
-    The primal objective sums C_ij * J_ij, the coupling's entries over
-    its ``scale`` (:meth:`~couplingkit.coupling.Coupling.row_ints`), and
-    the dual sums U_i * S_i and V_j * D_j, the marginals taken over
-    their common denominator.
+    Runs on ints, one cost row at a time, and reads only the problem's
+    data and the certificate, never the solver's internals.  The
+    potentials and costs share one scale S, the lcm of the problem's
+    cost scale L and the potentials' denominators: the potentials are
+    scaled by S and the problem's cost ints multiplied by S // L, so
+    row i is feasible iff max_j (V_j - C_ij) <= -U_i with every value
+    times S.  The primal objective sums C_ij * J_ij, the coupling's
+    entries over its ``scale``
+    (:meth:`~couplingkit.coupling.Coupling.row_ints`), and the dual sums
+    U_i * S_i and V_j * D_j, the problem's marginal ints over D.
     """
     n = len(tp.supply.alphabet)
     if len(c.alphabet) != n or len(cert.u) != n or len(cert.v) != n:
         raise ShapeMismatchError("coupling/certificate size does not match problem")
     if c.left != tp.supply or c.right != tp.demand:
         return False
-    scale = common_denominator(chain(cert.u, cert.v, *tp.cost))
+    cost_scale, cost_rows = tp._scaled_cost
+    scale = lcm(cost_scale, common_denominator(chain(cert.u, cert.v)))
+    factor = scale // cost_scale
     u = list(numerators_over(scale, cert.u))
     v = list(numerators_over(scale, cert.v))
     primal = 0
-    for i, (ui, crow) in enumerate(zip(u, tp.cost)):
-        cost = list(numerators_over(scale, crow))
+    for i, (ui, crow) in enumerate(zip(u, cost_rows)):
+        cost = [x * factor for x in crow]
         if max(map(sub, v, cost)) > -ui:
             return False
         primal += sum(map(mul, cost, c.row_ints(i)))
-    marginal_scale, marginals = scaled(tp.supply.p + tp.demand.p)
+    marginal_scale, marginals = tp._scaled_marginals
     dual = sum(map(mul, chain(u, v), marginals))
     return Fraction(primal, scale * c.scale) == cert.objective == Fraction(dual, scale * marginal_scale)
 
@@ -540,79 +559,92 @@ def certify_mismatch_ints(
     return primal * objective.denominator == objective.numerator * mass and dual == primal * scale
 
 
-def _spanning_tree_flows(
-    cells: Sequence[Cell], supply: Sequence[Fraction], demand: Sequence[Fraction], n: int
-) -> list[list[Fraction]] | None:
-    """Unique flows on a candidate tree basis, or None if infeasible/not a tree.
-
-    Resolves leaf nodes first: a node incident to exactly one unresolved
-    cell forces that cell's flow to its remaining mass.
-    """
-    s = list(supply)
-    d = list(demand)
-    flow = [[ZERO] * n for _ in range(n)]
-    alive = set(cells)
-    row_cells: list[set[Cell]] = [set() for _ in range(n)]
-    col_cells: list[set[Cell]] = [set() for _ in range(n)]
-    for cell in cells:
-        row_cells[cell[0]].add(cell)
-        col_cells[cell[1]].add(cell)
-    queue = deque()
-    for i in range(n):
-        if len(row_cells[i]) == 1:
-            queue.append(("row", i))
-    for j in range(n):
-        if len(col_cells[j]) == 1:
-            queue.append(("col", j))
-    while queue:
-        kind, idx = queue.popleft()
-        incident = row_cells[idx] if kind == "row" else col_cells[idx]
-        if len(incident) != 1:
-            continue  # stale queue entry
-        (cell,) = incident
-        a, b = cell
-        amount = s[a] if kind == "row" else d[b]
-        if amount < 0:
-            return None
-        flow[a][b] = amount
-        s[a] -= amount
-        d[b] -= amount
-        alive.discard(cell)
-        row_cells[a].discard(cell)
-        col_cells[b].discard(cell)
-        if len(row_cells[a]) == 1:
-            queue.append(("row", a))
-        if len(col_cells[b]) == 1:
-            queue.append(("col", b))
-    if alive:
-        return None  # a cycle survived stripping: not a tree
-    if any(x != 0 for x in s) or any(x != 0 for x in d):
-        return None  # disconnected forest left unserved mass
-    if any(v < 0 for row in flow for v in row):
-        return None
-    return flow
-
-
 def vertex_enumerate(tp: TransportProblem, max_size: int = DEFAULT_VERTEX_LIMIT) -> list[Coupling]:
     """All vertices of the transportation polytope, via exhaustive bases.
 
-    Walks every (2N - 1)-subset of cells, keeps those forming a spanning
-    tree with nonnegative flows, and deduplicates coinciding (degenerate)
-    vertices.  Deliberately capped: the basis count grows fast, and this
-    exists purely as an independent cross-check at desk scale.
+    The bases are the spanning trees of the bipartite row/column graph
+    (Klee and Witzgall, 1968).  The walk takes the N^2 cells depth-first
+    in row-major order, each one first included and then left out, and
+    includes a cell only when it joins two components of a union-find
+    whose unions are undone on the way back; so it reaches exactly the
+    spanning trees, each once, in the order of
+    ``itertools.combinations`` over the cells.  :func:`_tree_flows`
+    strips each tree's leaves on the marginals over D, trees with a
+    negative flow are dropped, and coinciding (degenerate) vertices are
+    kept once, in the order first reached.  Deliberately capped: the
+    tree count, N^(2N - 2), grows fast, and this exists purely as an
+    independent cross-check at desk scale.
     """
     n = len(tp.supply.alphabet)
     if n > max_size:
         raise EnumerationLimitError(
             f"vertex enumeration is capped at N <= {max_size}, got N = {n}"
         )
-    all_cells = [(i, j) for i in range(n) for j in range(n)]
-    vertices: dict[tuple, Coupling] = {}
-    for cells in combinations(all_cells, 2 * n - 1):
-        flow = _spanning_tree_flows(cells, tp.supply.p, tp.demand.p, n)
-        if flow is None:
-            continue
-        matrix = tuple(tuple(row) for row in flow)
-        if matrix not in vertices:
-            vertices[matrix] = Coupling(matrix, tp.supply, tp.demand)
-    return list(vertices.values())
+    mass_scale, marginals = tp._scaled_marginals
+    size = 2 * n - 1
+    parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1; no path compression
+    tree: list[Cell] = []
+    flows: dict[tuple[tuple[int, ...], ...], None] = {}
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def walk(k: int) -> None:
+        # Cells before k are decided and ``tree`` is a forest; the guards
+        # keep k below N^2, so the recursion is at most N^2 deep.
+        a, b = divmod(k, n)
+        top, bottom = root(a), root(n + b)
+        if top != bottom:
+            parent[bottom] = top
+            tree.append((a, b))
+            if len(tree) == size:
+                flow = _tree_flows(tree, marginals, n)
+                if flow is not None:
+                    flows[tuple(map(tuple, flow))] = None  # a repeat keeps its first place
+            elif len(tree) + n * n - k - 1 >= size:
+                walk(k + 1)
+            tree.pop()
+            parent[bottom] = bottom
+        if len(tree) + n * n - k - 1 >= size:
+            walk(k + 1)
+
+    walk(0)
+    return [
+        Coupling.over([[(x, mass_scale) for x in row] for row in flow], tp.supply, tp.demand)
+        for flow in flows
+    ]
+
+
+def _tree_flows(tree: Sequence[Cell], marginals: Sequence[int], n: int) -> list[list[int]] | None:
+    """The flows on a spanning tree of cells, as ints over D; None if one is negative.
+
+    ``marginals`` is the supply followed by the demand, times D.  A node
+    (row a is node a, column b node n + b) on exactly one remaining cell
+    forces that cell's flow to the node's remaining mass; the cell is
+    then stripped, which may make a leaf of its other end.
+    """
+    left = list(marginals)
+    incident: list[set[Cell]] = [set() for _ in range(2 * n)]
+    for a, b in tree:
+        incident[a].add((a, b))
+        incident[n + b].add((a, b))
+    leaves = [x for x in range(2 * n) if len(incident[x]) == 1]
+    flow = [[0] * n for _ in range(n)]
+    while leaves:
+        x = leaves.pop()
+        if not incident[x]:
+            continue  # its last cell was stripped from the other end
+        (cell,) = incident[x]
+        amount = left[x]
+        if amount < 0:
+            return None
+        a, b = cell
+        flow[a][b] = amount
+        for y in (a, n + b):
+            left[y] -= amount
+            incident[y].discard(cell)
+            if len(incident[y]) == 1:
+                leaves.append(y)
+    return flow

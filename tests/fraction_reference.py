@@ -2,9 +2,12 @@
 
 The package checks masses, coupling marginals, dual certificates and the
 key audit on ints over a common denominator, builds the independent and
-maximal couplings with each cell already reduced, and reads coupling
-files straight into ints.  These are the direct Fraction forms of the
-same checks, of those constructions and of ``couplingkit verify``
+maximal couplings with each cell already reduced, reads coupling
+files straight into ints, and enumerates the polytope's vertices by a
+spanning-tree walk on ints.  These are the direct Fraction forms of the
+same checks, of those constructions, of the vertex enumeration (every
+(2N - 1)-subset of cells, Fraction leaf stripping) and of
+``couplingkit verify``
 (:func:`cmd_verify`: one Fraction per literal, Fraction validation and
 Fraction sums), with the same constraint order and the same messages;
 the property tests require both to agree on every verdict, every
@@ -13,12 +16,14 @@ returned value and every printed line.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from couplingkit import cli
 from couplingkit.audit import EpsilonAuditReport
-from couplingkit.coupling import LemmaAudit
+from couplingkit.coupling import Coupling, LemmaAudit
 from couplingkit.distributions import ONE, ZERO, Pmf, Pmf2, require_same_alphabet
 from couplingkit.errors import (
     AlphabetMismatchError,
@@ -105,6 +110,72 @@ def dual_value(u, v, supply, demand) -> Fraction:
     return sum((ui * si for ui, si in zip(u, supply.p)), ZERO) + sum(
         (vj * dj for vj, dj in zip(v, demand.p)), ZERO
     )
+
+
+def vertex_enumerate(tp) -> list[Coupling]:
+    """Every (2N - 1)-subset of cells whose Fraction flows make a vertex, deduplicated in order."""
+    n = len(tp.supply.alphabet)
+    all_cells = [(i, j) for i in range(n) for j in range(n)]
+    vertices: dict[tuple, Coupling] = {}
+    for cells in combinations(all_cells, 2 * n - 1):
+        flow = _spanning_tree_flows(cells, tp.supply.p, tp.demand.p, n)
+        if flow is None:
+            continue
+        matrix = tuple(tuple(row) for row in flow)
+        if matrix not in vertices:
+            vertices[matrix] = Coupling(matrix, tp.supply, tp.demand)
+    return list(vertices.values())
+
+
+def _spanning_tree_flows(cells, supply, demand, n):
+    """Unique flows on a candidate tree basis, or None if infeasible/not a tree.
+
+    Resolves leaf nodes first: a node incident to exactly one unresolved
+    cell forces that cell's flow to its remaining mass.
+    """
+    s = list(supply)
+    d = list(demand)
+    flow = [[ZERO] * n for _ in range(n)]
+    alive = set(cells)
+    row_cells = [set() for _ in range(n)]
+    col_cells = [set() for _ in range(n)]
+    for cell in cells:
+        row_cells[cell[0]].add(cell)
+        col_cells[cell[1]].add(cell)
+    queue = deque()
+    for i in range(n):
+        if len(row_cells[i]) == 1:
+            queue.append(("row", i))
+    for j in range(n):
+        if len(col_cells[j]) == 1:
+            queue.append(("col", j))
+    while queue:
+        kind, idx = queue.popleft()
+        incident = row_cells[idx] if kind == "row" else col_cells[idx]
+        if len(incident) != 1:
+            continue  # stale queue entry
+        (cell,) = incident
+        a, b = cell
+        amount = s[a] if kind == "row" else d[b]
+        if amount < 0:
+            return None
+        flow[a][b] = amount
+        s[a] -= amount
+        d[b] -= amount
+        alive.discard(cell)
+        row_cells[a].discard(cell)
+        col_cells[b].discard(cell)
+        if len(row_cells[a]) == 1:
+            queue.append(("row", a))
+        if len(col_cells[b]) == 1:
+            queue.append(("col", b))
+    if alive:
+        return None  # a cycle survived stripping: not a tree
+    if any(x != 0 for x in s) or any(x != 0 for x in d):
+        return None  # disconnected forest left unserved mass
+    if any(v < 0 for row in flow for v in row):
+        return None
+    return flow
 
 
 def coupling_independent_rows(p, q) -> tuple[tuple[Fraction, ...], ...]:

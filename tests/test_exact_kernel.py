@@ -48,7 +48,7 @@ from couplingkit import (
 from couplingkit import cli
 from couplingkit.distributions import check_mass, common_denominator
 from couplingkit.errors import CorruptedCouplingError, CouplingKitError
-from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj, pmf2_to_obj, pmf_to_obj
+from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj
 from couplingkit.multidim import coupling4_maximal
 from couplingkit.rational import decimal_string
 
@@ -317,7 +317,8 @@ def test_validation_memory_with_distinct_denominators(tmp_path):
     uniform = Pmf.uniform(Alphabet.of_size(n))
     paths = [tmp_path / "c.json", tmp_path / "u.json"]
     paths[0].write_text(json.dumps(coupling_to_obj(Coupling(m, uniform, uniform))), encoding="utf-8")
-    paths[1].write_text(json.dumps(pmf_to_obj(uniform)), encoding="utf-8")
+    marginal = {"alphabet": list(uniform.alphabet), "p": [str(x) for x in uniform.p]}
+    paths[1].write_text(json.dumps(marginal), encoding="utf-8")
     verify = ["verify", *map(str, paths), str(paths[1])]
 
     def peak(run):
@@ -693,10 +694,13 @@ def test_verify_prints_what_the_fraction_path_prints(dim, n, seed, change, form,
 def test_verify_never_builds_the_fraction_matrix(monkeypatch, dim, ramp, uniform4, diag3, band3, tmp_path):
     if dim == 1:
         coupling = coupling_to_obj(coupling_maximal(ramp, uniform4))
-        marginals = [pmf_to_obj(x) for x in (ramp, uniform4)]
+        marginals = [{"alphabet": list(x.alphabet), "p": [str(v) for v in x.p]} for x in (ramp, uniform4)]
     else:
         coupling = coupling4_to_obj(coupling4_maximal(diag3, band3))
-        marginals = [pmf2_to_obj(x) for x in (diag3, band3)]
+        marginals = [
+            {"alphabet": list(x.alphabet), "matrix": [[str(v) for v in row] for row in x.p]}
+            for x in (diag3, band3)
+        ]
     paths = []
     for name, body in zip("cpq", (coupling, *marginals)):
         path = tmp_path / f"{name}.json"

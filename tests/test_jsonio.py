@@ -18,8 +18,6 @@ from couplingkit.jsonio import (
     parse_coupling4_blocks,
     parse_coupling_matrix,
     parse_distribution,
-    pmf2_to_obj,
-    pmf_to_obj,
 )
 from couplingkit.multidim import Coupling4, coupling4_maximal
 
@@ -34,7 +32,7 @@ def write(tmp_path, name, obj):
 
 class TestDistributionFiles:
     def test_pmf_round_trip(self, tmp_path, ramp):
-        path = write(tmp_path, "p.json", pmf_to_obj(ramp))
+        path = write(tmp_path, "p.json", {"alphabet": list(ramp.alphabet), "p": list(map(str, ramp.p))})
         loaded = load_distribution(path)
         assert isinstance(loaded, Pmf) and loaded.p == ramp.p
 
@@ -48,7 +46,8 @@ class TestDistributionFiles:
         assert loaded.p == (F(1, 10), F(1, 5), F(3, 10), F(2, 5))
 
     def test_pmf2_round_trip(self, tmp_path, band3):
-        path = write(tmp_path, "q2.json", pmf2_to_obj(band3))
+        matrix = [[str(v) for v in row] for row in band3.p]
+        path = write(tmp_path, "q2.json", {"alphabet": list(band3.alphabet), "matrix": matrix})
         loaded = load_distribution(path)
         assert isinstance(loaded, Pmf2) and loaded.p == band3.p
 
@@ -79,7 +78,8 @@ class TestDistributionFiles:
             load_distribution(tmp_path / "absent.json")
 
     def test_load_pmf_rejects_matrix_file(self, tmp_path, band3):
-        path = write(tmp_path, "q2.json", pmf2_to_obj(band3))
+        matrix = [[str(v) for v in row] for row in band3.p]
+        path = write(tmp_path, "q2.json", {"alphabet": list(band3.alphabet), "matrix": matrix})
         with pytest.raises(ParseError, match="one-dim"):
             load_pmf(path)
 
@@ -178,6 +178,8 @@ class TestLiteralsParsedOnce:
 
 class TestDumpDeterminism:
     def test_dump_is_stable(self, ramp):
-        obj = pmf_to_obj(ramp)
-        assert dump_json(obj) == dump_json(pmf_to_obj(ramp))
-        assert dump_json(obj).endswith("\n")
+        def obj():
+            return {"alphabet": list(ramp.alphabet), "p": [str(v) for v in ramp.p]}
+
+        assert dump_json(obj()) == dump_json(obj())
+        assert dump_json(obj()).endswith("\n")

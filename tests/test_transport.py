@@ -102,6 +102,23 @@ def assert_certificate(tp: TransportProblem, coupling, cert: DualCertificate):
 
 
 class TestProblemConstruction:
+    def test_costs_are_scaled_to_ints_once(self, ramp, uniform4, monkeypatch):
+        # every scaling helper the module calls, with the length of its input
+        sizes = []
+        for name in ("scaled", "common_denominator", "numerators_over"):
+
+            def counted(*args, _original=getattr(transport_module, name)):
+                values = list(args[-1])
+                sizes.append(len(values))
+                return _original(*args[:-1], values)
+
+            monkeypatch.setattr(transport_module, name, counted)
+        n = 4
+        tp = TransportProblem(ramp, uniform4, fractional_cost(random.Random(5), n))
+        coupling, cert, _ = solve_transport(tp)
+        assert certify(coupling, cert, tp)
+        assert sum(size >= n * n for size in sizes) == 1
+
     def test_mismatch_cost_matrix(self, ramp, uniform4):
         tp = TransportProblem.mismatch(ramp, uniform4)
         assert all(
@@ -484,6 +501,24 @@ class TestVertexEnumeration:
         v = vdist_halfsum(ramp, uniform4)
         for vertex in vertex_enumerate(TransportProblem.mismatch(ramp, uniform4)):
             assert v <= mismatch_prob(vertex)
+
+    @settings(max_examples=60, deadline=None)
+    @given(fractional_problems(max_n=3))
+    def test_matches_the_fraction_reference(self, tp):
+        assert vertex_enumerate(tp) == reference.vertex_enumerate(tp)
+
+    @pytest.mark.parametrize("seed, max_weight", [(5, 1), (3, 2), (5, 2), (3, 30)])
+    def test_matches_the_fraction_reference_at_n4(self, seed, max_weight):
+        # small weights leave zero entries and ties, so many bases share a
+        # vertex (1920 feasible bases for 6 vertices at seed 5, weight 1);
+        # weight 30 gives 304 vertices, one basis each
+        rng = random.Random(seed)
+        p = random_pmf(rng, 4, max_weight=max_weight)
+        q = random_pmf(rng, 4, max_weight=max_weight)
+        tp = TransportProblem(p, q, fractional_cost(rng, 4))
+        vertices = vertex_enumerate(tp)
+        assert vertices == reference.vertex_enumerate(tp)
+        assert len(vertices) > 1
 
     def test_size_cap(self):
         p = Pmf.uniform(Alphabet.of_size(5))
