@@ -2,7 +2,10 @@
 
 Subcommands: vdist, couple, verify, oracle, audit, tables.  Every
 command is a pure function of its input files and flags; repeated runs
-produce byte-identical output.  Exit codes are stable API:
+produce byte-identical output.  A two-dim pair takes the one-dim path
+over its pair labels ``(a,b)``; only the blocks layout of its coupling
+files and the "pair mismatch" and "coordinate mismatch" lines of its
+reports are its own.  Exit codes are stable API:
 
     0  success
     2  parse failure (file shape, rational literal, invalid distribution,
@@ -31,18 +34,15 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .audit import EpsilonAuditInput, epsilon_audit
-from .coupling import Coupling, coupling_independent, coupling_maximal, lemma_audit
-from .distributions import Pmf, Pmf2
+from .coupling import Coupling, LemmaAudit, coupling_independent, coupling_maximal, lemma_audit
+from .distributions import Pmf, Pmf2, require_same_alphabet
 from .errors import (
     AlphabetMismatchError,
-    ConstraintInfeasibleError,
     CorruptedCouplingError,
     CouplingError,
     CouplingKitError,
     DistributionError,
-    EnumerationLimitError,
     ParseError,
-    ShapeMismatchError,
 )
 from .jsonio import (
     coupling4_to_obj,
@@ -55,13 +55,7 @@ from .jsonio import (
     read_coupling,
 )
 from .metrics import vdist_halfsum
-from .multidim import (
-    Coupling4,
-    coupling4_independent,
-    coupling4_maximal,
-    mismatch_components,
-    vdist2,
-)
+from .multidim import Coupling4, mismatch_components
 from .rational import MAX_EXPONENT, bounded_str, decimal_string, parse_rational
 from .tables import resolve_fixtures_dir, sync_fixtures
 from .transport import TransportProblem, certify, solve_transport
@@ -82,7 +76,6 @@ class Config:
     precision: int = 5
 
     def __post_init__(self):
-        # argparse's choices already reject a bad --format
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
         # Checked before any file is read: a longer decimal would build
@@ -112,10 +105,17 @@ def _load_pair(p_path: str, q_path: str):
     return p, q
 
 
+def _one_dim(p: Pmf | Pmf2, q: Pmf | Pmf2) -> tuple[Pmf, Pmf]:
+    """The pair as one-dim distributions: a two-dim pair over its pair labels."""
+    if isinstance(p, Pmf2):
+        require_same_alphabet(p, q)
+        return p.flatten(), q.flatten()
+    return p, q
+
+
 def cmd_vdist(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    p, q = _load_pair(args.p_file, args.q_file)
-    v = vdist2(p, q) if isinstance(p, Pmf2) else vdist_halfsum(p, q)
+    v = vdist_halfsum(*_one_dim(*_load_pair(args.p_file, args.q_file)))
     if cfg.format == "json":
         _emit(dump_json({"v": str(v), "decimal": decimal_string(v, cfg.precision)}).rstrip("\n"))
     else:
@@ -123,34 +123,44 @@ def cmd_vdist(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _audit_lines(cfg: Config, audit) -> list[str]:
-    return [
+def _coupling_of(flat: Coupling, p: Pmf | Pmf2, q: Pmf | Pmf2) -> Coupling | Coupling4:
+    """``flat``, a coupling of ``_one_dim(p, q)``, as a coupling of ``p`` and ``q``."""
+    return Coupling4(flat, p, q) if isinstance(p, Pmf2) else flat
+
+
+def _report(cfg: Config, c: Coupling | Coupling4) -> tuple[LemmaAudit, list[str], dict]:
+    """The audit of ``c``, its table lines, and the JSON fields it adds to the audit's own.
+
+    Only a two-dim coupling adds lines and fields: its pair and
+    coordinate mismatch, after the audit's.
+    """
+    audit = lemma_audit(c.flat if isinstance(c, Coupling4) else c)
+    lines = [
         f"v: {cfg.show(audit.v)}",
         f"mismatch: {cfg.show(audit.mismatch)}",
         f"holds (v <= mismatch): {str(audit.holds).lower()}",
         f"maximal (v = mismatch): {str(audit.maximal).lower()}",
         f"gap: {cfg.show(audit.gap)}",
     ]
+    fields = {}
+    if isinstance(c, Coupling4):
+        parts = mismatch_components(c)
+        lines += [
+            f"pair mismatch: {cfg.show(parts.pair_mismatch)}",
+            f"coordinate mismatch: {cfg.show(parts.coord_mismatch)}",
+        ]
+        fields = {"pairMismatch": str(parts.pair_mismatch), "coordMismatch": str(parts.coord_mismatch)}
+    return audit, lines, fields
 
 
 def cmd_couple(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p, q = _load_pair(args.p_file, args.q_file)
-    if isinstance(p, Pmf2):
-        build = coupling4_maximal if args.kind == "maximal" else coupling4_independent
-        c4 = build(p, q)
-        payload = dump_json(coupling4_to_obj(c4))
-        audit = lemma_audit(c4.flat)
-        parts = mismatch_components(c4)
-        summary = _audit_lines(cfg, audit) + [
-            f"pair mismatch: {cfg.show(parts.pair_mismatch)}",
-            f"coordinate mismatch: {cfg.show(parts.coord_mismatch)}",
-        ]
-    else:
-        build = coupling_maximal if args.kind == "maximal" else coupling_independent
-        c = build(p, q)
-        payload = dump_json(coupling_to_obj(c))
-        summary = _audit_lines(cfg, lemma_audit(c))
+    build = coupling_maximal if args.kind == "maximal" else coupling_independent
+    c = _coupling_of(build(*_one_dim(p, q)), p, q)
+    to_obj = coupling4_to_obj if isinstance(c, Coupling4) else coupling_to_obj
+    payload = dump_json(to_obj(c))
+    _, summary, _ = _report(cfg, c)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
         for line in summary:
@@ -166,60 +176,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _config(args)
     kind, obj = read_coupling(args.coupling_file)
     p, q = _load_pair(args.p_file, args.q_file)
-    if kind == "matrix":
-        if not isinstance(p, Pmf):
-            raise AlphabetMismatchError(
-                "a matrix coupling file needs one-dim marginal files"
-            )
-        alphabet, ratios = parse_coupling_matrix(obj, where=args.coupling_file)
-        if alphabet != p.alphabet:
-            raise AlphabetMismatchError(
-                "coupling file alphabet differs from the marginals' alphabet"
-            )
-        c = Coupling.over(ratios, p, q)
-        audit = lemma_audit(c)
-        lines = ["valid: true"] + _audit_lines(cfg, audit)
-        payload = {"valid": True, **audit.to_json_dict()}
-    else:
-        if not isinstance(p, Pmf2):
-            raise AlphabetMismatchError(
-                "a blocks coupling file needs two-dim marginal files"
-            )
-        alphabet, ratios = parse_coupling4_blocks(obj, where=args.coupling_file)
-        if alphabet != p.alphabet:
-            raise AlphabetMismatchError(
-                "coupling file alphabet differs from the marginals' alphabet"
-            )
-        c4 = Coupling4(Coupling.over(ratios, p.flatten(), q.flatten()), p, q)
-        audit = lemma_audit(c4.flat)
-        parts = mismatch_components(c4)
-        lines = (
-            ["valid: true"]
-            + _audit_lines(cfg, audit)
-            + [
-                f"pair mismatch: {cfg.show(parts.pair_mismatch)}",
-                f"coordinate mismatch: {cfg.show(parts.coord_mismatch)}",
-            ]
+    two_dim = kind == "blocks"
+    if isinstance(p, Pmf2) is not two_dim:
+        raise AlphabetMismatchError(
+            f"a {kind} coupling file needs {'two' if two_dim else 'one'}-dim marginal files"
         )
-        payload = {
-            "valid": True,
-            **audit.to_json_dict(),
-            "pairMismatch": str(parts.pair_mismatch),
-            "coordMismatch": str(parts.coord_mismatch),
-        }
+    parse = parse_coupling4_blocks if two_dim else parse_coupling_matrix
+    alphabet, ratios = parse(obj, where=args.coupling_file)
+    if alphabet != p.alphabet:
+        raise AlphabetMismatchError(
+            "coupling file alphabet differs from the marginals' alphabet"
+        )
+    c = _coupling_of(Coupling.over(ratios, *_one_dim(p, q)), p, q)
+    audit, lines, fields = _report(cfg, c)
     if cfg.format == "json":
-        _emit(dump_json(payload).rstrip("\n"))
+        _emit(dump_json({"valid": True, **audit.to_json_dict(), **fields}).rstrip("\n"))
     else:
-        for line in lines:
+        for line in ["valid: true", *lines]:
             _emit(line)
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _config(args)
-    p, q = _load_pair(args.p_file, args.q_file)
-    if isinstance(p, Pmf2):
-        p, q = p.flatten(), q.flatten()
+    p, q = _one_dim(*_load_pair(args.p_file, args.q_file))
     problem = TransportProblem.mismatch(p, q)
     coupling, certificate, _ = solve_transport(problem)
     certified = certify(coupling, certificate, problem)
@@ -345,13 +325,10 @@ def main(argv=None) -> int:
     except CouplingError as exc:
         sys.stderr.write(f"error: invalid coupling ({exc.constraint}): {exc}\n")
         return EXIT_COUPLING
-    except ConstraintInfeasibleError as exc:
-        sys.stderr.write(f"error: infeasible constraint: {exc}\n")
-        return EXIT_COUPLING
     except AlphabetMismatchError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ALPHABET
-    except (ParseError, DistributionError, EnumerationLimitError, ShapeMismatchError) as exc:
+    except (ParseError, DistributionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except CouplingKitError as exc:

@@ -155,18 +155,18 @@ def coupling_to_obj(c: Coupling, render: Render = str) -> dict:
 
 
 def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:
-    """Nested-block layout: rows (x1,x2) in row-major order, y1 then y2 inside."""
-    alphabet = c4.alphabet
-    n = len(alphabet)
+    """Nested-block layout: rows (x1,x2) in row-major order, y1 then y2 inside.
+
+    Block (x1, x2) is flat row (x1, x2), cut into N slices of N, one per
+    y1, as :func:`parse_coupling4_blocks` reads it back.
+    """
+    symbols = c4.alphabet.symbols
+    n = len(symbols)
     blocks: dict[str, dict[str, list[str]]] = {}
-    for x1 in range(n):
-        for x2 in range(n):
-            label = alphabet.pair_label(alphabet.symbols[x1], alphabet.symbols[x2])
-            blocks[label] = {
-                alphabet.symbols[y1]: [render(c4.value(x1, x2, y1, y2)) for y2 in range(n)]
-                for y1 in range(n)
-            }
-    return {"alphabet": list(alphabet.symbols), "blocks": blocks}
+    for label, row in zip(c4.flat.alphabet.symbols, c4.flat.j):
+        cells = [render(v) for v in row]
+        blocks[label] = {y1: cells[k * n:(k + 1) * n] for k, y1 in enumerate(symbols)}
+    return {"alphabet": list(symbols), "blocks": blocks}
 
 
 def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, Ratios]:

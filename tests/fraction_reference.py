@@ -396,7 +396,14 @@ def cmd_verify(args) -> int:
             f"coupling inequality violated: v={bounded_str(v)} > mismatch={bounded_str(mismatch)}"
         )
     audit = LemmaAudit(v=v, mismatch=mismatch, holds=True, maximal=(v == mismatch), gap=mismatch - v)
-    lines = ["valid: true"] + cli._audit_lines(cfg, audit)
+    lines = [
+        "valid: true",
+        f"v: {cfg.show(v)}",
+        f"mismatch: {cfg.show(mismatch)}",
+        "holds (v <= mismatch): true",
+        f"maximal (v = mismatch): {str(v == mismatch).lower()}",
+        f"gap: {cfg.show(mismatch - v)}",
+    ]
     payload = {"valid": True, **audit.to_json_dict()}
     if kind == "blocks":
         n = len(alphabet)

@@ -147,14 +147,20 @@ class TestCouple:
         assert obj["matrix"][3][0] == "9/80"
         assert "v: 1/5" in captured.err
 
-    def test_two_dim_couple(self, tmp_path, capsys, files):
+    @pytest.mark.parametrize("kind", ["maximal", "independent"])
+    def test_two_dim_couple(self, tmp_path, capsys, files, kind):
         p = files("d.json", DIAG3)
         q = files("b.json", BAND3)
+        golden = generate_fixtures()[f"diag_band_{kind}.json"]
         out = tmp_path / "c4.json"
-        assert main(["couple", p, q, "--kind", "maximal", "--out", str(out)]) == 0
-        obj = json.loads(out.read_text())
-        assert obj["blocks"]["(1,1)"]["1"] == ["1/9", "4/45", "0"]
-        assert "pair mismatch: 5/9 (0.55556)" in capsys.readouterr().out
+        assert main(["couple", p, q, "--kind", kind, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == golden
+        summary = capsys.readouterr().out
+        assert "pair mismatch: " in summary and "coordinate mismatch: " in summary
+        assert main(["couple", p, q, "--kind", kind]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == golden
+        assert captured.err == summary
 
 
 class TestVerify:
@@ -209,14 +215,21 @@ class TestVerify:
         assert main(["verify", str(bad_coupling), bad_p, bad_p]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad_coupling} is not valid JSON")
 
-    def test_dimension_mismatch_comes_before_coupling_entries(self, tmp_path, files, capsys):
-        # A one-dim coupling file with a malformed entry against two-dim marginals.
-        obj = json.loads(generate_fixtures()["ramp_uniform_generic.json"])
-        obj["matrix"][0][0] = "abc"
+    @pytest.mark.parametrize("kind", ["matrix", "blocks"])
+    def test_dimension_mismatch_comes_before_coupling_entries(self, tmp_path, files, capsys, kind):
+        # A coupling file with a malformed entry against marginals of the other dimension.
+        if kind == "matrix":
+            obj = json.loads(generate_fixtures()["ramp_uniform_generic.json"])
+            obj["matrix"][0][0] = "abc"
+            marginals, needed = (files("d.json", DIAG3), files("b.json", BAND3)), "one-dim"
+        else:
+            obj = json.loads(generate_fixtures()["diag_band_constrained.json"])
+            obj["blocks"]["(1,1)"]["1"][0] = "abc"
+            marginals, needed = (files("p.json", RAMP), files("q.json", UNIFORM4)), "two-dim"
         fx = tmp_path / "c.json"
         fx.write_text(json.dumps(obj), encoding="utf-8")
-        assert main(["verify", str(fx), files("d.json", DIAG3), files("b.json", BAND3)]) == 3
-        assert "needs one-dim marginal files" in capsys.readouterr().err
+        assert main(["verify", str(fx), *marginals]) == 3
+        assert capsys.readouterr().err == f"error: a {kind} coupling file needs {needed} marginal files\n"
 
     def test_wrong_alphabet_exits_3(self, tmp_path, files, ramp_file, uniform_file):
         obj = json.loads(generate_fixtures()["ramp_uniform_generic.json"])
@@ -442,6 +455,24 @@ class TestValidationWork:
         monkeypatch.setattr(distributions.Pmf, "__init__", counting_pmf_init)
         assert main(argv) == 0
         assert calls == {"product": 2, "pmf": 2}
+
+    @pytest.mark.parametrize("command", ["vdist", "couple", "verify", "oracle"])
+    def test_two_dim_alphabet_mismatch_names_the_two_dim_alphabets(self, tmp_path, files, capsys, command):
+        p = files("d.json", DIAG3)
+        q = files("b.json", {**BAND3, "alphabet": ["a", "b", "c"]})
+        fx = tmp_path / "c.json"
+        fx.write_text(generate_fixtures()["diag_band_maximal.json"], encoding="utf-8")
+        argv = {
+            "vdist": ["vdist", p, q],
+            "couple": ["couple", p, q, "--kind", "maximal"],
+            "verify": ["verify", str(fx), p, q],
+            "oracle": ["oracle", p, q],
+        }[command]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: distributions are defined on different alphabets: "
+            "('1', '2', '3') vs ('a', 'b', 'c')\n"
+        )
 
 
 class TestParserReuse:
