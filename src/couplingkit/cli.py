@@ -45,7 +45,7 @@ from .errors import (
     ParseError,
 )
 from .jsonio import (
-    coupling4_to_obj,
+    coupling_json,
     coupling_to_obj,
     dump_json,
     load_distribution,
@@ -158,17 +158,18 @@ def cmd_couple(args: argparse.Namespace) -> int:
     p, q = _load_pair(args.p_file, args.q_file)
     build = coupling_maximal if args.kind == "maximal" else coupling_independent
     c = _coupling_of(build(*_one_dim(p, q)), p, q)
-    to_obj = coupling4_to_obj if isinstance(c, Coupling4) else coupling_to_obj
-    payload = dump_json(to_obj(c))
-    _, summary, _ = _report(cfg, c)
+    # The whole file is rendered before --out is opened, so a failure leaves no partial file.
+    payload = coupling_json(c)
+    audit, lines, fields = _report(cfg, c)
+    if cfg.format == "json":
+        lines = [dump_json({**audit.to_json_dict(), **fields}).rstrip("\n")]
+    summary = "".join(line + "\n" for line in lines)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")
-        for line in summary:
-            _emit(line)
+        sys.stdout.write(summary)
     else:
         sys.stdout.write(payload)
-        for line in summary:
-            sys.stderr.write(line + "\n")
+        sys.stderr.write(summary)
     return EXIT_OK
 
 
@@ -210,13 +211,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             f"oracle disagreement: objective {bounded_str(certificate.objective)}, "
             f"v {bounded_str(v)}, certified {certified}"
         )
-    solution = {
-        "coupling": coupling_to_obj(coupling),
-        "certificate": certificate.to_json_dict(),
-    }
     if args.out:
-        Path(args.out).write_text(dump_json(solution), encoding="utf-8")
+        Path(args.out).write_text(coupling_json(coupling, certificate.to_json_dict()), encoding="utf-8")
     if cfg.format == "json":
+        solution = {} if args.out else {
+            "coupling": coupling_to_obj(coupling),
+            "certificate": certificate.to_json_dict(),
+        }
         _emit(
             dump_json(
                 {
@@ -224,7 +225,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                     "v": str(v),
                     "certified": certified,
                     "agreement": agreement,
-                    **({} if args.out else solution),
+                    **solution,
                 }
             ).rstrip("\n")
         )

@@ -13,18 +13,22 @@ product form, normalized by the total residual mass.  Maximal couplings
 are not unique in general; this particular construction is fixed so that
 its output matrices are reproducible entry-for-entry.
 
-Both builders form each non-zero cell already reduced: the full-size
-gcds run once per row and once per column, and a cell pays at most a
-gcd with a small cofactor, none when that cofactor is 1, and no gcd to
-build its Fraction.  A :class:`Coupling`
-keeps its entries as it was given them: as Fractions, or, by
-:meth:`Coupling.over`, as (numerator, denominator) pairs of ints from a
-coupling file or the transportation simplex, with no Fraction and no
-gcd per cell.  Validation and the readers, :meth:`Coupling.diagonal_mass`,
-:func:`mismatch_prob` and :func:`lemma_audit`, sum the entries they read
-as ints over D, the lcm of the denominators, and build one Fraction per
-result; the Fractions of a pair-built coupling are made only when
-``j`` is first read.
+Both builders form each cell as a (numerator, denominator) pair of ints
+already in lowest terms: the full-size gcds run once per row and once
+per column, and a cell pays at most a gcd with a small cofactor, none
+when that cofactor is 1.  They hand the pairs to :meth:`Coupling.over`
+marked as coprime, so no Fraction is built per cell.  A
+:class:`Coupling` keeps its entries as it was given them: as Fractions,
+or, by :meth:`Coupling.over`, as pairs of ints from a builder, a
+coupling file or the transportation simplex.  Validation and the
+readers, :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
+:func:`lemma_audit`, sum the entries they read as ints over D, the lcm
+of the denominators, and build one Fraction per result; the Fractions
+of a pair-built coupling are made only when ``j`` is first read, with
+no gcd per cell for a builder's.  The coupling-file writer
+(:func:`~couplingkit.jsonio.coupling_json`) reads the entries as
+lowest-terms pairs, which a builder's coupling passes through as they
+are.
 """
 
 from __future__ import annotations
@@ -59,7 +63,22 @@ Ratios = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class _Ratios(tuple):
-    """The rows handed to :meth:`Coupling.over`, marked for the constructor."""
+    """The rows handed to :meth:`Coupling.over`, marked for the constructor.
+
+    ``coprime`` is set on rows whose every pair is in lowest terms.
+    """
+
+    coprime = False
+
+
+_ZERO_PAIR = (0, 1)
+
+
+def _coprime(rows: list) -> _Ratios:
+    """``rows``, pairs in lowest terms with zero as ``(0, 1)``, marked as such."""
+    ratios = _Ratios(rows)
+    ratios.coprime = True
+    return ratios
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -92,10 +111,10 @@ class Coupling:
         rows = _square(j, left, right)
         if isinstance(j, _Ratios):
             scale, row_sums, columns = check_mass_ratios(rows, _entry_label(left), CouplingError)
-            entries = {"_ratios": rows}
+            entries = {"_ratios": rows, "_coprime": j.coprime}
         else:
             scale, row_sums, columns = check_mass_rows(rows, _entry_label(left), CouplingError)
-            entries = {"_ratios": None, "j": rows}
+            entries = {"_ratios": None, "_coprime": False, "j": rows}
         _check_marginals(scale, row_sums, columns, left, right)
         fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, **entries)
         for name, value in fields.items():
@@ -108,14 +127,28 @@ class Coupling:
         ``n`` and ``d`` are ints, ``d`` positive, the pair not necessarily
         reduced.  The constructor runs its checks in its order, with its
         messages, on the ints
-        (:func:`~couplingkit.distributions.check_mass_ratios`).
+        (:func:`~couplingkit.distributions.check_mass_ratios`).  Rows a
+        builder marked as coprime keep the mark.
         """
-        return cls(_Ratios(ratios), left, right)
+        return cls(ratios if isinstance(ratios, _Ratios) else _Ratios(ratios), left, right)
 
     @cached_property
     def j(self) -> Matrix:
         """The entries as Fractions; zero entries are ``ZERO``."""
-        return tuple(tuple(Fraction(x, d) if x else ZERO for x, d in row) for row in self._ratios)
+        fraction = _reduced if self._coprime else Fraction
+        return tuple(tuple(fraction(x, d) if x else ZERO for x, d in row) for row in self._ratios)
+
+    def _pairs(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        """The rows of entries as (numerator, denominator) pairs in lowest terms; zero is ``(0, 1)``.
+
+        A builder's pairs are read as they are, and other pairs are
+        reduced one non-zero entry at a time.
+        """
+        if self._coprime:
+            return iter(self._ratios)
+        if self._ratios is None:
+            return (tuple((x.numerator, x.denominator) for x in row) for row in self.j)
+        return (tuple(_lowest_terms(x, d) for x, d in row) for row in self._ratios)
 
     def row_ints(self, row: int, columns: slice = slice(None)) -> Iterator[int]:
         """The entries of row ``row``, or of its ``columns``, times ``scale``, as ints."""
@@ -178,6 +211,13 @@ def _square(j: Sequence[Sequence], left: Pmf, right: Pmf) -> tuple[tuple, ...]:
     return rows
 
 
+def _lowest_terms(x: int, d: int) -> tuple[int, int]:
+    if not x:
+        return _ZERO_PAIR
+    g = gcd(x, d)
+    return x // g, d // g
+
+
 def _entry_label(left: Pmf):
     symbols = left.alphabet.symbols
     n = len(symbols)
@@ -195,7 +235,7 @@ else:
 
 
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
-    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives ``ZERO``.
+    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives a zero cell.
 
     For P(a) = x/y and Q(b) = u/v, both reduced, the cell is
     (x/g1)(u/g2) / ((y/g2)(v/g1)) with g1 = gcd(x, v) and g2 = gcd(u, y).
@@ -207,20 +247,20 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     lcm_p = common_denominator(p.p)
     lcm_q = common_denominator(q.p)
     columns = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) if y else None for y in q.p]
-    zeros = (ZERO,) * len(q.p)
+    zeros = (_ZERO_PAIR,) * len(q.p)
     rows = []
     for x in p.p:
         if x:
             a, b = x.numerator, x.denominator
             g = gcd(a, lcm_q)
-            rows.append(tuple(_product(a, b, g, *column) if column else ZERO for column in columns))
+            rows.append(tuple(_product(a, b, g, *column) if column else _ZERO_PAIR for column in columns))
         else:
             rows.append(zeros)
-    return Coupling(rows, p, q)
+    return Coupling.over(_coprime(rows), p, q)
 
 
-def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> Fraction:
-    """(a / b) * (c / d) in lowest terms, for a / b and c / d in lowest terms, d > 0, b > 0.
+def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> tuple[int, int]:
+    """(a / b) * (c / d) as a lowest-terms pair, for a / b and c / d in lowest terms, d > 0, b > 0.
 
     ``g`` is gcd(a, L) for a multiple L of d, and ``h`` is gcd(c, L') for
     a multiple L' of b; each takes one more gcd only when it is not 1.
@@ -233,7 +273,7 @@ def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> Fraction:
         h = gcd(h, b)
         c //= h
         b //= h
-    return _reduced(a * c, b * d)
+    return a * c, b * d
 
 
 @dataclass(frozen=True)
@@ -264,14 +304,14 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
 
     Diagonal: j(a, a) = min{P(a), Q(a)}.  If the residual mass is zero
     (P == Q) every off-diagonal entry is zero; otherwise
-    j(a, b) = rx(a) * ry(b) / mismatch for a != b, or ``ZERO`` when either
+    j(a, b) = rx(a) * ry(b) / mismatch for a != b, or zero when either
     factor is 0.  On P, Q, rx, ry and the mismatch m times D, their common
     denominator, that cell is rx(a) * ry(b) / M with M = m * D.  As
     gcd(x * y, M) = gcd(x, M) * gcd(y, M / gcd(x, M)), it is built reduced
     from g = gcd(rx(a), M) per row, h = gcd(ry(b), M) per column and, when
     h != 1, e = gcd(h, M / g) per cell.  A negative m, which only an
-    unvalidated :class:`Pmf` gives, takes ``Fraction(rx(a) * ry(b), M)``,
-    which moves the sign to the numerator for validation to reject.
+    unvalidated :class:`Pmf` gives, takes the pair ``(-rx(a) * ry(b), -M)``,
+    which puts the sign on the numerator for validation to reject.
     """
     require_same_alphabet(p, q)
     n = len(p.p)
@@ -288,14 +328,15 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
         if rx and m > 0:
             g = gcd(rx, denominator)
             factor, rest = rx // g, denominator // g
-            row = [_product(factor, rest, 1, b, 1, h) if b else ZERO for b, h in zip(ry, column_gcds)]
-        elif rx and m < 0:
-            row = [Fraction(rx * b, denominator) if b else ZERO for b in ry]
+            row = [_product(factor, rest, 1, b, 1, h) if b else _ZERO_PAIR for b, h in zip(ry, column_gcds)]
+        elif rx and m < 0:  # a negative cell: validation rejects the rows, mark and all
+            row = [(-rx * b, -denominator) if b else _ZERO_PAIR for b in ry]
         else:
-            row = [ZERO] * n
-        row[i] = y if rx else x  # rx == 0 iff P(a) <= Q(a)
+            row = [_ZERO_PAIR] * n
+        diagonal = y if rx else x  # rx == 0 iff P(a) <= Q(a)
+        row[i] = diagonal.numerator, diagonal.denominator
         rows.append(row)
-    return Coupling(rows, p, q)
+    return Coupling.over(_coprime(rows), p, q)
 
 
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:

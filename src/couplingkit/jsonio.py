@@ -21,6 +21,14 @@ A file carrying both "p" and "matrix" is ambiguous and rejected rather
 than guessed.  Emission is deterministic: fixed key order, two-space
 indentation, one trailing newline, so identical inputs produce
 byte-identical files on every platform.
+
+Coupling files, in both layouts and inside ``oracle --out``'s
+{"coupling", "certificate"} document, are written by one writer,
+:func:`coupling_json`.  It reads the entries as lowest-terms pairs of
+ints, renders the decimal digits of each distinct denominator once, and
+lays the text out row by row exactly as :func:`dump_json` lays out
+:func:`coupling_to_obj` or :func:`coupling4_to_obj`, which stay for
+the golden tables and for library callers.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .coupling import Coupling, Ratios
 from .distributions import Alphabet, Pmf, Pmf2
@@ -152,6 +160,77 @@ def coupling_to_obj(c: Coupling, render: Render = str) -> dict:
         "alphabet": list(c.alphabet.symbols),
         "matrix": [[render(v) for v in row] for row in c.j],
     }
+
+
+def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None) -> str:
+    """The coupling file of ``c``, or with ``certificate`` the oracle's solution file.
+
+    Byte for byte ``dump_json(coupling_to_obj(c))`` for a
+    :class:`~couplingkit.coupling.Coupling`, ``dump_json(coupling4_to_obj(c))``
+    for a :class:`~couplingkit.multidim.Coupling4`, and
+    ``dump_json({"coupling": coupling_to_obj(c), "certificate": certificate})``
+    with a certificate, but with no Fraction and no ``str`` of a
+    denominator per cell.  The rows are joined into the text once.
+    """
+    indent = "" if certificate is None else "  "
+    inner = indent + "  "
+    symbols = _json_list(list(map(json.dumps, c.alphabet.symbols)), inner)
+    if isinstance(c, Coupling4):
+        body = ['"blocks": ', *_blocks(c, inner)]
+    else:
+        rows = (_json_list(row, inner + "  ") for row in _cells(c))
+        body = ['"matrix": ', *_json_pieces(rows, inner)]
+    parts = _json_pieces(['"alphabet": ' + symbols, body], indent, "{}")
+    if certificate is not None:
+        nested = json.dumps(certificate, indent=2).replace("\n", "\n  ")
+        parts = _json_pieces([['"coupling": ', *parts], '"certificate": ' + nested], "", "{}")
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _cells(c: Coupling) -> Iterator[list[str]]:
+    """Each row of ``c`` as JSON string literals, the digits of each distinct denominator rendered once."""
+    digits: dict[int, str] = {}
+    for row in c._pairs():
+        yield [f'"{n}"' if d == 1 else f'"{n}/{digits.get(d) or digits.setdefault(d, str(d))}"' for n, d in row]
+
+
+def _blocks(c4: Coupling4, indent: str) -> list[str]:
+    """The "blocks" value of :func:`coupling4_to_obj`, in pieces laid out at ``indent``."""
+    keys = list(map(json.dumps, c4.alphabet.symbols))
+    n = len(keys)
+    inner = indent + "  "
+    blocks = []
+    for label, row in zip(c4.flat.alphabet.symbols, _cells(c4.flat)):
+        columns = [y1 + ": " + _json_list(row[k * n:(k + 1) * n], inner + "  ") for k, y1 in enumerate(keys)]
+        blocks.append(json.dumps(label) + ": " + "".join(_json_pieces(columns, inner, "{}")))
+    return _json_pieces(blocks, indent, "{}")
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A non-empty list of JSON-encoded ``items``, as ``json.dumps(indent=2)`` writes it at ``indent``."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+def _json_pieces(entries: Iterable[str | list[str]], indent: str, brackets: str = "[]") -> list[str]:
+    """A non-empty JSON array, or object, laid out as :func:`_json_list` lays out a list, in pieces.
+
+    Each entry is encoded JSON (an object's as ``key: value``), given as
+    one string or as a list of pieces; no entry is copied, so the text of
+    a large coupling is joined once.
+    """
+    inner = "\n" + indent + "  "
+    parts = []
+    for entry in entries:
+        parts.append("," + inner)
+        if isinstance(entry, str):
+            parts.append(entry)
+        else:
+            parts += entry
+    parts[0] = brackets[0] + inner  # the opening bracket in place of the first comma
+    parts.append("\n" + indent + brackets[1])
+    return parts
 
 
 def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:

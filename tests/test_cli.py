@@ -162,6 +162,49 @@ class TestCouple:
         assert captured.out == golden
         assert captured.err == summary
 
+    @pytest.mark.parametrize("dim", ["one", "two"])
+    @pytest.mark.parametrize("to_file", [True, False])
+    def test_json_format_prints_the_summary_as_one_object(self, tmp_path, capsys, files, dim, to_file):
+        # The summary is verify's JSON report less "valid", on the stream the
+        # table lines take: stdout beside --out, stderr beside the payload.
+        p, q = (files("p.json", RAMP), files("q.json", UNIFORM4)) if dim == "one" else (
+            files("d.json", DIAG3), files("b.json", BAND3))
+        table = tmp_path / "table.json"
+        assert main(["couple", p, q, "--kind", "maximal", "--out", str(table)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(table), p, q, "--format", "json"]) == 0
+        expected = json.loads(capsys.readouterr().out)
+        del expected["valid"]
+        assert ("pairMismatch" in expected) is (dim == "two")
+
+        out = tmp_path / "c.json"
+        argv = ["couple", p, q, "--kind", "maximal", "--format", "json"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == 0
+        captured = capsys.readouterr()
+        payload, summary = (out.read_text(encoding="utf-8"), captured.out) if to_file else (
+            captured.out, captured.err)
+        assert payload == table.read_text(encoding="utf-8")
+        assert summary == json.dumps(expected, indent=2) + "\n"
+        assert captured.err == ("" if to_file else summary)
+
+    @pytest.mark.parametrize("kind", ["maximal", "independent"])
+    def test_builds_no_fraction_per_cell(self, tmp_path, capsys, monkeypatch, files, kind):
+        pairs = [(files("p.json", RAMP), files("q.json", UNIFORM4)), (files("d.json", DIAG3), files("b.json", BAND3))]
+        out = tmp_path / "c.json"
+        runs = [["couple", p, q, "--kind", kind, *extra] for p, q in pairs for extra in ([], ["--out", str(out)])]
+        expected = []
+        for argv in runs:
+            assert main(argv) == 0
+            expected.append((capsys.readouterr(), out.read_bytes() if "--out" in argv else None))
+
+        def no_fractions(self):
+            raise AssertionError("Coupling.j read on the couple path")
+
+        monkeypatch.setattr(cli.Coupling, "j", property(no_fractions))
+        for argv, before in zip(runs, expected):
+            assert main(argv) == 0
+            assert (capsys.readouterr(), out.read_bytes() if "--out" in argv else None) == before
+
 
 class TestVerify:
     def test_generic_coupling_file(self, tmp_path, capsys, ramp_file, uniform_file):
@@ -318,9 +361,10 @@ class TestAudit:
 class TestBoundary:
     """Hostile inputs end in a documented exit code and a short message, never a traceback."""
 
-    def test_huge_values_exit_2_without_traceback(self, files):
-        # 2201-digit denominators parse, but the product coupling's entries
-        # have about 4400 digits, past the default int-to-str limit of 4300
+    @staticmethod
+    def couple_huge_values(files, kind: str, *extra: str) -> subprocess.CompletedProcess:
+        # 2201-digit denominators parse, but the coupling's entries have
+        # about 4400 digits, past the default int-to-str limit of 4300
         d1, d2 = 10**2200 + 7, 10**2200 + 9
         p = files("p.json", {"alphabet": ["a", "b"], "p": [f"1/{d1}", f"{d1 - 1}/{d1}"]})
         q = files("q.json", {"alphabet": ["a", "b"], "p": [f"1/{d2}", f"{d2 - 1}/{d2}"]})
@@ -329,13 +373,26 @@ class TestBoundary:
             PYTHONPATH=str(Path(couplingkit.__file__).parents[1]),
             PYTHONINTMAXSTRDIGITS="4300",
         )
-        done = subprocess.run(
-            [sys.executable, "-m", "couplingkit.cli", "couple", p, q, "--kind", "independent"],
+        return subprocess.run(
+            [sys.executable, "-m", "couplingkit.cli", "couple", p, q, "--kind", kind, *extra],
             capture_output=True, text=True, env=env, timeout=120,
         )
+
+    def test_huge_values_exit_2_without_traceback(self, files):
+        done = self.couple_huge_values(files, "independent")
         assert done.returncode == 2
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("kind", ["independent", "maximal"])
+    def test_huge_values_leave_an_existing_out_file_unchanged(self, tmp_path, files, kind):
+        out = tmp_path / "c.json"
+        out.write_bytes(b'{"kept": true}\n')
+        done = self.couple_huge_values(files, kind, "--out", str(out))
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert out.read_bytes() == b'{"kept": true}\n'
 
     def test_huge_exponent_exits_2_without_building_the_power(self, files):
         # Without the exponent bound Fraction would build 10**999999999 and hang.

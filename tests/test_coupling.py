@@ -164,7 +164,8 @@ class TestIntConstructor:
         assert d == Coupling(((F(1, 2), ZERO), (ZERO, F(1, 2))), half, half)
 
     def test_builds_through_the_constructor(self, monkeypatch, ramp, uniform4):
-        # One validation path: a wrapper around __init__ sees both entry points.
+        # One validation path: a wrapper around __init__ sees both entry points,
+        # and the builders hand over pairs too.
         seen = []
         init = Coupling.__init__
 
@@ -175,7 +176,7 @@ class TestIntConstructor:
         monkeypatch.setattr(Coupling, "__init__", recording)
         c = coupling_maximal(ramp, uniform4)
         Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
-        assert seen == ["list", "_Ratios"]
+        assert seen == ["_Ratios", "_Ratios"]
 
 
 class TestResiduals:

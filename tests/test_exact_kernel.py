@@ -490,9 +490,9 @@ def test_coupling_maximal_matches_the_fraction_reference(n, seed, pair):
     else:  # "shared" draws zero entries, "point" is mostly zeros
         p = random_marginal(rng, n, pair)
         q = random_marginal(rng, n, rng.choice(KEYS))
-    rows = coupling_maximal(p, q).j
-    assert rows == reference.coupling_maximal_rows(p, q)
-    assert_reduced(rows)
+    c = coupling_maximal(p, q)
+    assert_reduced(c)
+    assert c.j == reference.coupling_maximal_rows(p, q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -504,17 +504,22 @@ def test_coupling_maximal_matches_the_fraction_reference(n, seed, pair):
 def test_coupling_independent_matches_the_fraction_reference(n, seed, kinds):
     rng = random.Random(seed)
     p, q = (random_marginal(rng, n, kind) for kind in kinds)
-    rows = coupling_independent(p, q).j
-    assert rows == reference.coupling_independent_rows(p, q)
-    assert_reduced(rows)
+    c = coupling_independent(p, q)
+    assert_reduced(c)
+    assert c.j == reference.coupling_independent_rows(p, q)
 
 
-def assert_reduced(rows) -> None:
-    """Every cell is a Fraction in lowest terms over a positive denominator."""
-    for row in rows:
-        for x in row:
-            assert type(x) is Fraction
-            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1, x
+def assert_reduced(c: Coupling) -> None:
+    """Every cell a builder handed over is an int pair in lowest terms over a positive denominator.
+
+    These are the raw pairs the coupling-file writer reads, not ``j``: a
+    Fraction built from an unreduced pair could hide it by reducing.
+    """
+    assert c._coprime
+    for row in c._pairs():
+        for x, d in row:
+            assert type(x) is int and type(d) is int
+            assert d > 0 and math.gcd(x, d) == 1, (x, d)
 
 
 @pytest.mark.parametrize("p,q,message", BROKEN_MAXIMAL_INPUTS)
@@ -557,6 +562,7 @@ def test_builders_run_full_size_gcds_per_row_and_column_not_per_cell(monkeypatch
         for build in references:
             calls.clear()
             built[build] = build(p, q)
+            built[build].j
             counts[build.__name__] = len(calls)
     assert all(count <= 2 * n + 8 for count in counts.values()), counts
     for build, rows in references.items():

@@ -2,11 +2,24 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from couplingkit import Coupling, ParseError, Pmf, Pmf2, coupling_maximal, jsonio
+from couplingkit import (
+    Alphabet,
+    Coupling,
+    DistributionError,
+    ParseError,
+    Pmf,
+    Pmf2,
+    coupling_independent,
+    coupling_maximal,
+    jsonio,
+)
 from couplingkit.cli import main
 from couplingkit.jsonio import (
     coupling4_to_obj,
+    coupling_json,
     coupling_to_obj,
     decimal_renderer,
     detect_coupling_kind,
@@ -183,3 +196,78 @@ class TestDumpDeterminism:
 
         assert dump_json(obj()) == dump_json(obj())
         assert dump_json(obj()).endswith("\n")
+
+
+# Symbols JSON escapes: quotes, backslashes, control and non-ASCII characters.
+SYMBOLS = st.text(st.sampled_from('a1,()"\\/\x00\n\t\x1f\x7f é☃\U0001f600'), max_size=3)
+
+
+@st.composite
+def couplings_to_write(draw):
+    """A coupling of any N >= 1, two-dim or not, with cells over one or many denominators.
+
+    The cells are the gaps between sorted cut points in [0, 1], so equal
+    points give zero cells and N = 1 gives the one cell "1".  The cut
+    points are k/101 (one shared denominator) or a/b for random b (many).
+    The coupling is built from Fractions, from unreduced pairs, or by a
+    builder on its marginals.
+    """
+    symbols = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
+    two_dim = draw(st.booleans())
+    alphabet = Alphabet(symbols)
+    if two_dim:
+        try:
+            cells_alphabet = alphabet.product()
+        except DistributionError:
+            assume(False)
+    else:
+        cells_alphabet = alphabet
+    n = len(cells_alphabet)
+    if draw(st.booleans()):
+        points = [F(k, 101) for k in draw(st.lists(st.integers(0, 101), min_size=n * n - 1, max_size=n * n - 1))]
+    else:
+        points = [F(a, b) for b, a in draw(st.lists(
+            st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
+            min_size=n * n - 1, max_size=n * n - 1))]
+    cuts = [F(0), *sorted(points), F(1)]
+    cells = [b - a for a, b in zip(cuts, cuts[1:])]
+    j = [cells[i * n:(i + 1) * n] for i in range(n)]
+    left = Pmf(cells_alphabet, [sum(row) for row in j])
+    right = Pmf(cells_alphabet, [sum(column) for column in zip(*j)])
+    source = draw(st.sampled_from(["fractions", "pairs", "maximal", "independent"]))
+    if source == "fractions":
+        c = Coupling(j, left, right)
+    elif source == "pairs":
+        k = draw(st.integers(1, 6))
+        c = Coupling.over([[(k * x.numerator, k * x.denominator) for x in row] for row in j], left, right)
+    else:
+        c = (coupling_maximal if source == "maximal" else coupling_independent)(left, right)
+    if two_dim:
+        def pmf2(pmf):
+            return Pmf2(alphabet, [pmf.p[i:i + len(symbols)] for i in range(0, n, len(symbols))])
+
+        return Coupling4(c, pmf2(left), pmf2(right))
+    return c
+
+
+class TestCouplingWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(c=couplings_to_write(), potentials=st.lists(st.fractions(), min_size=1, max_size=4))
+    def test_writes_the_dumped_layouts_byte_for_byte(self, c, potentials):
+        if isinstance(c, Coupling4):
+            assert coupling_json(c) == dump_json(coupling4_to_obj(c))
+            return
+        assert coupling_json(c) == dump_json(coupling_to_obj(c))
+        certificate = {"u": list(map(str, potentials)), "v": list(map(str, potentials[::-1])),
+                       "objective": str(sum(potentials))}
+        solution = {"coupling": coupling_to_obj(c), "certificate": certificate}
+        assert coupling_json(c, certificate) == dump_json(solution)
+
+    def test_escaped_symbols_and_integer_cells(self):
+        half = Pmf(Alphabet(['"', "\\"]), [F(1, 2), F(1, 2)])
+        text = coupling_json(coupling_maximal(half, half))
+        assert text == dump_json(coupling_to_obj(coupling_maximal(half, half)))
+        assert '"\\""' in text and '"\\\\"' in text and '"0"' in text
+        point = Pmf(Alphabet(["é"]), [F(1)])
+        assert coupling_json(coupling_independent(point, point)) == (
+            '{\n  "alphabet": [\n    "\\u00e9"\n  ],\n  "matrix": [\n    [\n      "1"\n    ]\n  ]\n}\n')
