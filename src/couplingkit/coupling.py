@@ -18,17 +18,18 @@ already in lowest terms: the full-size gcds run once per row and once
 per column, and a cell pays at most a gcd with a small cofactor, none
 when that cofactor is 1.  They hand the pairs to :meth:`Coupling.over`
 marked as coprime, so no Fraction is built per cell.  A
-:class:`Coupling` keeps its entries as it was given them: as Fractions,
-or, by :meth:`Coupling.over`, as pairs of ints from a builder, a
-coupling file or the transportation simplex.  Validation and the
+:class:`Coupling` holds its entries in one form, as (numerator,
+denominator) pairs of ints: as given to :meth:`Coupling.over` by a
+builder, a coupling file or the transportation simplex, or read from
+the Fractions given to ``Coupling(j, left, right)``.  Validation and the
 readers, :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
 :func:`lemma_audit`, sum the entries they read as ints over D, the lcm
 of the denominators, and build one Fraction per result; the Fractions
 of a pair-built coupling are made only when ``j`` is first read, with
 no gcd per cell for a builder's.  The coupling-file writer
 (:func:`~couplingkit.jsonio.coupling_json`) reads the entries as
-lowest-terms pairs, which a builder's coupling passes through as they
-are.
+lowest-terms pairs, which a builder's coupling, and one built from
+Fractions, passes through as they are.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from typing import Iterator, Sequence
 from .distributions import (
     ONE,
     ZERO,
+    ZERO_PAIR,
     Alphabet,
     Pmf,
     check_mass_ratios,
-    check_mass_rows,
     common_denominator,
-    numerators_over,
+    fraction_ratios,
     ratios_over,
     require_same_alphabet,
     scaled,
@@ -71,9 +72,6 @@ class _Ratios(tuple):
     coprime = False
 
 
-_ZERO_PAIR = (0, 1)
-
-
 def _coprime(rows: list) -> _Ratios:
     """``rows``, pairs in lowest terms with zero as ``(0, 1)``, marked as such."""
     ratios = _Ratios(rows)
@@ -85,21 +83,22 @@ def _coprime(rows: list) -> _Ratios:
 class Coupling:
     """Validated joint distribution with cached marginals (row = x, column = y).
 
-    The entries are held as given: as Fractions, ``j``, by
-    ``Coupling(j, left, right)``, or as (numerator, denominator) pairs
-    of ints by :meth:`over`, which builds ``j`` when it is first read.
-    ``scale`` is D, the lcm of the non-zero entries' denominators, and
-    :meth:`row_ints` reads entries times D as ints from either form, so
-    no N x N array of ints over D is ever kept.  Equality and hashing
-    compare ``j`` and the marginals, so they do not depend on the
-    constructor or on D.
+    The entries are held as (numerator, denominator) pairs of ints:
+    those given to :meth:`over`, which builds ``j`` when it is first
+    read, or those of the Fractions ``j`` given to
+    ``Coupling(j, left, right)``, which keeps ``j`` as it is.  ``scale``
+    is D, the lcm of the non-zero entries' denominators, and
+    :meth:`row_ints` reads entries times D as ints, so no N x N array of
+    ints over D is ever kept.  Equality and hashing compare ``j`` and the
+    marginals, so they do not depend on the constructor or on D.
 
     Construction raises :class:`CouplingError` naming the first failed
-    constraint: the shape, each entry's type (Fraction entries) and sign
-    and the total mass
-    (:func:`~couplingkit.distributions.check_mass_rows`), then every row
-    marginal, then every column marginal.  The sums run on ints over D,
-    each entry scaled once and one row of ints held at a time.
+    constraint: the shape, each entry's type (Fraction entries,
+    :func:`~couplingkit.distributions.fraction_ratios`) and sign and the
+    total mass (:func:`~couplingkit.distributions.check_mass_ratios`),
+    then every row marginal, then every column marginal.  The sums run on
+    ints over D, each entry scaled once and one row of ints held at a
+    time.
     """
 
     alphabet: Alphabet
@@ -109,14 +108,16 @@ class Coupling:
 
     def __init__(self, j: Sequence[Sequence[Fraction]], left: Pmf, right: Pmf):
         rows = _square(j, left, right)
+        label = _entry_label(left)
         if isinstance(j, _Ratios):
-            scale, row_sums, columns = check_mass_ratios(rows, _entry_label(left), CouplingError)
-            entries = {"_ratios": rows, "_coprime": j.coprime}
+            ratios, coprime = rows, j.coprime
         else:
-            scale, row_sums, columns = check_mass_rows(rows, _entry_label(left), CouplingError)
-            entries = {"_ratios": None, "_coprime": False, "j": rows}
+            # A Fraction is in lowest terms, with zero as 0/1; the rows given stay as ``j``.
+            ratios, coprime = fraction_ratios(rows, label, CouplingError), True
+            object.__setattr__(self, "j", rows)
+        scale, row_sums, columns = check_mass_ratios(ratios, label, CouplingError)
         _check_marginals(scale, row_sums, columns, left, right)
-        fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, **entries)
+        fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, _ratios=ratios, _coprime=coprime)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
@@ -141,19 +142,15 @@ class Coupling:
     def _pairs(self) -> Iterator[tuple[tuple[int, int], ...]]:
         """The rows of entries as (numerator, denominator) pairs in lowest terms; zero is ``(0, 1)``.
 
-        A builder's pairs are read as they are, and other pairs are
-        reduced one non-zero entry at a time.
+        Pairs marked coprime, a builder's or a Fraction's, are read as
+        they are, and other pairs are reduced one non-zero entry at a time.
         """
         if self._coprime:
             return iter(self._ratios)
-        if self._ratios is None:
-            return (tuple((x.numerator, x.denominator) for x in row) for row in self.j)
         return (tuple(_lowest_terms(x, d) for x, d in row) for row in self._ratios)
 
     def row_ints(self, row: int, columns: slice = slice(None)) -> Iterator[int]:
         """The entries of row ``row``, or of its ``columns``, times ``scale``, as ints."""
-        if self._ratios is None:
-            return numerators_over(self.scale, self.j[row][columns])
         return ratios_over(self.scale, self._ratios[row][columns])
 
     def __eq__(self, other: object) -> bool:
@@ -170,13 +167,16 @@ class Coupling:
             f"left={self.left!r}, right={self.right!r})"
         )
 
+    def entry(self, row: int, column: int) -> Fraction:
+        """The entry at row index ``row`` and column index ``column``."""
+        return Fraction(*self._ratios[row][column])
+
     def __getitem__(self, pair: tuple[str, str]) -> Fraction:
-        a, b = map(self.alphabet.index, pair)
-        return Fraction(next(self.row_ints(a, slice(b, b + 1))), self.scale)
+        return self.entry(*map(self.alphabet.index, pair))
 
     def diagonal_mass(self) -> Fraction:
-        diagonal = (x for i in range(len(self.alphabet)) for x in self.row_ints(i, slice(i, i + 1)))
-        return Fraction(sum(diagonal), self.scale)
+        diagonal = [row[i] for i, row in enumerate(self._ratios)]
+        return Fraction(sum(ratios_over(self.scale, diagonal)), self.scale)
 
 
 def _check_marginals(scale: int, row_sums, columns, left: Pmf, right: Pmf) -> None:
@@ -213,7 +213,7 @@ def _square(j: Sequence[Sequence], left: Pmf, right: Pmf) -> tuple[tuple, ...]:
 
 def _lowest_terms(x: int, d: int) -> tuple[int, int]:
     if not x:
-        return _ZERO_PAIR
+        return ZERO_PAIR
     g = gcd(x, d)
     return x // g, d // g
 
@@ -247,13 +247,13 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     lcm_p = common_denominator(p.p)
     lcm_q = common_denominator(q.p)
     columns = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) if y else None for y in q.p]
-    zeros = (_ZERO_PAIR,) * len(q.p)
+    zeros = (ZERO_PAIR,) * len(q.p)
     rows = []
     for x in p.p:
         if x:
             a, b = x.numerator, x.denominator
             g = gcd(a, lcm_q)
-            rows.append(tuple(_product(a, b, g, *column) if column else _ZERO_PAIR for column in columns))
+            rows.append(tuple(_product(a, b, g, *column) if column else ZERO_PAIR for column in columns))
         else:
             rows.append(zeros)
     return Coupling.over(_coprime(rows), p, q)
@@ -328,11 +328,11 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
         if rx and m > 0:
             g = gcd(rx, denominator)
             factor, rest = rx // g, denominator // g
-            row = [_product(factor, rest, 1, b, 1, h) if b else _ZERO_PAIR for b, h in zip(ry, column_gcds)]
+            row = [_product(factor, rest, 1, b, 1, h) if b else ZERO_PAIR for b, h in zip(ry, column_gcds)]
         elif rx and m < 0:  # a negative cell: validation rejects the rows, mark and all
-            row = [(-rx * b, -denominator) if b else _ZERO_PAIR for b in ry]
+            row = [(-rx * b, -denominator) if b else ZERO_PAIR for b in ry]
         else:
-            row = [_ZERO_PAIR] * n
+            row = [ZERO_PAIR] * n
         diagonal = y if rx else x  # rx == 0 iff P(a) <= Q(a)
         row[i] = diagonal.numerator, diagonal.denominator
         rows.append(row)

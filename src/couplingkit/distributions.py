@@ -7,22 +7,25 @@ is a distribution over ordered pairs from one alphabet, stored as an
 N x N matrix (row = first coordinate) beside the flat :class:`Pmf` over
 the product alphabet that validated it.  Matrix row/column order is the
 alphabet order, fixed at construction, which keeps every table this
-package emits deterministic and diff-able.  :func:`check_mass_rows` is the one
-check of "non-negative Fractions with an exact total of 1": :class:`Pmf`
-calls its one-row form :func:`check_mass`, and
-:class:`~couplingkit.coupling.Coupling` calls it on the matrix, or
-:func:`check_mass_ratios` on a matrix given as (numerator, denominator)
-pairs of ints.
+package emits deterministic and diff-able.
+
+:func:`check_mass_ratios` is the one check of "non-negative entries with
+an exact total of 1", on rows of (numerator, denominator) pairs of ints.
+Fractions reach it through :func:`fraction_ratios`, one row-major pass
+that checks each entry's type and sign and reads its pair:
+:class:`Pmf` (and so :class:`Pmf2`) by the one-row form
+:func:`check_mass`, and :class:`~couplingkit.coupling.Coupling` on its
+matrix.
 
 The exact loops run on plain ints over one common denominator:
 :func:`lcm_of` is the lcm of a set of denominators and
 :func:`common_denominator` that of a set of values,
 :func:`numerators_over` and :func:`ratios_over` give the values, or
 the pairs, times such a scale, and :func:`scaled` turns a vector into
-its lcm and those ints.  :func:`check_mass_rows` and
-:func:`check_mass_ratios` return the lcm with its row and column sums,
-which :class:`~couplingkit.coupling.Coupling` checks against its
-marginals; a :class:`Fraction` is built only for an error message.
+its lcm and those ints.  :func:`check_mass_ratios` returns the lcm with
+its row and column sums, which :class:`~couplingkit.coupling.Coupling`
+checks against its marginals; a :class:`Fraction` is built only for an
+error message.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -42,6 +45,7 @@ from .rational import bounded_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+ZERO_PAIR = (0, 1)  # zero as a lowest-terms (numerator, denominator) pair, shared by every zero entry
 
 
 @dataclass(frozen=True)
@@ -139,28 +143,31 @@ def ratios_over(scale: int, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
     return (x * (scale // d) if x else 0 for x, d in pairs)
 
 
-def check_mass_rows(
+def fraction_ratios(
     rows: Sequence[Sequence[Fraction]],
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
-) -> tuple[int, list[int], list[int]]:
-    """Check that the entries of ``rows`` are non-negative Fractions with an exact total of 1.
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Fractions of ``rows`` as (numerator, denominator) pairs, in lowest terms.
 
-    The first failure, entry by entry in row-major order and then the
-    total, is raised as ``error(message, constraint)`` with ``constraint``
-    one of ``"shape"`` (not a Fraction), ``"negative_entry"`` or
-    ``"total_mass"``; ``label(k)`` names the ``k``-th entry in that order.
-    Returns D, the :func:`common_denominator` of the entries, with every
-    row sum and column sum times D; each entry is scaled once, and one
-    row of ints is held at a time.
+    One row-major pass checks each entry's type and then its sign, and
+    raises the first failure as ``error(message, constraint)`` with
+    ``constraint`` ``"shape"`` (not a Fraction) or ``"negative_entry"``;
+    ``label(k)`` names the ``k``-th entry in that order.
     """
-    for k, value in enumerate(chain.from_iterable(rows)):
-        if not isinstance(value, Fraction):
-            raise error(f"{label(k)} must be a Fraction, got {type(value).__name__}", "shape")
-        if value.numerator < 0:
-            raise error(f"{label(k)} is negative: {bounded_str(value)}", "negative_entry")
-    scale = common_denominator(chain.from_iterable(rows))
-    return scale, *_sums(scale, (numerators_over(scale, row) for row in rows), error)
+    k = 0
+    ratios = []
+    for row in rows:
+        pairs = []
+        for value in row:
+            if not isinstance(value, Fraction):
+                raise error(f"{label(k)} must be a Fraction, got {type(value).__name__}", "shape")
+            if value.numerator < 0:
+                raise error(f"{label(k)} is negative: {bounded_str(value)}", "negative_entry")
+            pairs.append((value.numerator, value.denominator) if value.numerator else ZERO_PAIR)
+            k += 1
+        ratios.append(tuple(pairs))
+    return tuple(ratios)
 
 
 def check_mass_ratios(
@@ -168,44 +175,35 @@ def check_mass_ratios(
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
 ) -> tuple[int, list[int], list[int]]:
-    """:func:`check_mass_rows` on entries given as (numerator, denominator) pairs of ints.
+    """Check that the (numerator, denominator) pairs of ``rows`` are non-negative with an exact total of 1.
 
-    The same checks in the same order with the same messages: the sign
-    of each entry in row-major order, then the total.  Denominators must
-    be positive; a pair need not be reduced.  D is the lcm of the
-    non-zero entries' denominators as given, so an unreduced pair can
-    make it larger than the entries need, never a zero entry.
+    The first failure, the sign of each entry in row-major order and then
+    the total, is raised as ``error(message, constraint)`` with
+    ``constraint`` ``"negative_entry"`` or ``"total_mass"``; ``label(k)``
+    names the ``k``-th entry in that order.  Denominators must be
+    positive; a pair need not be reduced.  Returns D, the lcm of the
+    non-zero entries' denominators as given (so an unreduced pair can make
+    it larger than the entries need, never a zero entry), with every row
+    sum and column sum times D; each entry is scaled once, and one row of
+    ints is held at a time.
     """
     for k, (x, d) in enumerate(chain.from_iterable(rows)):
         if x < 0:
             raise error(f"{label(k)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry")
     scale = lcm_of({d for x, d in chain.from_iterable(rows) if x})
-    return scale, *_sums(scale, (ratios_over(scale, row) for row in rows), error)
-
-
-def _sums(
-    scale: int, rows: Iterable[Iterable[int]], error: Callable[[str, str], Exception]
-) -> tuple[list[int], list[int]]:
-    """The row and column sums of ``rows``, ints over ``scale``, after checking their total.
-
-    One row of ints is held at a time.
-    """
     row_sums = []
     columns = None
     for row in rows:
-        ints = list(row)
+        ints = list(ratios_over(scale, row))
         row_sums.append(sum(ints))
         columns = ints if columns is None else list(map(add, columns, ints))
-    _check_total(scale, sum(row_sums), error)
-    return row_sums, columns
-
-
-def _check_total(scale: int, total: int, error: Callable[[str, str], Exception]) -> None:
+    total = sum(row_sums)
     if total != scale:
         raise error(
             f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
             "total_mass",
         )
+    return scale, row_sums, columns
 
 
 def check_mass(
@@ -213,8 +211,8 @@ def check_mass(
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
 ) -> int:
-    """:func:`check_mass_rows` on the one row ``entries``; returns D alone."""
-    return check_mass_rows((entries,), label, error)[0]
+    """:func:`check_mass_ratios` on the one row ``entries``, read by :func:`fraction_ratios`; returns D alone."""
+    return check_mass_ratios(fraction_ratios((entries,), label, error), label, error)[0]
 
 
 def _distribution_error(message: str, constraint: str) -> DistributionError:

@@ -68,7 +68,7 @@ class Coupling4:
 
     def value(self, x1: int, x2: int, y1: int, y2: int) -> Fraction:
         n = len(self.alphabet)
-        return self.flat.j[x1 * n + x2][y1 * n + y2]
+        return self.flat.entry(x1 * n + x2, y1 * n + y2)
 
     def __getitem__(self, quad: tuple[str, str, str, str]) -> Fraction:
         x1, x2, y1, y2 = (self.alphabet.index(s) for s in quad)

@@ -10,6 +10,7 @@ from couplingkit import (
     Coupling,
     CouplingError,
     Pmf,
+    Pmf2,
     Alphabet,
     coupling_independent,
     coupling_maximal,
@@ -21,6 +22,7 @@ from couplingkit import (
 )
 
 import couplingkit.coupling as coupling_module
+import couplingkit.distributions as distributions_module
 from couplingkit.coupling import check_maximal
 from couplingkit.distributions import ZERO
 
@@ -102,15 +104,22 @@ class TestValidate:
     def test_non_fraction_entry_is_a_shape_violation_naming_its_cell(self, ramp, uniform4):
         rows = [list(r) for r in MAXIMAL_MATRIX]
         rows[2][1] = 0.0125
-        with pytest.raises(CouplingError, match=r"entry \(3,2\) must be a Fraction, got float") as err:
-            Coupling(rows, ramp, uniform4)
-        assert err.value.constraint == "shape"
+        negative_after = [list(r) for r in rows]
+        negative_after[3][1] = F(-3, 80)
+        for matrix in (rows, negative_after):
+            with pytest.raises(CouplingError, match=r"entry \(3,2\) must be a Fraction, got float") as err:
+                Coupling(matrix, ramp, uniform4)
+            assert err.value.constraint == "shape"
 
     def test_negative_entry_names_its_cell(self, ramp, uniform4):
         rows = [list(r) for r in MAXIMAL_MATRIX]
         rows[3][1] = F(-3, 80)
-        with pytest.raises(CouplingError, match=r"entry \(4,2\) is negative: -3/80"):
-            Coupling(rows, ramp, uniform4)
+        non_fraction_after = [list(r) for r in rows]
+        non_fraction_after[3][2] = 0.0125
+        for matrix in (rows, non_fraction_after):
+            with pytest.raises(CouplingError, match=r"entry \(4,2\) is negative: -3/80") as err:
+                Coupling(matrix, ramp, uniform4)
+            assert err.value.constraint == "negative_entry"
 
 
 class TestIndependent:
@@ -177,6 +186,23 @@ class TestIntConstructor:
         c = coupling_maximal(ramp, uniform4)
         Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
         assert seen == ["_Ratios", "_Ratios"]
+
+    def test_every_mass_check_is_check_mass_ratios(self, monkeypatch, ramp, uniform4):
+        # One mass check: Pmf, Pmf2, Coupling(j) and Coupling.over all reach it.
+        seen = []
+        check = distributions_module.check_mass_ratios
+
+        def recording(rows, label, error):
+            seen.append(len(rows))
+            return check(rows, label, error)
+
+        monkeypatch.setattr(distributions_module, "check_mass_ratios", recording)
+        monkeypatch.setattr(coupling_module, "check_mass_ratios", recording)
+        Pmf(ramp.alphabet, ramp.p)
+        Pmf2(Alphabet.of_size(2), ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))))
+        Coupling(MAXIMAL_MATRIX, ramp, uniform4)
+        Coupling.over([[(x.numerator, x.denominator) for x in row] for row in MAXIMAL_MATRIX], ramp, uniform4)
+        assert seen == [1, 1, 4, 4]
 
 
 class TestResiduals:

@@ -59,8 +59,10 @@ class TestPmf:
             Pmf(Alphabet(["1", "2"]), (F(1, 2), F(1, 3)))
 
     def test_negative_entry(self):
-        with pytest.raises(DistributionError, match="negative"):
-            Pmf(Alphabet(["1", "2"]), (F(3, 2), F(-1, 2)))
+        # A negative entry before a non-Fraction one is reported as negative.
+        for probs in ((F(3, 2), F(-1, 2)), (F(3, 2), F(-1, 2), 0.0)):
+            with pytest.raises(DistributionError, match="negative"):
+                Pmf(Alphabet.of_size(len(probs)), probs)
 
     def test_length_mismatch(self):
         with pytest.raises(DistributionError, match="expected 2"):
@@ -87,8 +89,10 @@ class TestPmf:
         assert ramp.mass(["3", "4", "4"]) == F(7, 10)
 
     def test_floats_rejected(self):
-        with pytest.raises(DistributionError, match="Fraction"):
-            Pmf(Alphabet(["1", "2"]), (0.5, 0.5))  # type: ignore[arg-type]
+        # A non-Fraction entry before a negative one is reported as not a Fraction.
+        for probs in ((0.5, 0.5), (F(3, 2), 0.0, F(-1, 2))):
+            with pytest.raises(DistributionError, match="Fraction"):
+                Pmf(Alphabet.of_size(len(probs)), probs)  # type: ignore[arg-type]
 
     @given(
         st.lists(

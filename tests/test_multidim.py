@@ -95,7 +95,11 @@ class TestVdist2:
 
 class TestMaximal4:
     def test_worked_pair_all_81_entries(self, diag3, band3):
-        assert_matches_golden(coupling4_maximal(diag3, band3), MAXIMAL4_NONZERO)
+        c4 = coupling4_maximal(diag3, band3)
+        assert_matches_golden(c4, MAXIMAL4_NONZERO)
+        assert c4["1", "1", "1", "2"] == MAXIMAL4_NONZERO[0, 0, 0, 1]
+        # Each lookup reads its cell's pair, without building the N^4 Fractions of flat.j.
+        assert "j" not in c4.flat.__dict__
 
     def test_pair_mismatch_equals_vdist2(self, diag3, band3):
         c4 = coupling4_maximal(diag3, band3)
