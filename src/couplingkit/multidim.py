@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import Coupling, coupling_independent, coupling_maximal, mismatch_prob
-from .distributions import ZERO, Alphabet, Pmf2, require_same_alphabet
+from .coupling import Coupling, _coprime, coupling_independent, coupling_maximal, mismatch_prob
+from .distributions import ZERO_PAIR, Alphabet, Pmf2, require_same_alphabet
 from .errors import ConstraintInfeasibleError
 from .metrics import vdist_halfsum
 
@@ -101,7 +101,10 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
     Requires P2 to be diagonal (x1 = x2 has probability 1) and each
     diagonal entry P2(a, a) to equal the first-coordinate marginal of Q2
     at a; otherwise no such coupling exists and the offending symbol is
-    reported.
+    reported.  Flat row (a, a) is Q2's row a as lowest-terms pairs,
+    placed at columns (a, b); every other row is one shared all-zero
+    row, and the rows reach :meth:`Coupling.over` marked as coprime, so
+    no Fraction is built per cell.
     """
     require_same_alphabet(p2, q2)
     alphabet = p2.alphabet
@@ -124,18 +127,12 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
                 "the y1 = x1 constraint is unsatisfiable",
                 symbol=a,
             )
-    rows = []
-    for x1 in range(n):
-        for x2 in range(n):
-            row = []
-            for y1 in range(n):
-                for y2 in range(n):
-                    if x1 == x2 == y1:
-                        row.append(q2.p[x1][y2])
-                    else:
-                        row.append(ZERO)
-            rows.append(tuple(row))
-    flat = Coupling(tuple(rows), p2.flatten(), q2.flatten())
+    zeros = (ZERO_PAIR,) * n
+    rows = [zeros * n] * (n * n)
+    for a, q_row in enumerate(q2.p):
+        pairs = tuple((x.numerator, x.denominator) if x else ZERO_PAIR for x in q_row)
+        rows[a * n + a] = zeros * a + pairs + zeros * (n - 1 - a)
+    flat = Coupling.over(_coprime(rows), p2.flatten(), q2.flatten())
     return Coupling4(flat, p2, q2)
 
 

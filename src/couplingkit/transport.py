@@ -7,6 +7,11 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 
 * transportation simplex on a spanning-tree basis, chosen over general
   simplex because the constraint matrix is totally unimodular;
+* a start written down, not searched for: :func:`_initial_basis` keeps
+  the diagonal overlap, routes the leftover mass through a staircase
+  over the symbols with P != Q, and joins each tied symbol to it with
+  one zero-flow cell (when P = Q, row 0 joins every column), which is a
+  spanning tree in closed form;
 * one integer form per problem: :class:`TransportProblem` scales its
   costs by L, the lcm of their denominators, and its marginals by D,
   the lcm of theirs, once, when it is built, and the solver,
@@ -15,8 +20,9 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   L are integers with the signs of the exact ones, and total
   unimodularity makes every basic flow an integer over D.  The coupling
   is those flows over D, handed to
-  :meth:`~couplingkit.coupling.Coupling.over` as pairs of ints, and the
-  certificate's potentials are the integer ones over L;
+  :meth:`~couplingkit.coupling.Coupling.over` as pairs of ints, every
+  zero flow as the one shared zero pair, and the certificate's
+  potentials are the integer ones over L;
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
@@ -55,6 +61,7 @@ from .coupling import Coupling
 from .distributions import (
     ONE,
     ZERO,
+    ZERO_PAIR,
     Pmf,
     common_denominator,
     numerators_over,
@@ -154,35 +161,26 @@ class BasisTree:
     cells: tuple[Cell, ...]
 
 
-class _DisjointSet:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[ry] = rx
-        return True
-
-
 def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[list[int]], list[Cell]]:
     """Initial basic feasible solution with exactly 2N - 1 cells, on integer marginals.
 
     Keeps the pointwise overlap min(s_i, d_i) on the diagonal and routes
     the leftover row mass to the leftover column mass through a
-    staircase; the result is a spanning forest that a union-find pads to
-    a tree, preferring cells from over-supplied rows to over-demanded
-    columns (those are tight for 0/1 mismatch cost, which keeps pivots
-    rare on the common path).  Contracting each diagonal cell fuses
-    row i and column i into one node, so acyclicity only needs checking
-    on off-diagonal cells.
+    staircase from the over-supplied rows (s_i > d_i) to the
+    over-demanded columns (s_j < d_j).  The rest of the tree follows in
+    closed form.  Contract each diagonal cell, so that row k and column
+    k are one node k: the staircase is then a path through every node
+    whose symbol has s != d, R + C - 1 cells on R + C nodes, and each
+    tied symbol (s_k == d_k) is a lone node.  Each tied k takes the
+    zero-flow cell (k, c), c the first over-demanded column, which joins
+    it to the path; when P = Q there is no such column, every node is
+    lone, and row 0 takes (0, j) for every j != 0.  Either way the cells
+    number N + (N - T) - 1 + T = 2N - 1 with T the tied symbols, and they
+    join all N nodes without a cycle, so they span the bipartite graph.
+    For 0/1 mismatch cost every cell from a row with s >= d to a column
+    with s < d is tight under the closed-form dual
+    (:func:`mismatch_certificate`), which keeps pivots rare on the
+    common path.
     """
     n = len(supply)
     flow = [[0] * n for _ in range(n)]
@@ -191,7 +189,6 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
         flow[i][i] = min(supply[i], demand[i])
     rx = [supply[i] - flow[i][i] for i in range(n)]
     ry = [demand[j] - flow[j][j] for j in range(n)]
-    dsu = _DisjointSet(n)
     rows = [i for i in range(n) if rx[i] > 0]
     cols = [j for j in range(n) if ry[j] > 0]
     a = b = 0
@@ -200,7 +197,6 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
         take = min(rx[i], ry[j])
         flow[i][j] = take
         basis.append((i, j))
-        dsu.union(i, j)
         rx[i] -= take
         ry[j] -= take
         if a == len(rows) - 1 and b == len(cols) - 1:
@@ -209,17 +205,10 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
             a += 1
         else:
             b += 1
-    if len(basis) < 2 * n - 1:
-        over = [i for i in range(n) if supply[i] >= demand[i]]
-        under = [j for j in range(n) if supply[j] < demand[j]]
-        padding = [(i, j) for i in over for j in under] + [
-            (i, j) for i in range(n) for j in range(n) if i != j
-        ]
-        for i, j in padding:
-            if dsu.union(i, j):
-                basis.append((i, j))
-                if len(basis) == 2 * n - 1:
-                    break
+    if cols:
+        basis += [(k, cols[0]) for k in range(n) if supply[k] == demand[k]]
+    else:
+        basis += [(0, j) for j in range(1, n)]
     return flow, basis
 
 
@@ -425,13 +414,19 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
             f"strong duality failed: dual {bounded_str(dual)} != primal {bounded_str(primal)}, "
             f"both over {bounded_str(scale * mass_scale)}"
         )
-    coupling = Coupling.over([[(x, mass_scale) for x in row] for row in flow], tp.supply, tp.demand)
+    coupling = _flow_coupling(flow, mass_scale, tp)
     certificate = DualCertificate(
         u=tuple(Fraction(x, scale) for x in u),
         v=tuple(Fraction(x, scale) for x in v),
         objective=Fraction(primal, scale * mass_scale),
     )
     return coupling, certificate, BasisTree(cells=cells)
+
+
+def _flow_coupling(flow: Sequence[Sequence[int]], mass_scale: int, tp: TransportProblem) -> Coupling:
+    """The coupling of ``tp``'s marginals with entries ``flow`` over ``mass_scale``; zeros share ``ZERO_PAIR``."""
+    rows = [[(x, mass_scale) if x else ZERO_PAIR for x in row] for row in flow]
+    return Coupling.over(rows, tp.supply, tp.demand)
 
 
 def lp_min_mismatch(p: Pmf, q: Pmf) -> tuple[Coupling, DualCertificate]:
@@ -611,10 +606,7 @@ def vertex_enumerate(tp: TransportProblem, max_size: int = DEFAULT_VERTEX_LIMIT)
             walk(k + 1)
 
     walk(0)
-    return [
-        Coupling.over([[(x, mass_scale) for x in row] for row in flow], tp.supply, tp.demand)
-        for flow in flows
-    ]
+    return [_flow_coupling(flow, mass_scale, tp) for flow in flows]
 
 
 def _tree_flows(tree: Sequence[Cell], marginals: Sequence[int], n: int) -> list[list[int]] | None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -316,6 +317,31 @@ class TestOracle:
         # without --out the solution itself rides along in the JSON payload
         assert obj["certificate"]["objective"] == "1/5"
         assert len(obj["coupling"]["matrix"]) == 4
+
+    # Every symbol ties when P = Q, and the pair labels (1,3) and (3,1) tie
+    # at zero for diag/band: the simplex's tie-breaks decide these files.
+    @pytest.mark.parametrize(
+        "left, right, objective, digest, u",
+        [
+            (RAMP, RAMP, "0 (0.00000)",
+             "bf08f43e1ccd572576dc735ecbc49cabb2b1b401e54890e7632abc5f26ae14d1",
+             ["0", "-1", "-1", "-1"]),
+            (DIAG3, BAND3, "5/9 (0.55556)",
+             "825f2456a0e79014912fed19bc720e2205df5e2eec2b7e71a2b4245bd0d11b74",
+             ["0", "-1", "0", "-1", "0", "-1", "0", "-1", "0"]),
+        ],
+        ids=["ramp-ramp", "diag-band"],
+    )
+    def test_tied_symbols_write_stable_bytes(self, tmp_path, capsys, files, left, right, objective, digest, u):
+        out = tmp_path / "opt.json"
+        assert main(["oracle", files("p.json", left), files("q.json", right), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"objective: {objective}\nv: {objective}\ncertified: true\nagreement: true\n"
+        )
+        certificate = json.loads(out.read_text())["certificate"]
+        assert certificate["u"] == u
+        assert certificate["v"] == [str(-F(x)) for x in u]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_json_format_with_out_keeps_payload_slim(self, tmp_path, capsys, ramp_file, uniform_file):
         out = tmp_path / "opt.json"

@@ -132,7 +132,9 @@ class TestMaximal4:
 
 class TestConstrained4:
     def test_worked_pair_matches_golden(self, diag3, band3):
-        assert_matches_golden(coupling4_constrained(diag3, band3), CONSTRAINED4_NONZERO)
+        c4 = coupling4_constrained(diag3, band3)
+        assert_matches_golden(c4, CONSTRAINED4_NONZERO)
+        assert "j" not in c4.flat.__dict__  # built from pairs, no Fraction per cell
 
     def test_worked_pair_mismatch_components(self, diag3, band3):
         parts = mismatch_components(coupling4_constrained(diag3, band3))

@@ -96,6 +96,39 @@ def coprime_problems(draw, n: int):
     return TransportProblem(pmf(), pmf(), cost)
 
 
+def tied_pairs(rng: random.Random, count: int) -> list[tuple[Pmf, Pmf]]:
+    """Marginal pairs that tie at many symbols, zeros included.
+
+    Q is P's small integer weights with a few units moved between
+    symbols, none moved giving P = Q; every third Q is then permuted.
+    """
+    pairs = []
+    for k in range(count):
+        n = rng.randint(1, 7)
+        weights = [rng.randint(0, 3) for _ in range(n)]
+        weights[rng.randrange(n)] += 1
+        moved = list(weights)
+        for _ in range(rng.randint(0, n)):
+            i = rng.choice([i for i, w in enumerate(moved) if w])
+            moved[i] -= 1
+            moved[rng.randrange(n)] += 1
+        if k % 3 == 2:
+            rng.shuffle(moved)
+        total = sum(weights)
+        alphabet = Alphabet.of_size(n)
+        pairs.append(tuple(Pmf(alphabet, tuple(F(w, total) for w in ws)) for ws in (weights, moved)))
+    return pairs
+
+
+def solver_digest(problems) -> str:
+    """sha256 of the coupling, certificate and basis that the simplex returns for each problem."""
+    outputs = []
+    for tp in problems:
+        coupling, cert, basis = solve_transport(tp)
+        outputs.append((coupling.j, cert, basis.cells))
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
 def assert_certificate(tp: TransportProblem, coupling, cert: DualCertificate):
     assert certify(coupling, cert, tp)
     assert reference.objective(tp, coupling) == cert.objective
@@ -221,6 +254,24 @@ class TestSolve:
             outputs.append((coupling.j, cert, basis.cells))
         digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
         assert digest == "6b55df6f84e4ea84dbf5956c69501c00eb1256e2ceee204cfedc4ddb62b15550"
+
+    # The two pins below hold what the solver writes where a rule breaks a
+    # tie: which zero-flow cells start a tied symbol's tree, which row
+    # takes the star when P = Q, and which tied cell leaves a pivot.  No
+    # certificate check sees these choices, but they decide the basis, the
+    # potentials and so what `couplingkit oracle` writes.
+
+    def test_tied_mismatch_outputs_are_stable(self):
+        rng = random.Random(1515)
+        problems = [TransportProblem.mismatch(p, q) for p, q in tied_pairs(rng, 80)]
+        assert solver_digest(problems) == "afa87ee65bdd2e27b418752f60f5650cdbe08c7151f12b0704528437593a9beb"
+
+    def test_degenerate_general_cost_outputs_are_stable(self):
+        rng = random.Random(1516)
+        problems = [
+            TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 80)
+        ]
+        assert solver_digest(problems) == "528936ba5893eeb5bf41835dcd08f6c7a8d9050fe4316f23a52e432362a133ec"
 
     def test_general_costs_give_certified_optima(self):
         rng = random.Random(99)

@@ -1,0 +1,126 @@
+"""Mutation smoke test: each listed one-line mutant of ``src/`` must fail a test.
+
+Every fast path in couplingkit is meant to have an independent check in
+the tests.  This script shows the checks bite.  Each mutant names a
+file under ``src/couplingkit``, a piece of one line as it stands there
+(found exactly once), what that piece becomes, and the test files that
+cover it.  For each mutant the script copies ``src/`` to a temporary
+directory, rewrites the piece in the copy and runs pytest on the
+covering files against the copy, stopping at the first failure.  The
+pytest run starts in the temporary directory, so it leaves no cache or
+example database behind.  Standard library only::
+
+    python tools/mutants.py [NAME ...]
+
+With names, only those mutants run.  Prints one line per mutant and
+exits 1 if any survives.  A survivor is a gap in the tests: it gets a
+new test, or a note in CHANGES.md, and stays on the list.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/couplingkit
+    old: str
+    new: str
+    tests: tuple[str, ...]  # under tests/
+
+
+TRANSPORT_TESTS = ("test_transport.py", "test_cli.py")
+
+MUTANTS = (
+    Mutant(
+        "tied-symbols-join-last-column", "transport.py",
+        "(k, cols[0])", "(k, cols[-1])", TRANSPORT_TESTS,
+    ),
+    Mutant(
+        "equal-marginals-star-on-last-row", "transport.py",
+        "basis += [(0, j) for j in range(1, n)]", "basis += [(n - 1, j) for j in range(n - 1)]",
+        TRANSPORT_TESTS,
+    ),
+    Mutant(
+        "leaving-cell-largest-index", "transport.py",
+        "leaving = min(cell", "leaving = max(cell", TRANSPORT_TESTS,
+    ),
+    Mutant(
+        "over-supplied-counted-as-tied", "transport.py",
+        "if supply[k] == demand[k]]", "if supply[k] >= demand[k]]", TRANSPORT_TESTS,
+    ),
+    Mutant(
+        "certify-rejects-tight-dual", "transport.py",
+        "if max(map(sub, v, cost)) > -ui:", "if max(map(sub, v, cost)) >= -ui:", ("test_transport.py",),
+    ),
+    Mutant(
+        "product-skips-row-cofactor", "coupling.py",
+        "if g != 1:", "if False:", ("test_coupling.py",),
+    ),
+    Mutant(
+        "check-maximal-rejects-zero-residual", "coupling.py",
+        "or y < 0:", "or y <= 0:", ("test_coupling.py",),
+    ),
+    Mutant(
+        "coupling-skips-marginal-check", "coupling.py",
+        "_check_marginals(scale, row_sums, columns, left, right)", "pass", ("test_coupling.py",),
+    ),
+)
+
+
+def mutate(source: str, mutant: Mutant) -> str:
+    """``source`` with the mutant's piece rewritten; raises ValueError unless it is there once, on one line."""
+    if "\n" in mutant.old or source.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: {mutant.old!r} is not one piece of one line of {mutant.path}")
+    return source.replace(mutant.old, mutant.new)
+
+
+def first_failure(mutant: Mutant) -> str | None:
+    """The first covering test that fails on a copy of ``src/`` carrying the mutant; None if none does."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "couplingkit" / mutant.path
+        target.write_text(mutate(target.read_text(encoding="utf-8"), mutant), encoding="utf-8")
+        command = [
+            sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+            f"--rootdir={ROOT}", *(str(ROOT / "tests" / name) for name in mutant.tests),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        result = subprocess.run(command, cwd=tmp, env=env, capture_output=True, text=True)
+    if result.returncode not in (0, 1):  # 1: a test failed; anything else: pytest could not run them
+        raise RuntimeError(f"{mutant.name}: pytest exited {result.returncode}\n{result.stdout}{result.stderr}")
+    if result.returncode == 0:
+        return None
+    # A node id is printed relative to the temporary directory; keep the part under tests/.
+    failed = [line.split()[1] for line in result.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return failed[0].rpartition("tests/")[2] if failed else "a covering test"
+
+
+def main(argv: list[str] | None = None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        failure = first_failure(mutant)
+        survivors += failure is None
+        print(f"{'SURVIVED' if failure is None else 'killed':8s}  {mutant.name}  by {failure}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
