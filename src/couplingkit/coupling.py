@@ -18,18 +18,21 @@ already in lowest terms: the full-size gcds run once per row and once
 per column, and a cell pays at most a gcd with a small cofactor, none
 when that cofactor is 1.  They hand the pairs to :meth:`Coupling.over`
 marked as coprime, so no Fraction is built per cell.  A
-:class:`Coupling` holds its entries in one form, as (numerator,
-denominator) pairs of ints: as given to :meth:`Coupling.over` by a
-builder, a coupling file or the transportation simplex, or read from
-the Fractions given to ``Coupling(j, left, right)``.  Validation and the
-readers, :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
+:class:`Coupling` holds its entries in one form: each row lists
+(column, pair) for the entries it holds, the pairs (numerator,
+denominator) ints, and an entry not listed is zero.  A dense row lists
+every column: the rows of a builder or a coupling file, and the
+Fractions given to ``Coupling(j, left, right)``.  The transportation
+simplex lists only its non-zero flows, so its couplings cost O(N) to
+hold and to validate.  Validation and the readers,
+:meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
 :func:`lemma_audit`, sum the entries they read as ints over D, the lcm
 of the denominators, and build one Fraction per result; the Fractions
 of a pair-built coupling are made only when ``j`` is first read, with
 no gcd per cell for a builder's.  The coupling-file writer
-(:func:`~couplingkit.jsonio.coupling_json`) reads the entries as
+(:func:`~couplingkit.jsonio.coupling_json`) reads the listed entries as
 lowest-terms pairs, which a builder's coupling, and one built from
-Fractions, passes through as they are.
+Fractions, passes through as they are, and writes ``"0"`` for the rest.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from bisect import bisect_left
+from itertools import repeat
 from math import gcd
-from operator import sub
+from operator import lt, sub
 from typing import Iterator, Sequence
 
 from .distributions import (
@@ -66,39 +71,40 @@ Ratios = tuple[tuple[tuple[int, int], ...], ...]
 class _Ratios(tuple):
     """The rows handed to :meth:`Coupling.over`, marked for the constructor.
 
+    Each row is (columns, pairs) in the coupling's one entry form.
     ``coprime`` is set on rows whose every pair is in lowest terms.
     """
 
     coprime = False
 
 
-def _coprime(rows: list) -> _Ratios:
-    """``rows``, pairs in lowest terms with zero as ``(0, 1)``, marked as such."""
-    ratios = _Ratios(rows)
-    ratios.coprime = True
-    return ratios
+class _Coprime(tuple):
+    """Rows of pairs in lowest terms, with zero as ``(0, 1)``, marked as such by a builder."""
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Coupling:
     """Validated joint distribution with cached marginals (row = x, column = y).
 
-    The entries are held as (numerator, denominator) pairs of ints:
-    those given to :meth:`over`, which builds ``j`` when it is first
-    read, or those of the Fractions ``j`` given to
-    ``Coupling(j, left, right)``, which keeps ``j`` as it is.  ``scale``
-    is D, the lcm of the non-zero entries' denominators, and
-    :meth:`row_ints` reads entries times D as ints, so no N x N array of
-    ints over D is ever kept.  Equality and hashing compare ``j`` and the
-    marginals, so they do not depend on the constructor or on D.
+    The entries are held in one form: each row is (columns, pairs), the
+    (numerator, denominator) pairs of ints at strictly increasing
+    columns, and an entry a row does not list is zero.  A dense row lists
+    every column, as ``range(N)``; that is the form of the Fractions
+    ``j`` given to ``Coupling(j, left, right)``, which keeps ``j`` as it
+    is, and of the rows given to :meth:`over`, which builds ``j`` when it
+    is first read.  ``scale`` is D, the lcm of the non-zero entries'
+    denominators, and :meth:`row_ints` reads entries times D as ints, so
+    no N x N array of ints over D is ever kept.  Equality and hashing
+    compare ``j`` and the marginals, so they do not depend on the
+    constructor, the form of the rows or D.
 
     Construction raises :class:`CouplingError` naming the first failed
     constraint: the shape, each entry's type (Fraction entries,
     :func:`~couplingkit.distributions.fraction_ratios`) and sign and the
     total mass (:func:`~couplingkit.distributions.check_mass_ratios`),
     then every row marginal, then every column marginal.  The sums run on
-    ints over D, each entry scaled once and one row of ints held at a
-    time.
+    ints over D, each listed entry scaled once and one row of ints held
+    at a time, in O(N + listed entries).
     """
 
     alphabet: Alphabet
@@ -107,51 +113,81 @@ class Coupling:
     right: Pmf
 
     def __init__(self, j: Sequence[Sequence[Fraction]], left: Pmf, right: Pmf):
-        rows = _square(j, left, right)
+        require_same_alphabet(left, right)
+        n = len(left.alphabet)
         label = _entry_label(left)
         if isinstance(j, _Ratios):
-            ratios, coprime = rows, j.coprime
+            rows, coprime = tuple((columns, tuple(pairs)) for columns, pairs in j), j.coprime
+            if len(rows) != n or not all(_fits(columns, pairs, n) for columns, pairs in rows):
+                raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
         else:
+            dense = tuple(tuple(row) for row in j)
+            if len(dense) != n or any(len(row) != n for row in dense):
+                raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
             # A Fraction is in lowest terms, with zero as 0/1; the rows given stay as ``j``.
-            ratios, coprime = fraction_ratios(rows, label, CouplingError), True
-            object.__setattr__(self, "j", rows)
-        scale, row_sums, columns = check_mass_ratios(ratios, label, CouplingError)
+            rows, coprime = tuple(zip(repeat(range(n)), fraction_ratios(dense, label, CouplingError))), True
+            object.__setattr__(self, "j", dense)
+        scale, row_sums, columns = check_mass_ratios(rows, n, label, CouplingError)
         _check_marginals(scale, row_sums, columns, left, right)
-        fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, _ratios=ratios, _coprime=coprime)
+        fields = dict(alphabet=left.alphabet, scale=scale, left=left, right=right, _rows=rows, _coprime=coprime)
         for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     @classmethod
-    def over(cls, ratios: Sequence[Sequence[tuple[int, int]]], left: Pmf, right: Pmf) -> "Coupling":
+    def over(
+        cls,
+        ratios: Sequence[Sequence[tuple[int, int]]],
+        left: Pmf,
+        right: Pmf,
+        columns: Sequence[Sequence[int]] | None = None,
+    ) -> "Coupling":
         """The coupling whose entry (a, b) is n / d for ``ratios[a][b] == (n, d)``.
 
         ``n`` and ``d`` are ints, ``d`` positive, the pair not necessarily
-        reduced.  The constructor runs its checks in its order, with its
+        reduced.  With ``columns``, row a lists only some entries:
+        ``ratios[a][k]`` is the entry at column ``columns[a][k]``, the
+        columns strictly increasing, and every other entry of the row is
+        zero.  The constructor runs its checks in its order, with its
         messages, on the ints
         (:func:`~couplingkit.distributions.check_mass_ratios`).  Rows a
         builder marked as coprime keep the mark.
         """
-        return cls(ratios if isinstance(ratios, _Ratios) else _Ratios(ratios), left, right)
+        n = len(left.alphabet)
+        if columns is None:
+            columns = repeat(range(n))
+        elif len(columns) != len(ratios):
+            raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
+        rows = _Ratios(zip(columns, ratios))
+        rows.coprime = isinstance(ratios, _Coprime)
+        return cls(rows, left, right)
 
     @cached_property
     def j(self) -> Matrix:
         """The entries as Fractions; zero entries are ``ZERO``."""
         fraction = _reduced if self._coprime else Fraction
-        return tuple(tuple(fraction(x, d) if x else ZERO for x, d in row) for row in self._ratios)
+        n = len(self.alphabet)
+        return tuple(
+            tuple(_dense(columns, [fraction(x, d) if x else ZERO for x, d in pairs], n, ZERO))
+            for columns, pairs in self._rows
+        )
 
-    def _pairs(self) -> Iterator[tuple[tuple[int, int], ...]]:
-        """The rows of entries as (numerator, denominator) pairs in lowest terms; zero is ``(0, 1)``.
+    def _pairs(self) -> Iterator[tuple[Sequence[int], Sequence[tuple[int, int]]]]:
+        """The rows as (columns, pairs), the pairs in lowest terms; zero is ``(0, 1)``.
 
         Pairs marked coprime, a builder's or a Fraction's, are read as
         they are, and other pairs are reduced one non-zero entry at a time.
         """
         if self._coprime:
-            return iter(self._ratios)
-        return (tuple(_lowest_terms(x, d) for x, d in row) for row in self._ratios)
+            return iter(self._rows)
+        return ((columns, [_lowest_terms(x, d) for x, d in pairs]) for columns, pairs in self._rows)
 
     def row_ints(self, row: int, columns: slice = slice(None)) -> Iterator[int]:
         """The entries of row ``row``, or of its ``columns``, times ``scale``, as ints."""
-        return ratios_over(self.scale, self._ratios[row][columns])
+        listed, pairs = self._rows[row]
+        n = len(self.alphabet)
+        if len(pairs) == n:
+            return ratios_over(self.scale, pairs[columns])
+        return iter(_dense(listed, list(ratios_over(self.scale, pairs)), n, 0)[columns])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -167,16 +203,48 @@ class Coupling:
             f"left={self.left!r}, right={self.right!r})"
         )
 
+    def _pair(self, row: int, column: int) -> tuple[int, int]:
+        """The pair at (``row``, ``column``) as held; ``ZERO_PAIR`` where the row lists no entry."""
+        columns, pairs = self._rows[row]
+        if len(pairs) == len(self.alphabet):  # a dense row
+            return pairs[column]
+        k = bisect_left(columns, column)
+        return pairs[k] if k < len(columns) and columns[k] == column else ZERO_PAIR
+
     def entry(self, row: int, column: int) -> Fraction:
         """The entry at row index ``row`` and column index ``column``."""
-        return Fraction(*self._ratios[row][column])
+        return Fraction(*self._pair(row, column))
 
     def __getitem__(self, pair: tuple[str, str]) -> Fraction:
         return self.entry(*map(self.alphabet.index, pair))
 
+    def diagonal(self) -> tuple[Fraction, ...]:
+        """The diagonal entries j(a, a), in alphabet order."""
+        return tuple(map(self.entry, range(len(self.alphabet)), range(len(self.alphabet))))
+
     def diagonal_mass(self) -> Fraction:
-        diagonal = [row[i] for i, row in enumerate(self._ratios)]
+        n = len(self.alphabet)
+        diagonal = map(self._pair, range(n), range(n))
         return Fraction(sum(ratios_over(self.scale, diagonal)), self.scale)
+
+
+def _fits(columns: Sequence[int], pairs: Sequence, n: int) -> bool:
+    """Whether a row lists one pair per column, the columns strictly increasing in 0..n-1."""
+    if len(columns) != len(pairs):
+        return False
+    if isinstance(columns, range):
+        return columns == range(n)
+    return not columns or (0 <= columns[0] and columns[-1] < n and all(map(lt, columns, columns[1:])))
+
+
+def _dense(columns: Sequence[int], values: list, n: int, zero) -> list:
+    """The ``n`` entries of a row that lists ``values`` at ``columns``, ``zero`` elsewhere."""
+    if len(values) == n:
+        return values
+    row = [zero] * n
+    for column, value in zip(columns, values):
+        row[column] = value
+    return row
 
 
 def _check_marginals(scale: int, row_sums, columns, left: Pmf, right: Pmf) -> None:
@@ -199,16 +267,6 @@ def _check_marginals(scale: int, row_sums, columns, left: Pmf, right: Pmf) -> No
                 constraint="column_marginal",
                 symbol=b,
             )
-
-
-def _square(j: Sequence[Sequence], left: Pmf, right: Pmf) -> tuple[tuple, ...]:
-    """The rows of ``j`` as tuples, after checking the marginals' alphabets and the shape."""
-    require_same_alphabet(left, right)
-    n = len(left.alphabet)
-    rows = tuple(tuple(row) for row in j)
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
-    return rows
 
 
 def _lowest_terms(x: int, d: int) -> tuple[int, int]:
@@ -256,7 +314,7 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
             rows.append(tuple(_product(a, b, g, *column) if column else ZERO_PAIR for column in columns))
         else:
             rows.append(zeros)
-    return Coupling.over(_coprime(rows), p, q)
+    return Coupling.over(_Coprime(rows), p, q)
 
 
 def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> tuple[int, int]:
@@ -336,7 +394,7 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
         diagonal = y if rx else x  # rx == 0 iff P(a) <= Q(a)
         row[i] = diagonal.numerator, diagonal.denominator
         rows.append(row)
-    return Coupling.over(_coprime(rows), p, q)
+    return Coupling.over(_Coprime(rows), p, q)
 
 
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:

@@ -11,11 +11,12 @@ package emits deterministic and diff-able.
 
 :func:`check_mass_ratios` is the one check of "non-negative entries with
 an exact total of 1", on rows of (numerator, denominator) pairs of ints.
-Fractions reach it through :func:`fraction_ratios`, one row-major pass
-that checks each entry's type and sign and reads its pair:
-:class:`Pmf` (and so :class:`Pmf2`) by the one-row form
-:func:`check_mass`, and :class:`~couplingkit.coupling.Coupling` on its
-matrix.
+Each row lists (column, pair) for the entries it holds, so a sparse
+row costs what it lists and a dense row lists every column.  Fractions
+reach it through :func:`fraction_ratios`, one row-major pass that
+checks each entry's type and sign and reads its pair: :class:`Pmf` (and
+so :class:`Pmf2`) by the one-row form :func:`check_mass`, and
+:class:`~couplingkit.coupling.Coupling` on its matrix.
 
 The exact loops run on plain ints over one common denominator:
 :func:`lcm_of` is the lcm of a set of denominators and
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -171,39 +171,50 @@ def fraction_ratios(
 
 
 def check_mass_ratios(
-    rows: Sequence[Sequence[tuple[int, int]]],
+    rows: Sequence[tuple[Sequence[int], Sequence[tuple[int, int]]]],
+    width: int,
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
 ) -> tuple[int, list[int], list[int]]:
     """Check that the (numerator, denominator) pairs of ``rows`` are non-negative with an exact total of 1.
 
+    Each row is (columns, pairs): ``pairs[k]`` sits at column
+    ``columns[k]``, the columns strictly increasing below ``width``, and
+    an entry not listed is zero (a dense row lists ``range(width)``).
     The first failure, the sign of each entry in row-major order and then
     the total, is raised as ``error(message, constraint)`` with
     ``constraint`` ``"negative_entry"`` or ``"total_mass"``; ``label(k)``
-    names the ``k``-th entry in that order.  Denominators must be
-    positive; a pair need not be reduced.  Returns D, the lcm of the
-    non-zero entries' denominators as given (so an unreduced pair can make
-    it larger than the entries need, never a zero entry), with every row
-    sum and column sum times D; each entry is scaled once, and one row of
-    ints is held at a time.
+    names the entry at row ``k // width``, column ``k % width``.
+    Denominators must be positive; a pair need not be reduced.  Returns D,
+    the lcm of the non-zero entries' denominators as given (so an
+    unreduced pair can make it larger than the entries need, never a zero
+    entry), with every row sum and column sum times D.  Each listed entry
+    is scaled once, one row of ints held at a time: O(width + listed).
     """
-    for k, (x, d) in enumerate(chain.from_iterable(rows)):
-        if x < 0:
-            raise error(f"{label(k)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry")
-    scale = lcm_of({d for x, d in chain.from_iterable(rows) if x})
+    for i, (columns, pairs) in enumerate(rows):
+        for column, (x, d) in zip(columns, pairs):
+            if x < 0:
+                raise error(
+                    f"{label(i * width + column)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry"
+                )
+    scale = lcm_of({d for _, pairs in rows for x, d in pairs if x})
     row_sums = []
-    columns = None
-    for row in rows:
-        ints = list(ratios_over(scale, row))
+    sums = [0] * width
+    for columns, pairs in rows:
+        ints = list(ratios_over(scale, pairs))
         row_sums.append(sum(ints))
-        columns = ints if columns is None else list(map(add, columns, ints))
+        if len(ints) == width:
+            sums = list(map(add, sums, ints))
+        else:
+            for column, x in zip(columns, ints):
+                sums[column] += x
     total = sum(row_sums)
     if total != scale:
         raise error(
             f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
             "total_mass",
         )
-    return scale, row_sums, columns
+    return scale, row_sums, sums
 
 
 def check_mass(
@@ -211,8 +222,10 @@ def check_mass(
     label: Callable[[int], str],
     error: Callable[[str, str], Exception],
 ) -> int:
-    """:func:`check_mass_ratios` on the one row ``entries``, read by :func:`fraction_ratios`; returns D alone."""
-    return check_mass_ratios(fraction_ratios((entries,), label, error), label, error)[0]
+    """:func:`check_mass_ratios` on the one dense row ``entries``, read by :func:`fraction_ratios`; returns D alone."""
+    (pairs,) = fraction_ratios((entries,), label, error)
+    n = len(pairs)
+    return check_mass_ratios(((range(n), pairs),), n, label, error)[0]
 
 
 def _distribution_error(message: str, constraint: str) -> DistributionError:

@@ -5,7 +5,8 @@ parsed exactly, each distinct literal once per file.  A distribution's
 literals become Fractions (:func:`~couplingkit.rational.parse_rational`).
 A coupling's become (numerator, denominator) pairs of ints
 (:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
-integers cost two ``int`` calls and no gcd), and the coupling parsers
+integers cost ``int`` calls and no gcd, and each distinct denominator
+string is read once per file), and the coupling parsers
 return the rows of those pairs, ready for
 :meth:`~couplingkit.coupling.Coupling.over`; no Fraction is built per
 cell.  Shapes:
@@ -25,8 +26,9 @@ byte-identical files on every platform.
 Coupling files, in both layouts and inside ``oracle --out``'s
 {"coupling", "certificate"} document, are written by one writer,
 :func:`coupling_json`.  It reads the entries as lowest-terms pairs of
-ints, renders the decimal digits of each distinct denominator once, and
-lays the text out row by row exactly as :func:`dump_json` lays out
+ints, renders the decimal digits of each distinct denominator once,
+writes ``"0"`` for each cell its row does not list, and lays the text
+out row by row exactly as :func:`dump_json` lays out
 :func:`coupling_to_obj` or :func:`coupling4_to_obj`, which stay for
 the golden tables and for library callers.
 """
@@ -38,7 +40,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .coupling import Coupling, Ratios
+from .coupling import Coupling, Ratios, _dense
 from .distributions import Alphabet, Pmf, Pmf2
 from .errors import ParseError
 from .multidim import Coupling4
@@ -101,6 +103,12 @@ def _parse_matrix(obj: dict, alphabet: Alphabet, where: str, literals: dict, par
     return [_read_row(row, n, f"{where} row {i}", literals, parse) for i, row in enumerate(matrix)]
 
 
+def _ratio_parser() -> Callable[[str], tuple[int, int]]:
+    """:func:`~couplingkit.rational.parse_ratio` with one denominator cache, for one file."""
+    denominators: dict[str, int] = {}
+    return lambda text: parse_ratio(text, denominators)
+
+
 def _ratios(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Ratios:
     """The literals of ``rows`` as their parsed pairs; a literal's pair is shared by its cells."""
     return tuple(tuple(map(literals.__getitem__, row)) for row in rows)
@@ -147,7 +155,7 @@ def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet,
     if "matrix" not in obj:
         raise ParseError(f"{where}: coupling file must carry a 'matrix'")
     literals: dict[str, tuple[int, int]] = {}
-    rows = _parse_matrix(obj, alphabet, where, literals, parse_ratio)
+    rows = _parse_matrix(obj, alphabet, where, literals, _ratio_parser())
     return alphabet, _ratios(rows, literals)
 
 
@@ -189,10 +197,15 @@ def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None) -> s
 
 
 def _cells(c: Coupling) -> Iterator[list[str]]:
-    """Each row of ``c`` as JSON string literals, the digits of each distinct denominator rendered once."""
+    """Each row of ``c`` as JSON string literals, the digits of each distinct denominator rendered once.
+
+    A cell that its row does not list is ``"0"``.
+    """
     digits: dict[int, str] = {}
-    for row in c._pairs():
-        yield [f'"{n}"' if d == 1 else f'"{n}/{digits.get(d) or digits.setdefault(d, str(d))}"' for n, d in row]
+    size = len(c.alphabet)
+    for columns, pairs in c._pairs():
+        cells = [f'"{n}"' if d == 1 else f'"{n}/{digits.get(d) or digits.setdefault(d, str(d))}"' for n, d in pairs]
+        yield _dense(columns, cells, size, '"0"')
 
 
 def _blocks(c4: Coupling4, indent: str) -> list[str]:
@@ -262,6 +275,7 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
         raise ParseError(f"{where}: coupling file must carry 'blocks'")
     rows = []
     literals: dict[str, tuple[int, int]] = {}
+    parse = _ratio_parser()
     for a in alphabet.symbols:
         for b in alphabet.symbols:
             label = alphabet.pair_label(a, b)
@@ -273,7 +287,7 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
                 if c not in block:
                     raise ParseError(f"{where}: block {label!r} missing column {c!r}")
                 where_c = f"{where} block {label!r} column {c!r}"
-                row += _read_row(block[c], n, where_c, literals, parse_ratio)
+                row += _read_row(block[c], n, where_c, literals, parse)
             rows.append(row)
     return alphabet, _ratios(rows, literals)
 

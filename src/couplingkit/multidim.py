@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coupling import Coupling, _coprime, coupling_independent, coupling_maximal, mismatch_prob
+from .coupling import Coupling, _Coprime, coupling_independent, coupling_maximal, mismatch_prob
 from .distributions import ZERO_PAIR, Alphabet, Pmf2, require_same_alphabet
 from .errors import ConstraintInfeasibleError
 from .metrics import vdist_halfsum
@@ -132,7 +132,7 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
     for a, q_row in enumerate(q2.p):
         pairs = tuple((x.numerator, x.denominator) if x else ZERO_PAIR for x in q_row)
         rows[a * n + a] = zeros * a + pairs + zeros * (n - 1 - a)
-    flat = Coupling.over(_coprime(rows), p2.flatten(), q2.flatten())
+    flat = Coupling.over(_Coprime(rows), p2.flatten(), q2.flatten())
     return Coupling4(flat, p2, q2)
 
 

@@ -71,13 +71,15 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"malformed rational literal {_quote(text)}") from None
 
 
-def parse_ratio(text: str) -> tuple[int, int]:
+def parse_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int]:
     """:func:`parse_rational` as a (numerator, denominator) pair of ints, not reduced.
 
     An ASCII ``"digits/digits"`` with a non-zero denominator, or ASCII
     ``"digits"``, is read by ``int`` alone, with no gcd; every other
     literal goes through :func:`parse_rational`, so the accepted
-    language and every error are the same.
+    language and every error are the same.  ``denominators``, a dict
+    kept across calls (one per file), maps each denominator string read
+    so far to its int, so ``int`` reads each distinct one once.
     """
     if isinstance(text, str) and text.isascii() and "_" not in text:
         head, slash, tail = text.partition("/")
@@ -87,12 +89,17 @@ def parse_ratio(text: str) -> tuple[int, int]:
         # does not.)
         if _digit_ends(head) and (_digit_ends(tail) or not slash):
             try:
-                pair = int(head), (int(tail) if slash else 1)
+                numerator = int(head)
+                if not slash:
+                    return numerator, 1
+                denominator = denominators.get(tail)
+                if denominator is None:
+                    denominator = denominators[tail] = int(tail)
             except ValueError:  # a non-digit inside, or a run over the digit limit
                 pass
             else:
-                if pair[1]:
-                    return pair
+                if denominator:
+                    return numerator, denominator
     value = parse_rational(text)
     return value.numerator, value.denominator
 

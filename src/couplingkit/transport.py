@@ -16,12 +16,16 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   costs by L, the lcm of their denominators, and its marginals by D,
   the lcm of theirs, once, when it is built, and the solver,
   :func:`certify` and :func:`vertex_enumerate` all read those ints;
+* the 0/1 mismatch problem in O(N): :meth:`TransportProblem.mismatch`
+  builds no N x N matrix (the costs are a 0/1 view, and the public
+  ``cost`` is built only when read), the start is already optimal, and
+  :func:`_entering_mismatch` prices all N^2 cells in O(N);
 * every pivot on integers: the tree potentials and reduced costs over
   L are integers with the signs of the exact ones, and total
-  unimodularity makes every basic flow an integer over D.  The coupling
-  is those flows over D, handed to
-  :meth:`~couplingkit.coupling.Coupling.over` as pairs of ints, every
-  zero flow as the one shared zero pair, and the certificate's
+  unimodularity makes every basic flow an integer over D.  Flows are
+  kept on the 2N - 1 basic cells alone, and the coupling's rows list
+  the non-zero ones over D, as pairs of ints
+  (:meth:`~couplingkit.coupling.Coupling.over`); the certificate's
   potentials are the integer ones over L;
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
@@ -37,8 +41,10 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   L and their denominators, the cost ints times S // L, and the
   problem's marginals over D, with the coupling's own ints;
 * for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
-  closed-form optimal dual and :func:`certify_mismatch` checks it in
-  O(N), both on ints over one common denominator;
+  closed-form optimal dual and :func:`certify_mismatch` checks any
+  certificate in O(N), both on ints over one common denominator; it is
+  how ``couplingkit oracle`` certifies, and the dense :func:`certify`
+  is its cross-check in the tests;
 * :func:`vertex_enumerate` walks every spanning-tree basis at desk
   scale, depth-first with an undoable union-find, and strips each
   tree's leaves on the ints over D, as a second, exhaustive oracle over
@@ -52,16 +58,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import lcm
 from operator import add, ge, mul, sub
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .coupling import Coupling
 from .distributions import (
     ONE,
     ZERO,
-    ZERO_PAIR,
     Pmf,
     common_denominator,
     numerators_over,
@@ -79,6 +85,7 @@ MAX_PIVOTS_PER_CELL = 50
 
 CostMatrix = tuple[tuple[Fraction, ...], ...]
 Cell = tuple[int, int]
+Flows = list[dict[int, int]]  # row a's basic columns and their flows
 
 
 @dataclass(frozen=True)
@@ -121,12 +128,49 @@ class TransportProblem:
 
     @classmethod
     def mismatch(cls, p: Pmf, q: Pmf) -> "TransportProblem":
-        """0/1 cost: pay 1 everywhere off the diagonal. Objective = Pr{x != y}."""
+        """0/1 cost: pay 1 everywhere off the diagonal. Objective = Pr{x != y}.
+
+        Builds no N x N matrix: the scaled cost is the 0/1 view
+        :class:`_UnitCost`, and the public ``cost`` is built when first read.
+        """
+        require_same_alphabet(p, q)
+        tp = object.__new__(cls)
         n = len(p.alphabet)
-        cost = tuple(
-            tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n)
-        )
-        return cls(p, q, cost)
+        fields = dict(supply=p, demand=q, _scaled_cost=(1, _UnitCost(n)), _scaled_marginals=scaled(p.p + q.p))
+        for name, value in fields.items():
+            object.__setattr__(tp, name, value)
+        return tp
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: a mismatch problem's ``cost`` before its first read.
+        if name != "cost":
+            raise AttributeError(name)
+        n = len(self.supply.alphabet)
+        cost = tuple(tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n))
+        object.__setattr__(self, "cost", cost)
+        return cost
+
+
+class _UnitRow:
+    """Row ``a`` of the 0/1 mismatch cost as ints: 0 at column ``a``, 1 elsewhere, held as ``a`` and N."""
+
+    __slots__ = ("a", "n")
+
+    def __init__(self, a: int, n: int):
+        self.a, self.n = a, n
+
+    def __getitem__(self, b: int) -> int:
+        return 0 if b == self.a else 1
+
+    def __iter__(self) -> Iterator[int]:
+        return (0 if b == self.a else 1 for b in range(self.n))
+
+
+class _UnitCost(tuple):
+    """The 0/1 mismatch cost ints as N rows of :class:`_UnitRow`: O(N) memory, no N x N list."""
+
+    def __new__(cls, n: int):
+        return super().__new__(cls, (_UnitRow(a, n) for a in range(n)))
 
 
 @dataclass(frozen=True)
@@ -161,8 +205,8 @@ class BasisTree:
     cells: tuple[Cell, ...]
 
 
-def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[list[int]], list[Cell]]:
-    """Initial basic feasible solution with exactly 2N - 1 cells, on integer marginals.
+def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> Flows:
+    """Initial basic feasible solution on integer marginals: the flow on each of its 2N - 1 cells.
 
     Keeps the pointwise overlap min(s_i, d_i) on the diagonal and routes
     the leftover row mass to the leftover column mass through a
@@ -177,18 +221,23 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
     lone, and row 0 takes (0, j) for every j != 0.  Either way the cells
     number N + (N - T) - 1 + T = 2N - 1 with T the tied symbols, and they
     join all N nodes without a cycle, so they span the bipartite graph.
-    For 0/1 mismatch cost every cell from a row with s >= d to a column
-    with s < d is tight under the closed-form dual
-    (:func:`mismatch_certificate`), which keeps pivots rare on the
-    common path.
+    Row a's dict maps each basic column of row a to its flow, zero flows
+    included.
+
+    On the 0/1 mismatch cost this start is optimal, so the simplex makes
+    no pivot.  Each staircase cell joins an over-supplied node to an
+    over-demanded one and each tied node joins an over-demanded one, so
+    the potentials are, up to a shift, u = 1 and v = -1 on B = {s >= d}
+    and 0 off it: the dual of :func:`mismatch_certificate`.  Cell (a, b)
+    then has reduced cost 0 on the diagonal and 1 - 1_B(a) + 1_B(b) >= 0
+    off it.  When P = Q the star gives u = -1 and v = 1 off symbol 0,
+    u = v = 0 at it, and reduced costs of 0, 1 and 2 off the diagonal.
     """
     n = len(supply)
-    flow = [[0] * n for _ in range(n)]
-    basis: list[Cell] = [(i, i) for i in range(n)]
-    for i in range(n):
-        flow[i][i] = min(supply[i], demand[i])
-    rx = [supply[i] - flow[i][i] for i in range(n)]
-    ry = [demand[j] - flow[j][j] for j in range(n)]
+    overlap = list(map(min, supply, demand))
+    flow: Flows = [{i: x} for i, x in enumerate(overlap)]
+    rx = list(map(sub, supply, overlap))
+    ry = list(map(sub, demand, overlap))
     rows = [i for i in range(n) if rx[i] > 0]
     cols = [j for j in range(n) if ry[j] > 0]
     a = b = 0
@@ -196,7 +245,6 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
         i, j = rows[a], cols[b]
         take = min(rx[i], ry[j])
         flow[i][j] = take
-        basis.append((i, j))
         rx[i] -= take
         ry[j] -= take
         if a == len(rows) - 1 and b == len(cols) - 1:
@@ -206,10 +254,12 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> tuple[list[l
         else:
             b += 1
     if cols:
-        basis += [(k, cols[0]) for k in range(n) if supply[k] == demand[k]]
+        tied = [(k, cols[0]) for k in range(n) if supply[k] == demand[k]]
     else:
-        basis += [(0, j) for j in range(1, n)]
-    return flow, basis
+        tied = [(0, j) for j in range(1, n)]
+    for i, j in tied:
+        flow[i][j] = 0
+    return flow
 
 
 Tree = tuple[list[int], list[int], list[int], list[int]]
@@ -217,8 +267,8 @@ Tree = tuple[list[int], list[int], list[int], list[int]]
 
 def _walk_below(
     top: int,
-    row_adj: Sequence[set[int]],
-    col_adj: Sequence[set[int]],
+    row_adj: Sequence[Iterable[int]],
+    col_adj: Sequence[Iterable[int]],
     cost: Sequence[Sequence[int]],
     tree: Tree,
 ) -> int:
@@ -257,7 +307,7 @@ def _walk_below(
 
 
 def _tree_walk(
-    row_adj: Sequence[set[int]], col_adj: Sequence[set[int]], cost: Sequence[Sequence[int]], n: int
+    row_adj: Sequence[Iterable[int]], col_adj: Sequence[Iterable[int]], cost: Sequence[Sequence[int]], n: int
 ) -> Tree:
     """Potentials u_i + v_j = cost_ij over the basis tree, anchored at u_0 = 0.
 
@@ -273,8 +323,8 @@ def _tree_walk(
 def _rehang(
     node: int,
     up: int,
-    row_adj: Sequence[set[int]],
-    col_adj: Sequence[set[int]],
+    row_adj: Sequence[Iterable[int]],
+    col_adj: Sequence[Iterable[int]],
     cost: Sequence[Sequence[int]],
     tree: Tree,
 ) -> None:
@@ -307,6 +357,22 @@ def _entering_cell(
     for a, (crow, ua) in enumerate(zip(cost, u)):
         if min(map(sub, crow, v)) < ua:
             return a, next(b for b, (c, vb) in enumerate(zip(crow, v)) if c - vb < ua)
+    return None
+
+
+def _entering_mismatch(u: Sequence[int], v: Sequence[int]) -> Cell | None:
+    """:func:`_entering_cell` on the 0/1 mismatch cost, in O(N).
+
+    Cell (a, b) has reduced cost [a != b] - u_a - v_b, so row a has a
+    negative one iff u_a + v_a > 0 or u_a + v_b > 1 for some b != a.  The
+    second holds iff u_a + max(v) > 1: where max(v) is taken only at
+    b = a, u_a + v_a > 1 meets the first.  Only the first such row is
+    scanned, so the cell is the dense scan's.
+    """
+    top = max(v)
+    for a, (ua, va) in enumerate(zip(u, v)):
+        if ua + va > 0 or ua + top > 1:
+            return a, next(b for b, vb in enumerate(v) if ua + vb > (a != b))
     return None
 
 
@@ -367,17 +433,18 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     n = len(tp.supply.alphabet)
     mass_scale, marginals = tp._scaled_marginals
     scale, cost = tp._scaled_cost
-    flow, basis = _initial_basis(marginals[:n], marginals[n:])
-    row_adj: list[set[int]] = [set() for _ in range(n)]
+    # Row a's flows, keyed by its basic columns, are also row a's neighbours in the tree.
+    flow = _initial_basis(marginals[:n], marginals[n:])
     col_adj: list[set[int]] = [set() for _ in range(n)]
-    for a, b in basis:
-        row_adj[a].add(b)
-        col_adj[b].add(a)
-    tree = _tree_walk(row_adj, col_adj, cost, n)
+    for a, row in enumerate(flow):
+        for b in row:
+            col_adj[b].add(a)
+    tree = _tree_walk(flow, col_adj, cost, n)
     u, v, parent, depth = tree
+    price = _entering_mismatch if isinstance(cost, _UnitCost) else partial(_entering_cell, cost)
     budget = MAX_PIVOTS_PER_CELL * n * n
     pivots = 0
-    while (entering := _entering_cell(cost, u, v)) is not None:
+    while (entering := price(u, v)) is not None:
         pivots += 1
         if pivots > budget:
             raise CorruptedCouplingError(
@@ -386,28 +453,28 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
             )
         cycle = _tree_path_cycle(entering, parent, depth, n)
         decreasing = cycle[1::2]
-        theta = min(flow[a][b] for a, b in decreasing)
+        theta = min(flow[i][j] for i, j in decreasing)
         leaving = min(cell for cell in decreasing if flow[cell[0]][cell[1]] == theta)
-        if theta:
-            for a, b in cycle[::2]:
-                flow[a][b] += theta
-            for a, b in decreasing:
-                flow[a][b] -= theta
-        p, q = leaving
         a, b = entering
-        row_adj[p].remove(q)
+        flow[a][b] = theta
+        if theta:
+            for i, j in cycle[2::2]:
+                flow[i][j] += theta
+            for i, j in decreasing:
+                flow[i][j] -= theta
+        p, q = leaving
+        del flow[p][q]
         col_adj[q].remove(p)
-        row_adj[a].add(b)
         col_adj[b].add(a)
         # The cycle passes each decreasing cell from its column to its
         # row, so the leaving cell's lower end says which side it cut.
         if parent[n + q] == p:
-            _rehang(n + b, a, row_adj, col_adj, cost, tree)
+            _rehang(n + b, a, flow, col_adj, cost, tree)
         else:
-            _rehang(a, n + b, row_adj, col_adj, cost, tree)
+            _rehang(a, n + b, flow, col_adj, cost, tree)
 
-    cells = tuple((a, b) for a in range(n) for b in sorted(row_adj[a]))
-    primal = sum(sum(map(mul, crow, frow)) for crow, frow in zip(cost, flow))
+    cells = tuple((a, b) for a, row in enumerate(flow) for b in sorted(row))
+    primal = sum(sum(crow[b] * x for b, x in row.items()) for crow, row in zip(cost, flow))
     dual = sum(map(mul, u, marginals[:n])) + sum(map(mul, v, marginals[n:]))
     if dual != primal:
         raise CorruptedCouplingError(
@@ -423,10 +490,11 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     return coupling, certificate, BasisTree(cells=cells)
 
 
-def _flow_coupling(flow: Sequence[Sequence[int]], mass_scale: int, tp: TransportProblem) -> Coupling:
-    """The coupling of ``tp``'s marginals with entries ``flow`` over ``mass_scale``; zeros share ``ZERO_PAIR``."""
-    rows = [[(x, mass_scale) if x else ZERO_PAIR for x in row] for row in flow]
-    return Coupling.over(rows, tp.supply, tp.demand)
+def _flow_coupling(flow: Flows, mass_scale: int, tp: TransportProblem) -> Coupling:
+    """The coupling of ``tp``'s marginals with entries ``flow`` over ``mass_scale``; each row lists its non-zero flows."""
+    columns = [sorted(b for b, x in row.items() if x) for row in flow]
+    pairs = [[(row[b], mass_scale) for b in listed] for row, listed in zip(flow, columns)]
+    return Coupling.over(pairs, tp.supply, tp.demand, columns)
 
 
 def lp_min_mismatch(p: Pmf, q: Pmf) -> tuple[Coupling, DualCertificate]:
@@ -579,7 +647,7 @@ def vertex_enumerate(tp: TransportProblem, max_size: int = DEFAULT_VERTEX_LIMIT)
     size = 2 * n - 1
     parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1; no path compression
     tree: list[Cell] = []
-    flows: dict[tuple[tuple[int, ...], ...], None] = {}
+    flows: dict[frozenset[tuple[int, int, int]], Flows] = {}
 
     def root(x: int) -> int:
         while parent[x] != x:
@@ -597,7 +665,9 @@ def vertex_enumerate(tp: TransportProblem, max_size: int = DEFAULT_VERTEX_LIMIT)
             if len(tree) == size:
                 flow = _tree_flows(tree, marginals, n)
                 if flow is not None:
-                    flows[tuple(map(tuple, flow))] = None  # a repeat keeps its first place
+                    # a vertex is its non-zero flows; a repeat keeps its first place
+                    key = frozenset((a, b, x) for a, row in enumerate(flow) for b, x in row.items() if x)
+                    flows.setdefault(key, flow)
             elif len(tree) + n * n - k - 1 >= size:
                 walk(k + 1)
             tree.pop()
@@ -606,11 +676,11 @@ def vertex_enumerate(tp: TransportProblem, max_size: int = DEFAULT_VERTEX_LIMIT)
             walk(k + 1)
 
     walk(0)
-    return [_flow_coupling(flow, mass_scale, tp) for flow in flows]
+    return [_flow_coupling(flow, mass_scale, tp) for flow in flows.values()]
 
 
-def _tree_flows(tree: Sequence[Cell], marginals: Sequence[int], n: int) -> list[list[int]] | None:
-    """The flows on a spanning tree of cells, as ints over D; None if one is negative.
+def _tree_flows(tree: Sequence[Cell], marginals: Sequence[int], n: int) -> Flows | None:
+    """The flow on each cell of a spanning tree, as ints over D; None if one is negative.
 
     ``marginals`` is the supply followed by the demand, times D.  A node
     (row a is node a, column b node n + b) on exactly one remaining cell
@@ -623,7 +693,7 @@ def _tree_flows(tree: Sequence[Cell], marginals: Sequence[int], n: int) -> list[
         incident[a].add((a, b))
         incident[n + b].add((a, b))
     leaves = [x for x in range(2 * n) if len(incident[x]) == 1]
-    flow = [[0] * n for _ in range(n)]
+    flow: Flows = [{} for _ in range(n)]
     while leaves:
         x = leaves.pop()
         if not incident[x]:

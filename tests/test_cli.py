@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -343,6 +345,24 @@ class TestOracle:
         assert certificate["v"] == [str(-F(x)) for x in u]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_without_out_at_n4096_peaks_under_20_mb(self, files, capsys):
+        # The 0/1 problem is solved and certified in O(N): any N x N structure
+        # at this size (16.8M cells) would take well over 100 MB.
+        n = 4096
+        rng = random.Random(4096)
+        weights = [rng.getrandbits(16) + 1 for _ in range(n)]
+        symbols = [str(i) for i in range(n)]
+        p = files("p.json", {"alphabet": symbols, "p": [f"{w}/{sum(weights)}" for w in weights]})
+        q = files("q.json", {"alphabet": symbols, "p": [f"1/{n}"] * n})
+        tracemalloc.start()
+        try:
+            assert main(["oracle", p, q]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "\ncertified: true\nagreement: true\n" in capsys.readouterr().out
+        assert peak < 20_000_000
+
     def test_json_format_with_out_keeps_payload_slim(self, tmp_path, capsys, ramp_file, uniform_file):
         out = tmp_path / "opt.json"
         assert main(["oracle", "--format", "json", ramp_file, uniform_file, "--out", str(out)]) == 0
@@ -473,7 +493,7 @@ class TestBoundary:
         a, b = 3**6000, 5**4000
         p = files("p.json", {"alphabet": ["1", "2"], "p": [f"1/{a}", f"{a - 1}/{a}"]})
         q = files("q.json", {"alphabet": ["1", "2"], "p": [f"1/{b}", f"{b - 1}/{b}"]})
-        monkeypatch.setattr(cli, "certify", lambda *args: False)
+        monkeypatch.setattr(cli, "certify_mismatch", lambda *args: False)
         assert main(["oracle", p, q]) == 1
         bits = (a * b).bit_length()
         assert capsys.readouterr().err == (

@@ -3,19 +3,23 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from couplingkit import (
     AlphabetMismatchError,
     CorruptedCouplingError,
     Coupling,
+    Coupling4,
     CouplingError,
     Pmf,
     Pmf2,
     Alphabet,
+    coupling4_maximal,
     coupling_independent,
     coupling_maximal,
     lemma_audit,
     maximal_diagonal,
+    mismatch_components,
     mismatch_prob,
     residuals,
     vdist_halfsum,
@@ -29,6 +33,7 @@ from couplingkit.distributions import ZERO
 from .conftest import (
     GENERIC_COUPLING,
     convex_combination,
+    pmf2_pairs,
     pmf_pairs,
     random_coupling,
     random_pmf,
@@ -192,9 +197,9 @@ class TestIntConstructor:
         seen = []
         check = distributions_module.check_mass_ratios
 
-        def recording(rows, label, error):
+        def recording(rows, width, label, error):
             seen.append(len(rows))
-            return check(rows, label, error)
+            return check(rows, width, label, error)
 
         monkeypatch.setattr(distributions_module, "check_mass_ratios", recording)
         monkeypatch.setattr(coupling_module, "check_mass_ratios", recording)
@@ -203,6 +208,114 @@ class TestIntConstructor:
         Coupling(MAXIMAL_MATRIX, ramp, uniform4)
         Coupling.over([[(x.numerator, x.denominator) for x in row] for row in MAXIMAL_MATRIX], ramp, uniform4)
         assert seen == [1, 1, 4, 4]
+
+
+def sparse_rows(matrix) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
+    """The non-zero entries of each row of ``matrix`` as pairs, and their columns, for :meth:`Coupling.over`."""
+    pairs, columns = [], []
+    for row in matrix:
+        listed = [(b, x) for b, x in enumerate(row) if x]
+        columns.append([b for b, _ in listed])
+        pairs.append([(x.numerator, x.denominator) for _, x in listed])
+    return pairs, columns
+
+
+def first_error(build):
+    try:
+        build()
+    except CouplingError as exc:
+        return exc.constraint, exc.symbol, str(exc)
+    return None
+
+
+class TestSparseRows:
+    """A coupling whose rows list only their non-zero entries is the dense-built one."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pmf_pairs(max_n=6), st.integers(min_value=0, max_value=2**32))
+    def test_every_reader_matches_the_dense_form(self, pair, seed):
+        p, q = pair
+        n = len(p.alphabet)
+        dense = Coupling(random_coupling(random.Random(seed), p, q).j, p, q)
+        pairs, columns = sparse_rows(dense.j)
+        sparse = Coupling.over(pairs, p, q, columns)
+        assert sparse.j == dense.j and sparse == dense and hash(sparse) == hash(dense)
+        assert sparse.scale == dense.scale
+        for i in range(n):
+            assert list(sparse.row_ints(i)) == list(dense.row_ints(i))
+            assert list(sparse.row_ints(i, slice(i % 2, None, 2))) == list(dense.row_ints(i, slice(i % 2, None, 2)))
+            assert [sparse.entry(i, k) for k in range(n)] == list(dense.j[i])
+        assert sparse.diagonal() == dense.diagonal() == tuple(dense.j[i][i] for i in range(n))
+        assert sparse.diagonal_mass() == dense.diagonal_mass()
+        assert lemma_audit(sparse) == lemma_audit(dense)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pmf2_pairs())
+    def test_coupling4_lookups_match_the_dense_form(self, pair):
+        p2, q2 = pair
+        dense = coupling4_maximal(p2, q2)
+        pairs, columns = sparse_rows(dense.flat.j)
+        sparse = Coupling4(Coupling.over(pairs, dense.flat.left, dense.flat.right, columns), p2, q2)
+        symbols = p2.alphabet.symbols
+        quads = [(a, b, c, d) for a in symbols for b in symbols for c in symbols for d in symbols]
+        assert [sparse[quad] for quad in quads] == [dense[quad] for quad in quads]
+        assert mismatch_components(sparse) == mismatch_components(dense)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pmf_pairs(max_n=5),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from(["negative", "total", "marginal"]),
+    )
+    def test_both_forms_raise_the_same_first_error(self, pair, seed, change):
+        p, q = pair
+        n = len(p.alphabet)
+        rng = random.Random(seed)
+        m = [list(row) for row in random_coupling(rng, p, q).j]
+        a, b, c, d = (rng.randrange(n) for _ in range(4))
+        delta = F(rng.randint(1, 5), rng.randint(1, 7))
+        if change == "negative":
+            m[a][b] = -delta
+        elif change == "total":
+            m[a][b] += delta
+        else:  # the same mass moved between two cells: only marginals can fail, or a sign
+            m[a][b] += delta
+            m[c][d] -= delta
+        dense = first_error(lambda: Coupling(m, p, q))
+        pairs, columns = sparse_rows(m)
+        assert first_error(lambda: Coupling.over(pairs, p, q, columns)) == dense
+        if change != "marginal" or (a, b) != (c, d):
+            assert dense is not None
+
+    def test_worked_errors(self, ramp, uniform4):
+        negative = [list(r) for r in MAXIMAL_MATRIX]
+        negative[3][1] = F(-3, 80)
+        total = [list(r) for r in MAXIMAL_MATRIX]
+        total[0][3] = F(1, 100)
+        column = [list(r) for r in MAXIMAL_MATRIX]
+        column[2][0] -= F(1, 80)
+        column[2][1] += F(1, 80)
+        expected = [
+            ("negative_entry", None, "entry (4,2) is negative: -3/80"),
+            ("total_mass", None, "probabilities sum to 101/100, expected 1"),
+            ("column_marginal", "1", "column marginal at '1' is 19/80, expected 1/4"),
+        ]
+        for m, error in zip((negative, total, column), expected):
+            pairs, columns = sparse_rows(m)
+            assert first_error(lambda: Coupling.over(pairs, ramp, uniform4, columns)) == error
+            assert first_error(lambda: Coupling(m, ramp, uniform4)) == error
+
+    @pytest.mark.parametrize(
+        "last_row, last_columns",
+        [([(1, 4)], [2, 3]), ([(1, 8), (1, 8)], [3, 2]), ([(1, 8), (1, 8)], [3, 3]), ([(1, 4)], [4]), ([(1, 4)], None)],
+        ids=["length", "unsorted", "repeated", "out-of-range", "row-count"],
+    )
+    def test_malformed_columns_are_a_shape_error(self, ramp, uniform4, last_row, last_columns):
+        pairs = [[(1, 10)], [(1, 5)], [(1, 4)], last_row]
+        columns = [[0], [1], [2]] + ([last_columns] if last_columns is not None else [])
+        assert first_error(lambda: Coupling.over(pairs, ramp, uniform4, columns)) == (
+            "shape", None, "joint matrix must be 4x4"
+        )
 
 
 class TestResiduals:

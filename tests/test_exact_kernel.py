@@ -516,8 +516,8 @@ def assert_reduced(c: Coupling) -> None:
     Fraction built from an unreduced pair could hide it by reducing.
     """
     assert c._coprime
-    for row in c._pairs():
-        for x, d in row:
+    for _, pairs in c._pairs():
+        for x, d in pairs:
             assert type(x) is int and type(d) is int
             assert d > 0 and math.gcd(x, d) == 1, (x, d)
 

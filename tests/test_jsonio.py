@@ -152,9 +152,9 @@ class TestLiteralsParsedOnce:
         calls = []
 
         def recording(parse):
-            def record(text):
+            def record(text, *cache):
                 calls.append(text)
-                return parse(text)
+                return parse(text, *cache)
 
             return record
 

@@ -190,27 +190,47 @@ NEAR_MISSES = ["1 /2", "1/ 2", "12 ", " 12", "1/2 ", "+1/2", "1/+2", "1/-2", "1 
                "\u0661/\u0662", "1/2/3", "0/0", "1e2/3", "0x10"]
 
 
-def assert_parse_ratio_agrees(text):
+def assert_parse_ratio_agrees(text, denominators):
     """``parse_ratio`` gives the value of ``parse_rational``, or raises its ParseError message."""
     try:
         expected = parse_rational(text)
     except ParseError as exc:
         with pytest.raises(ParseError) as info:
-            parse_ratio(text)
+            parse_ratio(text, denominators)
         assert str(info.value) == str(exc)
     else:
-        numerator, denominator = parse_ratio(text)
+        numerator, denominator = parse_ratio(text, denominators)
         assert denominator > 0 and F(numerator, denominator) == expected
 
 
 @given(literal_grammar)
 def test_parse_ratio_agrees_with_parse_rational(text):
-    assert_parse_ratio_agrees(text)
+    assert_parse_ratio_agrees(text, {})
 
 
 @pytest.mark.parametrize("text", NEAR_MISSES)
 def test_parse_ratio_agrees_on_near_misses(text):
-    assert_parse_ratio_agrees(text)
+    assert_parse_ratio_agrees(text, {})
+
+
+# Near misses for a denominator cache: each is "digits/..." or ".../digits" around a bad part.
+CACHED_NEAR_MISSES = ["1/0", "1/_2", "_1/2", " 1/2", "1/2 ", "1/\u0662", "\u0661/2", "2/\u0662",
+                      "1/" + "7" * 4301, "7" * 4301 + "/2", "0/0", "2/1", "12/2", "2/12"]
+
+
+@given(st.lists(st.one_of(st.sampled_from(CACHED_NEAR_MISSES + NEAR_MISSES), literal_grammar), max_size=12))
+def test_parse_ratio_with_a_shared_denominator_cache_agrees(texts):
+    denominators = {}
+    for text in texts:
+        assert_parse_ratio_agrees(text, denominators)
+    assert all(d == int(text) for text, d in denominators.items())
+
+
+def test_each_distinct_denominator_is_read_once():
+    denominators = {}
+    pairs = [parse_ratio(text, denominators) for text in ["1/2", "2/3", "3/2", "12/2", "2/12"]]
+    assert pairs == [(1, 2), (2, 3), (3, 2), (12, 2), (2, 12)]
+    assert denominators == {"2": 2, "3": 3, "12": 12}
 
 
 def test_bounded_str_gives_the_size_of_a_value_past_the_limit(default_digit_limit):

@@ -596,6 +596,151 @@ class TestBasisTree:
         assert len(set(basis.cells)) == 2 * n - 1
 
 
+def northwest_corner(supply, demand) -> list[dict]:
+    """The northwest-corner basis on integer marginals: 2N - 1 cells from (0, 0) to (N-1, N-1).
+
+    A feasible start that is not optimal on the mismatch cost in general,
+    so the simplex pivots from it.  Row i's dict maps its basic columns
+    to their flows, as ``_initial_basis`` returns them.
+    """
+    n = len(supply)
+    left, right = list(supply), list(demand)
+    flow = [{} for _ in range(n)]
+    i = j = 0
+    while True:
+        take = min(left[i], right[j])
+        flow[i][j] = take
+        left[i] -= take
+        right[j] -= take
+        if i == j == n - 1:
+            return flow
+        if left[i] == 0 and i < n - 1:
+            i += 1
+        else:
+            j += 1
+
+
+def unit_cost(n: int):
+    return [[int(a != b) for b in range(n)] for a in range(n)]
+
+
+class TestMismatchPricing:
+    """On the 0/1 cost the closed-form start is optimal, and the O(N) pricing is the dense scan's."""
+
+    @staticmethod
+    def counted_pricing(monkeypatch) -> list:
+        """The results of every call of the O(N) pricing, in order."""
+        results = []
+        price = transport_module._entering_mismatch
+
+        def counted(u, v):
+            results.append(price(u, v))
+            return results[-1]
+
+        monkeypatch.setattr(transport_module, "_entering_mismatch", counted)
+        return results
+
+    @settings(max_examples=150, deadline=None)
+    @given(pmf_pairs(max_n=7, max_weight=4))
+    def test_pricing_runs_once_and_finds_nothing(self, pair):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            results = self.counted_pricing(monkeypatch)
+            _, cert, _ = solve_transport(TransportProblem.mismatch(*pair))
+        assert results == [None]
+        assert cert.objective == vdist_halfsum(*pair)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pmf_pairs(max_n=7, max_weight=4))
+    def test_potentials_are_the_upper_set_dual_up_to_a_shift(self, pair):
+        p, q = pair
+        n = len(p.alphabet)
+        _, cert, _ = solve_transport(TransportProblem.mismatch(p, q))
+        _, ints = transport_module.scaled(p.p + q.p)
+        inside, _ = transport_module.upper_set_dual(ints[:n], ints[n:])
+        if p == q:
+            # no over-demanded column: row 0's star, u = -1 and v = 1 off symbol 0
+            assert cert.u == tuple(F(0) if i == 0 else F(-1) for i in range(n))
+        else:
+            shift = cert.u[0] - inside[0]
+            assert cert.u == tuple(b + shift for b in inside)
+        assert cert.v == tuple(-x for x in cert.u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(-3, 3), min_size=n, max_size=n)] * 2)
+    ))
+    def test_same_cell_as_the_dense_scan(self, potentials):
+        u, v = potentials
+        expected = transport_module._entering_cell(unit_cost(len(u)), u, v)
+        assert transport_module._entering_mismatch(u, v) == expected
+
+    @pytest.mark.parametrize(
+        "u, v, cell",
+        [
+            ([0, 0, 0], [0, 0, 0], None),
+            ([0, 1, 0], [0, 0, 0], (1, 1)),  # diagonal: u_1 + v_1 > 0
+            ([1, 0, 0], [-1, 0, 1], (0, 2)),  # the largest v lies off row 0's diagonal
+            ([0, 0, 0], [0, 2, 0], (0, 1)),  # the largest v, 2, leaves row 0 at 0 on its diagonal
+            ([0, 1, 0], [0, -1, 1], (1, 2)),  # row 0 has none; row 1's first is off its diagonal
+            ([0, 1, 0], [-1, 1, -1], (1, 1)),  # the largest v sits only in row 1's own column
+        ],
+    )
+    def test_worked_potentials(self, u, v, cell):
+        assert transport_module._entering_cell(unit_cost(3), u, v) == cell
+        assert transport_module._entering_mismatch(u, v) == cell
+
+    def test_pivots_from_a_northwest_start_match_the_dense_pricing(self, monkeypatch):
+        # A start that is not optimal makes the O(N) pricing choose every
+        # entering cell of a pivot sequence; the dense scan must choose the same.
+        monkeypatch.setattr(transport_module, "_initial_basis", northwest_corner)
+        rng = random.Random(1518)
+        problems = [TransportProblem.mismatch(p, q) for p, q in tied_pairs(rng, 60)]
+        problems += [
+            TransportProblem.mismatch(random_pmf(rng, n, max_weight=4), random_pmf(rng, n, max_weight=4))
+            for n in range(1, 9)
+            for _ in range(8)
+        ]
+        results = self.counted_pricing(monkeypatch)
+        fast = [solve_transport(tp) for tp in problems]
+        assert sum(cell is not None for cell in results) > 100
+        monkeypatch.setattr(
+            transport_module, "_entering_mismatch",
+            lambda u, v: transport_module._entering_cell(unit_cost(len(u)), u, v),
+        )
+        for tp, (coupling, cert, basis) in zip(problems, fast):
+            assert solve_transport(tp) == (coupling, cert, basis)
+            assert certify(coupling, cert, tp)
+            assert cert.objective == vdist_halfsum(tp.supply, tp.demand)
+
+
+class TestStructuralCertify:
+    """The O(N) check that ``oracle`` runs agrees with the Fraction reference on mismatch problems."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pmf_pairs(max_n=6), st.integers(min_value=0, max_value=5), st.sampled_from([F(1, 7), F(-1, 3), F(2)]))
+    def test_agrees_with_the_reference_tampered_or_not(self, pair, k, delta):
+        p, q = pair
+        n = len(p.alphabet)
+        tp = TransportProblem.mismatch(p, q)
+        coupling, cert, _ = solve_transport(tp)
+        k %= n
+        tampered = [
+            cert,
+            DualCertificate(tuple(x + delta * (i == k) for i, x in enumerate(cert.u)), cert.v, cert.objective),
+            DualCertificate(cert.u, tuple(x + delta * (i == k) for i, x in enumerate(cert.v)), cert.objective),
+            DualCertificate(cert.u, cert.v, cert.objective + delta),
+        ]
+        verdicts = [
+            (certify_mismatch(coupling.diagonal(), c, p, q), reference.certify(coupling, c, tp)) for c in tampered
+        ]
+        assert verdicts[0] == (True, True)
+        assert all(fast == dense for fast, dense in verdicts)
+        assert verdicts[3] == (False, False)
+        if delta > 0:
+            # every diagonal cell is basic, so raising u_k or v_k breaks u_k + v_k <= 0
+            assert verdicts[1] == verdicts[2] == (False, False)
+
+
 def test_strong_duality_message_past_the_digit_limit(monkeypatch, default_digit_limit):
     # Doubled initial flows stay doubled through every pivot, so the primal
     # is twice the dual; D has about 4771 digits, so every int in the
@@ -606,8 +751,7 @@ def test_strong_duality_message_past_the_digit_limit(monkeypatch, default_digit_
     initial_basis = transport_module._initial_basis
 
     def doubled(supply, demand):
-        flow, basis = initial_basis(supply, demand)
-        return [[2 * x for x in row] for row in flow], basis
+        return [{b: 2 * x for b, x in row.items()} for row in initial_basis(supply, demand)]
 
     monkeypatch.setattr(transport_module, "_initial_basis", doubled)
     pattern = (

@@ -47,7 +47,7 @@ MUTANTS = (
     ),
     Mutant(
         "equal-marginals-star-on-last-row", "transport.py",
-        "basis += [(0, j) for j in range(1, n)]", "basis += [(n - 1, j) for j in range(n - 1)]",
+        "tied = [(0, j) for j in range(1, n)]", "tied = [(n - 1, j) for j in range(n - 1)]",
         TRANSPORT_TESTS,
     ),
     Mutant(
@@ -73,6 +73,23 @@ MUTANTS = (
     Mutant(
         "coupling-skips-marginal-check", "coupling.py",
         "_check_marginals(scale, row_sums, columns, left, right)", "pass", ("test_coupling.py",),
+    ),
+    Mutant(
+        "mismatch-pricing-reads-own-column-v", "transport.py",
+        "if ua + va > 0 or ua + top > 1:", "if ua + va > 0 or ua + va > 1:", ("test_transport.py",),
+    ),
+    Mutant(
+        "sparse-validation-skips-a-column", "distributions.py",
+        "for column, x in zip(columns, ints):", "for column, x in zip(columns[1:], ints[1:]):",
+        ("test_coupling.py", "test_transport.py"),
+    ),
+    Mutant(
+        "structural-certify-drops-diagonal", "transport.py",
+        "if max(map(add, u, v)) > 0:", "if False:", ("test_transport.py",),
+    ),
+    Mutant(
+        "denominator-cache-keyed-on-numerator", "rational.py",
+        "denominators.get(tail)", "denominators.get(head)", ("test_rational.py", "test_jsonio.py"),
     ),
 )
 
