@@ -58,7 +58,7 @@ from .metrics import vdist_halfsum
 from .multidim import Coupling4, mismatch_components
 from .rational import MAX_EXPONENT, bounded_str, decimal_string, parse_rational
 from .tables import resolve_fixtures_dir, sync_fixtures
-from .transport import TransportProblem, certify_mismatch, solve_transport
+from .transport import TransportProblem, certify_mismatch_coupling, solve_transport
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -202,7 +202,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _config(args)
     p, q = _one_dim(*_load_pair(args.p_file, args.q_file))
     coupling, certificate, _ = solve_transport(TransportProblem.mismatch(p, q))
-    certified = certify_mismatch(coupling.diagonal(), certificate, p, q)
+    certified = certify_mismatch_coupling(coupling, certificate)
     v = vdist_halfsum(p, q)
     agreement = certified and certificate.objective == v
     if not agreement:

@@ -222,10 +222,13 @@ class Coupling:
         """The diagonal entries j(a, a), in alphabet order."""
         return tuple(map(self.entry, range(len(self.alphabet)), range(len(self.alphabet))))
 
-    def diagonal_mass(self) -> Fraction:
+    def diagonal_ints(self) -> list[int]:
+        """The diagonal entries j(a, a) times ``scale``, as ints, in alphabet order."""
         n = len(self.alphabet)
-        diagonal = map(self._pair, range(n), range(n))
-        return Fraction(sum(ratios_over(self.scale, diagonal)), self.scale)
+        return list(ratios_over(self.scale, map(self._pair, range(n), range(n))))
+
+    def diagonal_mass(self) -> Fraction:
+        return Fraction(sum(self.diagonal_ints()), self.scale)
 
 
 def _fits(columns: Sequence[int], pairs: Sequence, n: int) -> bool:

@@ -34,6 +34,18 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   smallest-index rule (first negative reduced cost enters, smallest tied
   cell leaves), which guarantees termination without perturbing data;
   a pivot budget of ``MAX_PIVOTS_PER_CELL * N**2`` still guards the loop;
+* pricing on general costs by row bounds (:func:`_entering_bounded`):
+  each row keeps a lower bound on the reduced costs of its non-basic
+  cells.  A pivot whose entering cell has reduced cost r < 0 moves only
+  the potentials of the subtree S that it cuts off, by r and -r, so the
+  only cells that fall, each by exactly -r, are those from S's rows to
+  the other columns (when S hangs from the entering column) or from the
+  other rows to S's columns (when it hangs from the entering row), and
+  exactly those rows' bounds are lowered by -r, the second case as one
+  shared floor.  The row-major scan rescans only the rows whose bound is
+  negative, resetting each to the row's exact least, and skips the
+  others, which hold no negative reduced cost, so the cell it returns is
+  the one the dense scan :func:`_entering_cell` returns;
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
@@ -42,9 +54,10 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   problem's marginals over D, with the coupling's own ints;
 * for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
   closed-form optimal dual and :func:`certify_mismatch` checks any
-  certificate in O(N), both on ints over one common denominator; it is
-  how ``couplingkit oracle`` certifies, and the dense :func:`certify`
-  is its cross-check in the tests;
+  certificate in O(N), both on ints over one common denominator;
+  ``couplingkit oracle`` certifies through
+  :func:`certify_mismatch_coupling`, the same check on a coupling's own
+  ints, and the dense :func:`certify` is their cross-check in the tests;
 * :func:`vertex_enumerate` walks every spanning-tree basis at desk
   scale, depth-first with an undoable union-find, and strips each
   tree's leaves on the ints over D, as a second, exhaustive oracle over
@@ -58,10 +71,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain
+from itertools import chain, compress, count, islice, repeat
 from math import lcm
-from operator import add, ge, mul, sub
+from operator import add, ge, lt, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .coupling import Coupling
@@ -271,28 +283,32 @@ def _walk_below(
     col_adj: Sequence[Iterable[int]],
     cost: Sequence[Sequence[int]],
     tree: Tree,
-) -> int:
+) -> list[int]:
     """Set the potentials, parents and depths of every node below ``top``.
 
     ``tree`` is (u, v, parent, depth) with ``top``'s own entries already
     set; nodes 0..n-1 are rows and n..2n-1 columns.  Walks breadth-first,
     taking each node's neighbours other than its parent as its children,
-    and returns the number of nodes walked, ``top`` included.  A tree
-    has 2N nodes, so walking more means the adjacency has a cycle, which
-    raises :class:`CorruptedCouplingError`.
+    and returns the nodes walked, ``top`` first.  A tree has 2N nodes, so
+    walking more means the adjacency has a cycle, which raises
+    :class:`CorruptedCouplingError`.
     """
     u, v, parent, depth = tree
     n = len(row_adj)
     order = [top]
-    for x in order:  # grows while it is walked: a breadth-first queue
+    push = order.append
+    # ``order`` grows while it is walked, a breadth-first queue; a walk
+    # that has not ended after 2N nodes has queued more than 2N.
+    for x in islice(order, 2 * n):
         below, skip = depth[x] + 1, parent[x]
         if x < n:
             ux, crow = u[x], cost[x]
             for b in row_adj[x]:
-                if n + b != skip:
+                y = n + b
+                if y != skip:
                     v[b] = crow[b] - ux
-                    parent[n + b], depth[n + b] = x, below
-                    order.append(n + b)
+                    parent[y], depth[y] = x, below
+                    push(y)
         else:
             b = x - n
             vb = v[b]
@@ -300,10 +316,10 @@ def _walk_below(
                 if a != skip:
                     u[a] = cost[a][b] - vb
                     parent[a], depth[a] = x, below
-                    order.append(a)
-        if len(order) > 2 * n:
-            raise CorruptedCouplingError("basis has a cycle: walk passed 2N nodes")
-    return len(order)
+                    push(a)
+    if len(order) > 2 * n:
+        raise CorruptedCouplingError("basis has a cycle: walk passed 2N nodes")
+    return order
 
 
 def _tree_walk(
@@ -315,7 +331,7 @@ def _tree_walk(
     each node's parent and depth (the root's parent is -1).
     """
     tree = ([0] * n, [0] * n, [-1] * (2 * n), [0] * (2 * n))
-    if _walk_below(0, row_adj, col_adj, cost, tree) != 2 * n:
+    if len(_walk_below(0, row_adj, col_adj, cost, tree)) != 2 * n:
         raise CorruptedCouplingError("basis does not span the bipartite graph")
     return tree
 
@@ -327,8 +343,8 @@ def _rehang(
     col_adj: Sequence[Iterable[int]],
     cost: Sequence[Sequence[int]],
     tree: Tree,
-) -> None:
-    """Hang the subtree below ``node`` from ``up`` and reset it in place.
+) -> list[int]:
+    """Hang the subtree below ``node`` from ``up``, reset it in place and return its nodes.
 
     After a pivot the leaving cell has cut a subtree off the root's
     side, and the entering cell (``node``, ``up``) joins it back, with
@@ -344,7 +360,7 @@ def _rehang(
         u[node] = cost[node][up - n] - v[up - n]
     else:
         v[node - n] = cost[up][node - n] - u[up]
-    _walk_below(node, row_adj, col_adj, cost, tree)
+    return _walk_below(node, row_adj, col_adj, cost, tree)
 
 
 def _entering_cell(
@@ -352,11 +368,57 @@ def _entering_cell(
 ) -> Cell | None:
     """First cell in row-major order with negative reduced cost cost_ab - u_a - v_b.
 
-    Basic cells have reduced cost exactly 0, so they never qualify.
+    The dense reference for both pricings that :func:`solve_transport`
+    runs, :func:`_entering_bounded` and :func:`_entering_mismatch`: it
+    scans every row.  Basic cells have reduced cost exactly 0, so they
+    never qualify.
     """
     for a, (crow, ua) in enumerate(zip(cost, u)):
         if min(map(sub, crow, v)) < ua:
             return a, next(b for b, (c, vb) in enumerate(zip(crow, v)) if c - vb < ua)
+    return None
+
+
+def _entering_bounded(
+    cost: Sequence[Sequence[int]],
+    u: Sequence[int],
+    v: Sequence[int],
+    basic: Flows,
+    bound: list[int],
+    floor: int,
+) -> Cell | None:
+    """:func:`_entering_cell`, scanning only the rows that may hold a negative reduced cost.
+
+    ``basic[a]`` holds row a's basic columns, and ``bound[a] + floor`` is
+    a lower bound on the reduced costs of row a's other cells.  A basic
+    cell's reduced cost is 0, so a row whose bound is non-negative holds
+    no negative one, and it is skipped: the dense scan would pass it
+    too.  The other rows are scanned in order, and each has its bound
+    reset to the exact least reduced cost of its non-basic cells: with
+    the row's k basic cells at exactly u_a, that is the k-th smallest of
+    its cost_ab - v_b (from 0), less u_a.  The first row scanned with a
+    negative one is the dense scan's row, and the cell is its first
+    negative column.  That cell is about to turn basic, so the row's
+    bound is set for after the pivot: the row's least reduced cost when
+    it holds another negative one, else the least ranked past the cell
+    and the k basic cells.
+    """
+    limit = -floor
+    for a, low in enumerate(bound):
+        if low >= limit:
+            continue
+        ua, crow, k = u[a], cost[a], len(basic[a])
+        ranked = sorted(map(sub, crow, v))
+        if ranked[0] < ua:
+            # The cell found turns basic; if it was the row's only negative
+            # one, the row's other non-basic cells rank past it and the k basic ones.
+            if ranked[1] < ua:
+                least = ranked[0]
+            else:
+                least = ranked[k + 1] if k + 1 < len(ranked) else ua
+            bound[a] = least - ua - floor
+            return a, next(compress(count(), map(lt, map(sub, crow, v), repeat(ua))))
+        bound[a] = (ranked[k] - ua if k < len(ranked) else 0) - floor
     return None
 
 
@@ -376,43 +438,15 @@ def _entering_mismatch(u: Sequence[int], v: Sequence[int]) -> Cell | None:
     return None
 
 
-def _tree_path_cycle(
-    entering: Cell, parent: Sequence[int], depth: Sequence[int], n: int
-) -> list[Cell]:
-    """Unique cycle the entering cell closes in the tree, ordered from it; signs alternate.
-
-    The cycle is the entering cell plus the tree path from its column
-    to its row, so it leaves the entering cell along its column first.
-    Both ends climb the parent pointers until they meet.
-    """
-
-    def edge(node: int) -> Cell:
-        up = parent[node]
-        return (node, up - n) if node < n else (up, node - n)
-
-    a, b = entering
-    col_side: list[Cell] = []
-    row_side: list[Cell] = []
-    x, y = n + b, a
-    while depth[x] > depth[y]:
-        col_side.append(edge(x))
-        x = parent[x]
-    while depth[y] > depth[x]:
-        row_side.append(edge(y))
-        y = parent[y]
-    while x != y:
-        col_side.append(edge(x))
-        row_side.append(edge(y))
-        x, y = parent[x], parent[y]
-    return [entering, *col_side, *reversed(row_side)]
-
-
 def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, BasisTree]:
     """Exact optimal basic solution via transportation simplex.
 
     Entering variable: first cell in row-major order with negative
-    reduced cost.  Leaving variable: smallest-index cell among those
-    attaining the minimum flow on the cycle's decreasing positions.
+    reduced cost, found by :func:`_entering_bounded` on general costs
+    and :func:`_entering_mismatch` on the 0/1 cost, each of which
+    returns the cell of the dense scan :func:`_entering_cell`.  Leaving
+    variable: smallest-index cell among those attaining the minimum flow
+    on the cycle's decreasing positions.
     This Bland-style rule terminates under degeneracy; a budget of
     ``MAX_PIVOTS_PER_CELL * N**2`` pivots guards the loop, and exceeding
     it raises :class:`CorruptedCouplingError`.
@@ -425,7 +459,9 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     Neither is scaled here: :class:`TransportProblem` did it once when
     it was built.  The potentials are walked over the whole tree once
     and then, after each pivot, only over the subtree that the leaving
-    cell cuts off.  Strong duality is checked on the integers; the coupling is the
+    cell cuts off, whose rows then have their pricing bounds lowered
+    (or, when the cut was on the entering row's side, every other row,
+    through one shared floor).  Strong duality is checked on the integers; the coupling is the
     flows over D (:meth:`~couplingkit.coupling.Coupling.over`, with no
     Fraction per cell) and the certificate's potentials the integer ones
     over L.
@@ -441,37 +477,78 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
             col_adj[b].add(a)
     tree = _tree_walk(flow, col_adj, cost, n)
     u, v, parent, depth = tree
-    price = _entering_mismatch if isinstance(cost, _UnitCost) else partial(_entering_cell, cost)
+    unit = isinstance(cost, _UnitCost)
+    # Row a's non-basic cells have reduced costs of at least bound[a] +
+    # floor, at first the least cost less max(u) and max(v).
+    least = 0 if unit else min(map(min, cost))
+    bound, floor = [least - max(u) - max(v)] * n, 0
     budget = MAX_PIVOTS_PER_CELL * n * n
     pivots = 0
-    while (entering := price(u, v)) is not None:
+    while True:
+        entering = _entering_mismatch(u, v) if unit else _entering_bounded(cost, u, v, flow, bound, floor)
+        if entering is None:
+            break
         pivots += 1
         if pivots > budget:
             raise CorruptedCouplingError(
                 f"transportation simplex made {pivots} pivots, "
                 f"over its budget of {budget} for N = {n}"
             )
-        cycle = _tree_path_cycle(entering, parent, depth, n)
-        decreasing = cycle[1::2]
-        theta = min(flow[i][j] for i, j in decreasing)
-        leaving = min(cell for cell in decreasing if flow[cell[0]][cell[1]] == theta)
         a, b = entering
+        # The cycle is the entering cell and the tree path from column b
+        # to row a; the deeper end climbs until the two ends meet.  Each
+        # path cell is on column b's side or row a's, and it decreases
+        # when its lower end is of that side's kind.
+        down: list[tuple[int, int, int]] = []  # (flow, row, column)
+        up: list[Cell] = []
+        x, y = n + b, a
+        while x != y:
+            if depth[x] > depth[y]:
+                z = parent[x]
+                if x < n:
+                    up.append((x, z - n))
+                else:
+                    down.append((flow[z][x - n], z, x - n))
+                x = z
+            else:
+                z = parent[y]
+                if y < n:
+                    down.append((flow[y][z - n], y, z - n))
+                else:
+                    up.append((z, y - n))
+                y = z
+        theta, p, q = min(down)  # the least flow, and of its cells the smallest leaves
         flow[a][b] = theta
         if theta:
-            for i, j in cycle[2::2]:
+            for i, j in up:
                 flow[i][j] += theta
-            for i, j in decreasing:
+            for _, i, j in down:
                 flow[i][j] -= theta
-        p, q = leaving
         del flow[p][q]
         col_adj[q].remove(p)
         col_adj[b].add(a)
+        r = cost[a][b] - u[a] - v[b]
         # The cycle passes each decreasing cell from its column to its
         # row, so the leaving cell's lower end says which side it cut.
         if parent[n + q] == p:
-            _rehang(n + b, a, flow, col_adj, cost, tree)
+            subtree = _rehang(n + b, a, flow, col_adj, cost, tree)
         else:
-            _rehang(a, n + b, flow, col_adj, cost, tree)
+            subtree = _rehang(a, n + b, flow, col_adj, cost, tree)
+        # Only the cut-off subtree S moved: its row potentials by -r and
+        # its column potentials by r when it hangs from column b, the
+        # reverse when it hangs from row a.  So the cells from S's rows to
+        # the other columns, or from the other rows to S's columns, fell
+        # by exactly -r > 0, and no other cell fell.
+        if subtree[0] >= n:
+            shift = r
+        else:  # lower every row through the shared floor, and raise S's rows back
+            floor += r
+            shift = -r
+        for i in subtree:
+            if i < n:
+                bound[i] += shift
+        # The leaving cell now joins S to the rest at reduced cost -r.
+        bound[p] = min(bound[p], -r - floor)
 
     cells = tuple((a, b) for a, row in enumerate(flow) for b in sorted(row))
     primal = sum(sum(crow[b] * x for b, x in row.items()) for crow, row in zip(cost, flow))
@@ -581,13 +658,36 @@ def certify_mismatch(
     """
     require_same_alphabet(supply, demand)
     n = len(supply.alphabet)
-    if len(diagonal) != n or len(cert.u) != n or len(cert.v) != n:
+    if len(diagonal) != n:
+        raise ShapeMismatchError("diagonal/certificate size does not match problem")
+    mass, ints = scaled([*supply.p, *demand.p, *diagonal])
+    return _certify_mismatch_over(mass, ints[2 * n :], ints[: 2 * n], cert)
+
+
+def certify_mismatch_coupling(c: Coupling, cert: DualCertificate) -> bool:
+    """:func:`certify_mismatch` for the coupling ``c`` of its own marginals, on its ints.
+
+    ``c`` is validated, so each of its rows and columns sums to its
+    marginal's entry: its diagonal
+    (:meth:`~couplingkit.coupling.Coupling.diagonal_ints`) and both its
+    marginals are ints over its ``scale``, with no Fraction and no gcd
+    per symbol.  Agrees with ``certify(c, cert,
+    TransportProblem.mismatch(c.left, c.right))``.
+    """
+    marginals = list(numerators_over(c.scale, c.left.p + c.right.p))
+    return _certify_mismatch_over(c.scale, c.diagonal_ints(), marginals, cert)
+
+
+def _certify_mismatch_over(
+    mass: int, diagonal: Sequence[int], marginals: Sequence[int], cert: DualCertificate
+) -> bool:
+    """:func:`certify_mismatch_ints` on a diagonal and marginals times ``mass``, the potentials scaled here."""
+    n = len(diagonal)
+    if len(cert.u) != n or len(cert.v) != n:
         raise ShapeMismatchError("diagonal/certificate size does not match problem")
     scale, potentials = scaled([*cert.u, *cert.v])
-    mass, ints = scaled([*supply.p, *demand.p, *diagonal])
     return certify_mismatch_ints(
-        mass - sum(ints[2 * n :]), potentials[:n], potentials[n:], scale,
-        cert.objective, ints[: 2 * n], mass,
+        mass - sum(diagonal), potentials[:n], potentials[n:], scale, cert.objective, marginals, mass
     )
 
 

@@ -493,7 +493,7 @@ class TestBoundary:
         a, b = 3**6000, 5**4000
         p = files("p.json", {"alphabet": ["1", "2"], "p": [f"1/{a}", f"{a - 1}/{a}"]})
         q = files("q.json", {"alphabet": ["1", "2"], "p": [f"1/{b}", f"{b - 1}/{b}"]})
-        monkeypatch.setattr(cli, "certify_mismatch", lambda *args: False)
+        monkeypatch.setattr(cli, "certify_mismatch_coupling", lambda *args: False)
         assert main(["oracle", p, q]) == 1
         bits = (a * b).bit_length()
         assert capsys.readouterr().err == (

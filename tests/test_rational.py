@@ -226,6 +226,23 @@ def test_parse_ratio_with_a_shared_denominator_cache_agrees(texts):
     assert all(d == int(text) for text, d in denominators.items())
 
 
+@pytest.mark.parametrize("text", ["2_0/4", "6/1_2", "1_000", "1__0/2"])
+def test_underscored_literals_take_the_parse_rational_path(text):
+    # int() reads "_" on every Python, Fraction only from 3.11, so such a
+    # literal is left to parse_rational: accepted exactly when it accepts
+    # it, as its reduced pair, and never put in the denominator cache.
+    denominators = {}
+    try:
+        expected = parse_rational(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_ratio(text, denominators)
+        assert str(info.value) == str(exc)
+    else:
+        assert parse_ratio(text, denominators) == (expected.numerator, expected.denominator)
+    assert denominators == {}
+
+
 def test_each_distinct_denominator_is_read_once():
     denominators = {}
     pairs = [parse_ratio(text, denominators) for text in ["1/2", "2/3", "3/2", "12/2", "2/12"]]

@@ -28,6 +28,7 @@ from couplingkit import (
 )
 
 import couplingkit.transport as transport_module
+from couplingkit.transport import certify_mismatch_coupling
 
 from . import fraction_reference as reference
 from .conftest import pmf_pairs, random_cost, random_pmf
@@ -312,10 +313,11 @@ class TestIncrementalPotentials:
 
         def checked_rehang(node, up, row_adj, col_adj, cost, tree):
             nonlocal checked
-            rehang(node, up, row_adj, col_adj, cost, tree)
+            subtree = rehang(node, up, row_adj, col_adj, cost, tree)
             fresh = transport_module._tree_walk(row_adj, col_adj, cost, len(row_adj))
             assert tree == fresh
             checked += 1
+            return subtree
 
         monkeypatch.setattr(transport_module, "_rehang", checked_rehang)
         rng = random.Random(4242)
@@ -713,6 +715,78 @@ class TestMismatchPricing:
             assert cert.objective == vdist_halfsum(tp.supply, tp.demand)
 
 
+class TestBoundedPricing:
+    """On general costs the pricing skips rows by their bounds and still picks the dense scan's cell."""
+
+    @staticmethod
+    def checked_pricing(monkeypatch) -> list:
+        """Hold every call of the row-bounded pricing to the dense scan; returns the cells, in order.
+
+        Before each call every row's bound must also be a true lower bound
+        on the reduced costs of the row's non-basic cells.
+        """
+        cells = []
+        price = transport_module._entering_bounded
+
+        def checked(cost, u, v, basic, bound, floor):
+            for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
+                free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
+                assert not free or bound[a] + floor <= min(free)
+            expected = transport_module._entering_cell(cost, u, v)
+            cells.append(price(cost, u, v, basic, bound, floor))
+            assert cells[-1] == expected
+            return cells[-1]
+
+        monkeypatch.setattr(transport_module, "_entering_bounded", checked)
+        return cells
+
+    def solve_all(self, problems, monkeypatch) -> int:
+        """Solve and certify each problem under the checked pricing; the number of pivots made."""
+        cells = self.checked_pricing(monkeypatch)
+        for tp in problems:
+            coupling, cert, _ = solve_transport(tp)
+            assert_certificate(tp, coupling, cert)
+        return sum(cell is not None for cell in cells)
+
+    @pytest.mark.parametrize("max_cost", [1, 3, 99])
+    def test_integer_costs(self, max_cost, monkeypatch):
+        rng = random.Random(1700 + max_cost)
+        problems = [
+            TransportProblem(p, q, random_cost(rng, n, max_cost=max_cost))
+            for n in range(1, 13)
+            for p, q in [(random_pmf(rng, n, max_weight=3), random_pmf(rng, n)) for _ in range(4)]
+        ]
+        assert self.solve_all(problems, monkeypatch) > 200
+
+    def test_fractional_costs(self, monkeypatch):
+        rng = random.Random(1704)
+        problems = [
+            TransportProblem(random_pmf(rng, n), random_pmf(rng, n, max_weight=4), fractional_cost(rng, n))
+            for n in range(1, 11)
+            for _ in range(4)
+        ]
+        assert self.solve_all(problems, monkeypatch) > 200
+
+    def test_tied_marginals(self, monkeypatch):
+        rng = random.Random(1705)
+        problems = [
+            TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=rng.choice([1, 3, 99])))
+            for p, q in tied_pairs(rng, 120)
+        ]
+        assert self.solve_all(problems, monkeypatch) > 100
+
+    def test_from_a_northwest_start(self, monkeypatch):
+        monkeypatch.setattr(transport_module, "_initial_basis", northwest_corner)
+        rng = random.Random(1706)
+        problems = [TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 60)]
+        problems += [
+            TransportProblem(random_pmf(rng, n, max_weight=4), random_pmf(rng, n, max_weight=4), random_cost(rng, n))
+            for n in range(1, 11)
+            for _ in range(3)
+        ]
+        assert self.solve_all(problems, monkeypatch) > 200
+
+
 class TestStructuralCertify:
     """The O(N) check that ``oracle`` runs agrees with the Fraction reference on mismatch problems."""
 
@@ -730,15 +804,34 @@ class TestStructuralCertify:
             DualCertificate(cert.u, tuple(x + delta * (i == k) for i, x in enumerate(cert.v)), cert.objective),
             DualCertificate(cert.u, cert.v, cert.objective + delta),
         ]
-        verdicts = [
-            (certify_mismatch(coupling.diagonal(), c, p, q), reference.certify(coupling, c, tp)) for c in tampered
-        ]
+        verdicts = []
+        for c in tampered:
+            fast = certify_mismatch_coupling(coupling, c)
+            assert certify_mismatch(coupling.diagonal(), c, p, q) == fast
+            verdicts.append((fast, reference.certify(coupling, c, tp)))
         assert verdicts[0] == (True, True)
         assert all(fast == dense for fast, dense in verdicts)
         assert verdicts[3] == (False, False)
         if delta > 0:
             # every diagonal cell is basic, so raising u_k or v_k breaks u_k + v_k <= 0
             assert verdicts[1] == verdicts[2] == (False, False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pmf_pairs(max_n=6), st.sampled_from([F(1, 7), F(-1, 3), F(2)]))
+    def test_reads_any_coupling_of_the_pair(self, pair, delta):
+        # The maximal coupling's pairs are reduced one by one, so its scale
+        # need not be the problem's D; tampered or not, the verdict is the dense one's.
+        p, q = pair
+        tp = TransportProblem.mismatch(p, q)
+        coupling = coupling_maximal(p, q)
+        cert = mismatch_certificate(p, q)
+        for c in (cert, DualCertificate(cert.u, cert.v, cert.objective + delta)):
+            assert certify_mismatch_coupling(coupling, c) == reference.certify(coupling, c, tp)
+
+    def test_shape_mismatch_raises(self, ramp, uniform4):
+        coupling, cert, _ = solve_transport(TransportProblem.mismatch(ramp, uniform4))
+        with pytest.raises(ShapeMismatchError):
+            certify_mismatch_coupling(coupling, DualCertificate(cert.u[:3], cert.v, cert.objective))
 
 
 def test_strong_duality_message_past_the_digit_limit(monkeypatch, default_digit_limit):

@@ -52,7 +52,8 @@ MUTANTS = (
     ),
     Mutant(
         "leaving-cell-largest-index", "transport.py",
-        "leaving = min(cell", "leaving = max(cell", TRANSPORT_TESTS,
+        "theta, p, q = min(down)", "theta, p, q = max(c for c in down if c[0] == min(down)[0])",
+        TRANSPORT_TESTS,
     ),
     Mutant(
         "over-supplied-counted-as-tied", "transport.py",
@@ -90,6 +91,31 @@ MUTANTS = (
     Mutant(
         "denominator-cache-keyed-on-numerator", "rational.py",
         "denominators.get(tail)", "denominators.get(head)", ("test_rational.py", "test_jsonio.py"),
+    ),
+    Mutant(
+        "row-bound-lowered-on-wrong-side", "transport.py",
+        "if subtree[0] >= n:", "if subtree[0] < n:", ("test_transport.py",),
+    ),
+    Mutant(
+        "row-bound-not-lowered", "transport.py",
+        "shift = r", "shift = 0", ("test_transport.py",),
+    ),
+    Mutant(
+        "leaving-row-bound-not-capped", "transport.py",
+        "bound[p] = min(bound[p], -r - floor)", "pass", ("test_transport.py",),
+    ),
+    Mutant(
+        "parse-ratio-reads-underscores", "rational.py",
+        'text.isascii() and "_" not in text:', "text.isascii():", ("test_rational.py", "test_jsonio.py"),
+    ),
+    Mutant(
+        "zero-entry-feeds-scale", "distributions.py",
+        "for x, d in pairs if x})", "for x, d in pairs})",
+        ("test_distributions.py", "test_coupling.py"),
+    ),
+    Mutant(
+        "dense-row-skips-column-sums", "distributions.py",
+        "sums = list(map(add, sums, ints))", "pass", ("test_distributions.py", "test_coupling.py"),
     ),
 )
 
