@@ -46,7 +46,6 @@ from .errors import (
 )
 from .jsonio import (
     coupling_json,
-    coupling_to_obj,
     dump_json,
     load_distribution,
     load_pmf,
@@ -213,21 +212,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     if args.out:
         Path(args.out).write_text(coupling_json(coupling, certificate.to_json_dict()), encoding="utf-8")
     if cfg.format == "json":
-        solution = {} if args.out else {
-            "coupling": coupling_to_obj(coupling),
-            "certificate": certificate.to_json_dict(),
-        }
-        _emit(
-            dump_json(
-                {
-                    "objective": str(certificate.objective),
-                    "v": str(v),
-                    "certified": certified,
-                    "agreement": agreement,
-                    **solution,
-                }
-            ).rstrip("\n")
-        )
+        fields = {"objective": str(certificate.objective), "v": str(v), "certified": certified, "agreement": agreement}
+        # without --out the solution rides along, written from the coupling's rows
+        text = dump_json(fields) if args.out else coupling_json(coupling, certificate.to_json_dict(), fields)
+        _emit(text.rstrip("\n"))
     else:
         _emit(f"objective: {cfg.show(certificate.objective)}")
         _emit(f"v: {cfg.show(v)}")

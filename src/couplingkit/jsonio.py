@@ -23,8 +23,9 @@ than guessed.  Emission is deterministic: fixed key order, two-space
 indentation, one trailing newline, so identical inputs produce
 byte-identical files on every platform.
 
-Coupling files, in both layouts and inside ``oracle --out``'s
-{"coupling", "certificate"} document, are written by one writer,
+Coupling files, in both layouts and inside ``oracle``'s solution
+documents (``--out``'s {"coupling", "certificate"} file and the
+``--format json`` payload), are written by one writer,
 :func:`coupling_json`.  It reads the entries as lowest-terms pairs of
 ints, renders the decimal digits of each distinct denominator once,
 writes ``"0"`` for each cell its row does not list, and lays the text
@@ -170,15 +171,16 @@ def coupling_to_obj(c: Coupling, render: Render = str) -> dict:
     }
 
 
-def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None) -> str:
-    """The coupling file of ``c``, or with ``certificate`` the oracle's solution file.
+def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None, fields: dict | None = None) -> str:
+    """The coupling file of ``c``, or with ``certificate`` the oracle's solution document.
 
     Byte for byte ``dump_json(coupling_to_obj(c))`` for a
     :class:`~couplingkit.coupling.Coupling`, ``dump_json(coupling4_to_obj(c))``
     for a :class:`~couplingkit.multidim.Coupling4`, and
-    ``dump_json({"coupling": coupling_to_obj(c), "certificate": certificate})``
-    with a certificate, but with no Fraction and no ``str`` of a
-    denominator per cell.  The rows are joined into the text once.
+    ``dump_json({**fields, "coupling": coupling_to_obj(c), "certificate": certificate})``
+    with a certificate, ``fields`` the document's leading entries (none
+    for ``oracle --out``'s file), but with no Fraction and no ``str`` of
+    a denominator per cell.  The rows are joined into the text once.
     """
     indent = "" if certificate is None else "  "
     inner = indent + "  "
@@ -190,8 +192,8 @@ def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None) -> s
         body = ['"matrix": ', *_json_pieces(rows, inner)]
     parts = _json_pieces(['"alphabet": ' + symbols, body], indent, "{}")
     if certificate is not None:
-        nested = json.dumps(certificate, indent=2).replace("\n", "\n  ")
-        parts = _json_pieces([['"coupling": ', *parts], '"certificate": ' + nested], "", "{}")
+        head = [_json_entry(key, value) for key, value in (fields or {}).items()]
+        parts = _json_pieces([*head, ['"coupling": ', *parts], _json_entry("certificate", certificate)], "", "{}")
     parts.append("\n")
     return "".join(parts)
 
@@ -218,6 +220,11 @@ def _blocks(c4: Coupling4, indent: str) -> list[str]:
         columns = [y1 + ": " + _json_list(row[k * n:(k + 1) * n], inner + "  ") for k, y1 in enumerate(keys)]
         blocks.append(json.dumps(label) + ": " + "".join(_json_pieces(columns, inner, "{}")))
     return _json_pieces(blocks, indent, "{}")
+
+
+def _json_entry(key: str, value) -> str:
+    """``key: value`` as ``json.dumps(indent=2)`` writes it among a top-level object's entries."""
+    return json.dumps(key) + ": " + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def _json_list(items: list[str], indent: str) -> str:

@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import couplingkit
-from couplingkit import cli, distributions
+from couplingkit import TransportProblem, cli, distributions, solve_transport, vdist_halfsum
 from couplingkit.cli import Config, build_parser, main
 from couplingkit.multidim import Coupling4
-from couplingkit.jsonio import load_coupling_matrix
+from couplingkit.jsonio import coupling_to_obj, dump_json, load_coupling_matrix
 from couplingkit.rational import parse_rational
 from couplingkit.tables import generate_fixtures
 
@@ -31,6 +31,19 @@ BAND3 = {
     "alphabet": ["1", "2", "3"],
     "matrix": [["1/9", "2/9", "0"], ["1/9", "1/9", "1/9"], ["0", "1/9", "2/9"]],
 }
+
+
+def random_marginal(rng: random.Random, n: int) -> dict:
+    """A one-dim distribution file of small integer weights over their sum, zeros included."""
+    weights = [rng.randint(0, 3) for _ in range(n)]
+    weights[rng.randrange(n)] += 1
+    return {"alphabet": [str(i) for i in range(n)], "p": [f"{w}/{sum(weights)}" for w in weights]}
+
+
+# Tied symbols, P = Q, a two-dim pair, and random pairs with zeros.
+SMALL_PAIRS = [(RAMP, UNIFORM4), (RAMP, RAMP), (DIAG3, BAND3)] + [
+    (random_marginal(rng, n), random_marginal(rng, n)) for rng in [random.Random(1519)] for n in range(1, 7)
+]
 
 
 @pytest.fixture
@@ -319,6 +332,21 @@ class TestOracle:
         # without --out the solution itself rides along in the JSON payload
         assert obj["certificate"]["objective"] == "1/5"
         assert len(obj["coupling"]["matrix"]) == 4
+
+    @pytest.mark.parametrize("left, right", SMALL_PAIRS)
+    def test_json_format_writes_the_dumped_dicts_bytes(self, capsys, files, left, right):
+        # The payload is written from the coupling's rows; the reference
+        # dumps the dict of the whole dense coupling.
+        paths = [files("p.json", left), files("q.json", right)]
+        p, q = cli._one_dim(*cli._load_pair(*paths))
+        coupling, certificate, _ = solve_transport(TransportProblem.mismatch(p, q))
+        expected = dump_json({
+            "objective": str(certificate.objective), "v": str(vdist_halfsum(p, q)),
+            "certified": True, "agreement": True,
+            "coupling": coupling_to_obj(coupling), "certificate": certificate.to_json_dict(),
+        })
+        assert main(["oracle", "--format", "json", *paths]) == 0
+        assert capsys.readouterr().out == expected
 
     # Every symbol ties when P = Q, and the pair labels (1,3) and (3,1) tie
     # at zero for diag/band: the simplex's tie-breaks decide these files.

@@ -268,11 +268,23 @@ class TestSolve:
         assert solver_digest(problems) == "afa87ee65bdd2e27b418752f60f5650cdbe08c7151f12b0704528437593a9beb"
 
     def test_degenerate_general_cost_outputs_are_stable(self):
+        # These problems have tied optima, and the start decides which one
+        # the Bland path reaches; the pin holds the least-cost start's.
+        # Each output is first checked to be optimal: certified, and at
+        # desk scale the least objective over every vertex.
         rng = random.Random(1516)
         problems = [
             TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 80)
         ]
-        assert solver_digest(problems) == "528936ba5893eeb5bf41835dcd08f6c7a8d9050fe4316f23a52e432362a133ec"
+        enumerated = 0
+        for tp in problems:
+            coupling, cert, _ = solve_transport(tp)
+            assert_certificate(tp, coupling, cert)
+            if len(tp.supply.p) <= transport_module.DEFAULT_VERTEX_LIMIT:
+                assert cert.objective == min(reference.objective(tp, v) for v in vertex_enumerate(tp))
+                enumerated += 1
+        assert enumerated > 30
+        assert solver_digest(problems) == "2edb6355a07a5fb3f20a23dbae89db5b20e580ef642db1eaf529cc9908955d13"
 
     def test_general_costs_give_certified_optima(self):
         rng = random.Random(99)
@@ -622,6 +634,11 @@ def northwest_corner(supply, demand) -> list[dict]:
             j += 1
 
 
+def closed_form_start(supply, demand, cost) -> list[dict]:
+    """The 0/1 cost's closed-form start in place of the least-cost start of general costs."""
+    return transport_module._initial_basis(supply, demand)
+
+
 def unit_cost(n: int):
     return [[int(a != b) for b in range(n)] for a in range(n)]
 
@@ -740,12 +757,22 @@ class TestBoundedPricing:
         monkeypatch.setattr(transport_module, "_entering_bounded", checked)
         return cells
 
-    def solve_all(self, problems, monkeypatch) -> int:
-        """Solve and certify each problem under the checked pricing; the number of pivots made."""
+    def solve_all(
+        self, problems, monkeypatch, starts=(transport_module._least_cost_basis, closed_form_start)
+    ) -> int:
+        """Solve and certify each problem under the checked pricing from each start; the number of pivots made.
+
+        From the solver's own least-cost start the simplex makes few
+        pivots, so by default each problem is also solved from the
+        closed-form start, which is far from optimal on general costs and
+        makes the pricing work.
+        """
         cells = self.checked_pricing(monkeypatch)
-        for tp in problems:
-            coupling, cert, _ = solve_transport(tp)
-            assert_certificate(tp, coupling, cert)
+        for start in starts:
+            monkeypatch.setattr(transport_module, "_least_cost_basis", start)
+            for tp in problems:
+                coupling, cert, _ = solve_transport(tp)
+                assert_certificate(tp, coupling, cert)
         return sum(cell is not None for cell in cells)
 
     @pytest.mark.parametrize("max_cost", [1, 3, 99])
@@ -776,7 +803,6 @@ class TestBoundedPricing:
         assert self.solve_all(problems, monkeypatch) > 100
 
     def test_from_a_northwest_start(self, monkeypatch):
-        monkeypatch.setattr(transport_module, "_initial_basis", northwest_corner)
         rng = random.Random(1706)
         problems = [TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 60)]
         problems += [
@@ -784,7 +810,97 @@ class TestBoundedPricing:
             for n in range(1, 11)
             for _ in range(3)
         ]
-        assert self.solve_all(problems, monkeypatch) > 200
+
+        def northwest(supply, demand, cost):
+            return northwest_corner(supply, demand)
+
+        assert self.solve_all(problems, monkeypatch, starts=(northwest,)) > 200
+
+
+@st.composite
+def integer_marginals(draw, max_n: int = 7):
+    """Balanced integer marginals with zeros and ties, as ``solve_transport`` scales them.
+
+    The demand is the supply with a few units moved between symbols, so
+    many symbols tie; sometimes it is then permuted.
+    """
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    supply = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n))
+    supply[draw(st.integers(min_value=0, max_value=n - 1))] += 1
+    demand = list(supply)
+    for i, j in draw(st.lists(st.tuples(*[st.integers(min_value=0, max_value=n - 1)] * 2), max_size=n)):
+        if demand[i]:
+            demand[i] -= 1
+            demand[j] += 1
+    if draw(st.booleans()):
+        demand = draw(st.permutations(demand))
+    return supply, demand
+
+
+class TestLeastCostStart:
+    """General costs start from the least-cost spanning tree, which is far nearer the optimum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_marginals(), st.data())
+    def test_spanning_tree_meeting_both_marginals(self, marginals, data):
+        supply, demand = marginals
+        n = len(supply)
+        cost = data.draw(st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n),
+                                  min_size=n, max_size=n))
+        flow = transport_module._least_cost_basis(supply, demand, cost)
+        cells = [(a, b) for a, row in enumerate(flow) for b in row]
+        assert len(cells) == 2 * n - 1
+        # rows are nodes 0..n-1 and columns n..2n-1: each cell joining two
+        # components, 2N - 1 of them join all 2N nodes without a cycle
+        root = list(range(2 * n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for a, b in cells:
+            top, bottom = find(a), find(n + b)
+            assert top != bottom
+            root[bottom] = top
+        assert all(x >= 0 for row in flow for x in row.values())
+        assert [sum(row.values()) for row in flow] == supply
+        assert [sum(row.get(b, 0) for row in flow) for b in range(n)] == demand
+
+    def test_walks_cells_in_cost_row_column_order(self):
+        # Cells (0, 1) and (1, 0) tie at cost 0; (0, 1) comes first by row,
+        # takes all of row 0 and column 1, and retires the row.
+        flow = transport_module._least_cost_basis([2, 1], [1, 2], [[5, 0], [0, 5]])
+        assert flow == [{1: 2}, {0: 1, 1: 0}]
+
+    def test_at_most_a_third_of_the_closed_form_starts_pivots(self, monkeypatch):
+        rng = random.Random(1800)
+        problems = [
+            TransportProblem(random_pmf(rng, n, interior=True), random_pmf(rng, n, interior=True),
+                             random_cost(rng, n, max_cost=99))
+            for n in (12, 13, 14, 15, 16)
+            for _ in range(3)
+        ]
+        cells = []
+        price = transport_module._entering_bounded
+
+        def counted(*args):
+            cells.append(price(*args))
+            return cells[-1]
+
+        def pivots() -> int:
+            cells.clear()
+            for tp in problems:
+                coupling, cert, _ = solve_transport(tp)
+                assert certify(coupling, cert, tp)
+            return sum(cell is not None for cell in cells)
+
+        monkeypatch.setattr(transport_module, "_entering_bounded", counted)
+        least_cost = pivots()
+        monkeypatch.setattr(transport_module, "_least_cost_basis", closed_form_start)
+        closed_form = pivots()
+        assert closed_form > 1000
+        assert 3 * least_cost <= closed_form
 
 
 class TestStructuralCertify:

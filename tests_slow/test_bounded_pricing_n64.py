@@ -1,9 +1,11 @@
 """A general-cost solve at N = 64, outside the default test run.
 
-The simplex makes thousands of pivots here, so the row bounds of its
-pricing are lowered and reset many times over.  At every pivot the cell
-it enters must be the one the dense row-major scan picks, and the
-result must be certified.  Runs with the other slow tests::
+The problem is solved twice: from the solver's least-cost start, and
+from the closed-form start of the 0/1 cost put in its place, from which
+the simplex makes thousands of pivots, so the row bounds of its pricing
+are lowered and reset many times over.  At every pivot the cell it
+enters must be the one the dense row-major scan picks, and each result
+must be certified.  Runs with the other slow tests::
 
     PYTHONPATH=src python -m pytest -q tests_slow
 """
@@ -38,7 +40,12 @@ def test_every_entering_cell_is_the_dense_scans(monkeypatch):
         return cells[-1]
 
     monkeypatch.setattr(transport, "_entering_bounded", checked)
-    coupling, cert, _ = solve_transport(tp)
-    assert cells[-1] is None
+    def closed_form(supply, demand, cost):
+        return transport._initial_basis(supply, demand)
+
+    for start in (transport._least_cost_basis, closed_form):
+        monkeypatch.setattr(transport, "_least_cost_basis", start)
+        coupling, cert, _ = solve_transport(tp)
+        assert cells[-1] is None
+        assert certify(coupling, cert, tp)
     assert len(cells) > 2000
-    assert certify(coupling, cert, tp)

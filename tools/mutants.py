@@ -56,6 +56,15 @@ MUTANTS = (
         TRANSPORT_TESTS,
     ),
     Mutant(
+        "least-cost-start-retires-column-first", "transport.py",
+        "if left[a] == 0 and rows > 1:", "if left[a] == 0 and rows > 1 and (right[b] or cols == 1):",
+        TRANSPORT_TESTS,
+    ),
+    Mutant(
+        "least-cost-start-orders-by-column", "transport.py",
+        "key=flat.__getitem__", "key=lambda k: (flat[k], k % n)", TRANSPORT_TESTS,
+    ),
+    Mutant(
         "over-supplied-counted-as-tied", "transport.py",
         "if supply[k] == demand[k]]", "if supply[k] >= demand[k]]", TRANSPORT_TESTS,
     ),
