@@ -135,6 +135,24 @@ def assert_certificate(tp: TransportProblem, coupling, cert: DualCertificate):
     assert reference.objective(tp, coupling) == cert.objective
 
 
+def degenerate_problems() -> list[TransportProblem]:
+    """80 problems on marginals that tie at many symbols, with costs 0-3: many tied optima and degenerate pivots."""
+    rng = random.Random(1516)
+    return [TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 80)]
+
+
+def assert_optimal(problems) -> None:
+    """Each solve is certified, and at desk scale its objective is the least over every vertex."""
+    enumerated = 0
+    for tp in problems:
+        coupling, cert, _ = solve_transport(tp)
+        assert_certificate(tp, coupling, cert)
+        if len(tp.supply.p) <= transport_module.DEFAULT_VERTEX_LIMIT:
+            assert cert.objective == min(reference.objective(tp, v) for v in vertex_enumerate(tp))
+            enumerated += 1
+    assert enumerated > 30
+
+
 class TestProblemConstruction:
     def test_costs_are_scaled_to_ints_once(self, ramp, uniform4, monkeypatch):
         # every scaling helper the module calls, with the length of its input
@@ -268,23 +286,13 @@ class TestSolve:
         assert solver_digest(problems) == "afa87ee65bdd2e27b418752f60f5650cdbe08c7151f12b0704528437593a9beb"
 
     def test_degenerate_general_cost_outputs_are_stable(self):
-        # These problems have tied optima, and the start decides which one
-        # the Bland path reaches; the pin holds the least-cost start's.
-        # Each output is first checked to be optimal: certified, and at
-        # desk scale the least objective over every vertex.
-        rng = random.Random(1516)
-        problems = [
-            TransportProblem(p, q, random_cost(rng, len(p.p), max_cost=3)) for p, q in tied_pairs(rng, 80)
-        ]
-        enumerated = 0
-        for tp in problems:
-            coupling, cert, _ = solve_transport(tp)
-            assert_certificate(tp, coupling, cert)
-            if len(tp.supply.p) <= transport_module.DEFAULT_VERTEX_LIMIT:
-                assert cert.objective == min(reference.objective(tp, v) for v in vertex_enumerate(tp))
-                enumerated += 1
-        assert enumerated > 30
-        assert solver_digest(problems) == "2edb6355a07a5fb3f20a23dbae89db5b20e580ef642db1eaf529cc9908955d13"
+        # These problems have tied optima, and the start and the pricing
+        # decide which one the pivots reach; the pin holds the shipped
+        # solver's.  Each output is first checked to be optimal: certified,
+        # and at desk scale the least objective over every vertex.
+        problems = degenerate_problems()
+        assert_optimal(problems)
+        assert solver_digest(problems) == "7c3098f2e8b9339598265a253494af6ff850e0369c600106050afcfcf125a3bd"
 
     def test_general_costs_give_certified_optima(self):
         rng = random.Random(99)
@@ -732,48 +740,85 @@ class TestMismatchPricing:
             assert cert.objective == vdist_halfsum(tp.supply, tp.demand)
 
 
+def dense_most_negative(cost, u, v):
+    """The dense reference for the most-negative pricing: the least negative reduced cost, first in row-major order."""
+    best, cell = 0, None
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        for b, (c, vb) in enumerate(zip(crow, v)):
+            if c - ua - vb < best:
+                best, cell = c - ua - vb, (a, b)
+    return cell
+
+
+# The two general-cost pricings, by kind, and the dense scan each must agree with.
+PRICINGS = {
+    "bland": ("_entering_bounded", transport_module._entering_cell),
+    "dantzig": ("_entering_dantzig", dense_most_negative),
+}
+
+
+def watch_pricings(monkeypatch, checked: bool = False) -> list:
+    """Every call of either general-cost pricing, as (kind, cell), in order.
+
+    When ``checked``, each call's cell must be its dense reference's, and
+    before each call every row's bound must be a true lower bound on the
+    reduced costs of the row's non-basic cells.
+    """
+    calls = []
+
+    def watched(kind, price, reference):
+        def call(cost, u, v, basic, bound, floor):
+            if checked:
+                for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
+                    free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
+                    assert not free or bound[a] + floor <= min(free)
+            cell = price(cost, u, v, basic, bound, floor)
+            assert not checked or cell == reference(cost, u, v)
+            calls.append((kind, cell))
+            return cell
+
+        return call
+
+    for kind, (name, reference) in PRICINGS.items():
+        monkeypatch.setattr(transport_module, name, watched(kind, getattr(transport_module, name), reference))
+    return calls
+
+
+def bland_throughout(monkeypatch) -> None:
+    """Price every general-cost pivot by Bland's rule; after :func:`watch_pricings`, each call is watched as "bland"."""
+    monkeypatch.setattr(transport_module, "_entering_dantzig", lambda *args: transport_module._entering_bounded(*args))
+
+
+def pivots(calls, kind: str | None = None) -> int:
+    return sum(cell is not None for k, cell in calls if kind in (None, k))
+
+
 class TestBoundedPricing:
-    """On general costs the pricing skips rows by their bounds and still picks the dense scan's cell."""
-
-    @staticmethod
-    def checked_pricing(monkeypatch) -> list:
-        """Hold every call of the row-bounded pricing to the dense scan; returns the cells, in order.
-
-        Before each call every row's bound must also be a true lower bound
-        on the reduced costs of the row's non-basic cells.
-        """
-        cells = []
-        price = transport_module._entering_bounded
-
-        def checked(cost, u, v, basic, bound, floor):
-            for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
-                free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
-                assert not free or bound[a] + floor <= min(free)
-            expected = transport_module._entering_cell(cost, u, v)
-            cells.append(price(cost, u, v, basic, bound, floor))
-            assert cells[-1] == expected
-            return cells[-1]
-
-        monkeypatch.setattr(transport_module, "_entering_bounded", checked)
-        return cells
+    """On general costs both pricings skip rows by their bounds and still pick their dense scans' cells."""
 
     def solve_all(
-        self, problems, monkeypatch, starts=(transport_module._least_cost_basis, closed_form_start)
+        self, problems, monkeypatch, starts=(transport_module._least_cost_basis, closed_form_start), bland=False
     ) -> int:
-        """Solve and certify each problem under the checked pricing from each start; the number of pivots made.
+        """Solve and certify each problem under the checked pricings from each start; the number of pivots made.
 
         From the solver's own least-cost start the simplex makes few
         pivots, so by default each problem is also solved from the
         closed-form start, which is far from optimal on general costs and
-        makes the pricing work.
+        makes the pricing work.  With ``bland``, each is then solved again
+        under Bland's rule throughout, which makes about three times the
+        pivots of the shipped rule.
         """
-        cells = self.checked_pricing(monkeypatch)
-        for start in starts:
-            monkeypatch.setattr(transport_module, "_least_cost_basis", start)
-            for tp in problems:
-                coupling, cert, _ = solve_transport(tp)
-                assert_certificate(tp, coupling, cert)
-        return sum(cell is not None for cell in cells)
+        calls = watch_pricings(monkeypatch, checked=True)
+        for rule in ("shipped", "bland") if bland else ("shipped",):
+            if rule == "bland":
+                bland_throughout(monkeypatch)
+            for start in starts:
+                monkeypatch.setattr(transport_module, "_least_cost_basis", start)
+                for tp in problems:
+                    coupling, cert, _ = solve_transport(tp)
+                    assert_certificate(tp, coupling, cert)
+        assert pivots(calls, "dantzig") > 0
+        return pivots(calls)
 
     @pytest.mark.parametrize("max_cost", [1, 3, 99])
     def test_integer_costs(self, max_cost, monkeypatch):
@@ -783,7 +828,7 @@ class TestBoundedPricing:
             for n in range(1, 13)
             for p, q in [(random_pmf(rng, n, max_weight=3), random_pmf(rng, n)) for _ in range(4)]
         ]
-        assert self.solve_all(problems, monkeypatch) > 200
+        assert self.solve_all(problems, monkeypatch, bland=True) > 200
 
     def test_fractional_costs(self, monkeypatch):
         rng = random.Random(1704)
@@ -792,7 +837,7 @@ class TestBoundedPricing:
             for n in range(1, 11)
             for _ in range(4)
         ]
-        assert self.solve_all(problems, monkeypatch) > 200
+        assert self.solve_all(problems, monkeypatch, bland=True) > 200
 
     def test_tied_marginals(self, monkeypatch):
         rng = random.Random(1705)
@@ -816,6 +861,19 @@ class TestBoundedPricing:
 
         assert self.solve_all(problems, monkeypatch, starts=(northwest,)) > 200
 
+    @pytest.mark.parametrize("bound", [[0, -2, -3], [0, -3, -2], [-5, -5, -5], [-2, -2, -2]])
+    def test_ties_go_to_the_smallest_row_then_column(self, bound):
+        # u = v = 0, so the reduced costs are the costs; row 0 and column 0
+        # are basic.  The least, -2, is at (1, 1), (2, 1) and (2, 2).  When
+        # row 2's bound is lower it is visited first, and row 1, whose bound
+        # only ties the best found, must still be visited.
+        cost = [[0, 0, 0], [0, -2, -1], [0, -2, -2]]
+        basic = [{0: 0, 1: 1, 2: 1}, {0: 1}, {0: 1}]
+        assert dense_most_negative(cost, [0] * 3, [0] * 3) == (1, 1)
+        assert transport_module._entering_dantzig(cost, [0] * 3, [0] * 3, basic, bound, 0) == (1, 1)
+        # each row visited holds its exact least; row 1's is set for after (1, 1) turns basic
+        assert bound[1:] == [-1, -2]
+
 
 @st.composite
 def integer_marginals(draw, max_n: int = 7):
@@ -835,6 +893,55 @@ def integer_marginals(draw, max_n: int = 7):
     if draw(st.booleans()):
         demand = draw(st.permutations(demand))
     return supply, demand
+
+
+@pytest.fixture(scope="module")
+def start_pivots() -> tuple[dict, dict]:
+    """Pivots on 15 seeded N = 12-16 instances from the least-cost start and from the closed-form one.
+
+    Each dict maps a rule, "shipped" or "bland" (Bland's rule throughout),
+    to the pivots made over all 15; every solve is certified.
+    """
+    rng = random.Random(1800)
+    problems = [
+        TransportProblem(random_pmf(rng, n, interior=True), random_pmf(rng, n, interior=True),
+                         random_cost(rng, n, max_cost=99))
+        for n in (12, 13, 14, 15, 16)
+        for _ in range(3)
+    ]
+    starts = (transport_module._least_cost_basis, closed_form_start)
+    counts = ({}, {})
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = watch_pricings(monkeypatch)
+        for rule in ("shipped", "bland"):
+            if rule == "bland":
+                bland_throughout(monkeypatch)
+            for start, counted in zip(starts, counts):
+                monkeypatch.setattr(transport_module, "_least_cost_basis", start)
+                calls.clear()
+                for tp in problems:
+                    coupling, cert, _ = solve_transport(tp)
+                    assert certify(coupling, cert, tp)
+                counted[rule] = pivots(calls)
+    return counts
+
+
+class TestDantzigPricing:
+    """The most negative reduced cost enters, and Bland's rule prices after each degenerate pivot."""
+
+    def test_at_most_half_the_pivots_of_blands_rule(self, start_pivots):
+        least_cost, _ = start_pivots
+        assert 2 * least_cost["shipped"] <= least_cost["bland"]
+
+    @pytest.mark.parametrize("start, blands", [(transport_module._least_cost_basis, 50), (closed_form_start, 200)])
+    def test_bland_prices_after_degenerate_pivots(self, start, blands, monkeypatch):
+        # Tied marginals and costs 0-3 make many zero-flow pivots, and each
+        # is followed by a Bland pricing; the results are still optimal.
+        monkeypatch.setattr(transport_module, "_least_cost_basis", start)
+        calls = watch_pricings(monkeypatch, checked=True)
+        assert_optimal(degenerate_problems())
+        assert sum(kind == "bland" for kind, _ in calls) > blands
+        assert pivots(calls, "dantzig") > 0
 
 
 class TestLeastCostStart:
@@ -873,34 +980,14 @@ class TestLeastCostStart:
         flow = transport_module._least_cost_basis([2, 1], [1, 2], [[5, 0], [0, 5]])
         assert flow == [{1: 2}, {0: 1, 1: 0}]
 
-    def test_at_most_a_third_of_the_closed_form_starts_pivots(self, monkeypatch):
-        rng = random.Random(1800)
-        problems = [
-            TransportProblem(random_pmf(rng, n, interior=True), random_pmf(rng, n, interior=True),
-                             random_cost(rng, n, max_cost=99))
-            for n in (12, 13, 14, 15, 16)
-            for _ in range(3)
-        ]
-        cells = []
-        price = transport_module._entering_bounded
-
-        def counted(*args):
-            cells.append(price(*args))
-            return cells[-1]
-
-        def pivots() -> int:
-            cells.clear()
-            for tp in problems:
-                coupling, cert, _ = solve_transport(tp)
-                assert certify(coupling, cert, tp)
-            return sum(cell is not None for cell in cells)
-
-        monkeypatch.setattr(transport_module, "_entering_bounded", counted)
-        least_cost = pivots()
-        monkeypatch.setattr(transport_module, "_least_cost_basis", closed_form_start)
-        closed_form = pivots()
-        assert closed_form > 1000
-        assert 3 * least_cost <= closed_form
+    def test_at_most_a_third_of_the_closed_form_starts_pivots(self, start_pivots):
+        # Under Bland's rule throughout the least-cost start makes under a
+        # third of the closed-form start's pivots; under the shipped rule,
+        # which makes far fewer from either start, under half.
+        least_cost, closed_form = start_pivots
+        assert closed_form["bland"] > 1000
+        assert 3 * least_cost["bland"] <= closed_form["bland"]
+        assert 2 * least_cost["shipped"] <= closed_form["shipped"]
 
 
 class TestStructuralCertify:

@@ -1,11 +1,14 @@
 """A general-cost solve at N = 64, outside the default test run.
 
-The problem is solved twice: from the solver's least-cost start, and
-from the closed-form start of the 0/1 cost put in its place, from which
-the simplex makes thousands of pivots, so the row bounds of its pricing
-are lowered and reset many times over.  At every pivot the cell it
-enters must be the one the dense row-major scan picks, and each result
-must be certified.  Runs with the other slow tests::
+The problem is solved from the solver's least-cost start and from the
+closed-form start of the 0/1 cost put in its place, each under the
+shipped pricing (the most negative reduced cost, Bland's rule after a
+degenerate pivot) and then under Bland's rule throughout, from which the
+simplex makes thousands of pivots, so the row bounds of both pricings
+are lowered and reset many times over.  Before every pricing each row's
+bound must be a true lower bound, the cell each pricing enters must be
+the one its dense scan picks, and each result must be certified.  Runs
+with the other slow tests::
 
     PYTHONPATH=src python -m pytest -q tests_slow
 """
@@ -21,6 +24,16 @@ from couplingkit import Alphabet, Pmf, TransportProblem, certify, solve_transpor
 N = 64
 
 
+def most_negative(cost, u, v):
+    """The dense most-negative scan: the least negative reduced cost, first in row-major order."""
+    best, cell = 0, None
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        for b, (c, vb) in enumerate(zip(crow, v)):
+            if c - ua - vb < best:
+                best, cell = c - ua - vb, (a, b)
+    return cell
+
+
 def test_every_entering_cell_is_the_dense_scans(monkeypatch):
     rng = random.Random(2016)
     alphabet = Alphabet.of_size(N)
@@ -32,20 +45,31 @@ def test_every_entering_cell_is_the_dense_scans(monkeypatch):
     cost = [[Fraction(rng.randint(0, 99)) for _ in range(N)] for _ in range(N)]
     tp = TransportProblem(marginal(), marginal(), cost)
     cells = []
-    price = transport._entering_bounded
 
-    def checked(cost, u, v, basic, bound, floor):
-        cells.append(price(cost, u, v, basic, bound, floor))
-        assert cells[-1] == transport._entering_cell(cost, u, v)
-        return cells[-1]
+    def checked(price, reference):
+        def call(cost, u, v, basic, bound, floor):
+            for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
+                free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
+                assert not free or bound[a] + floor <= min(free)
+            cells.append(price(cost, u, v, basic, bound, floor))
+            assert cells[-1] == reference(cost, u, v)
+            return cells[-1]
 
-    monkeypatch.setattr(transport, "_entering_bounded", checked)
+        return call
+
+    monkeypatch.setattr(transport, "_entering_bounded", checked(transport._entering_bounded, transport._entering_cell))
+    monkeypatch.setattr(transport, "_entering_dantzig", checked(transport._entering_dantzig, most_negative))
+
     def closed_form(supply, demand, cost):
         return transport._initial_basis(supply, demand)
 
-    for start in (transport._least_cost_basis, closed_form):
-        monkeypatch.setattr(transport, "_least_cost_basis", start)
-        coupling, cert, _ = solve_transport(tp)
-        assert cells[-1] is None
-        assert certify(coupling, cert, tp)
-    assert len(cells) > 2000
+    starts = (transport._least_cost_basis, closed_form)
+    for bland in (False, True):
+        if bland:
+            monkeypatch.setattr(transport, "_entering_dantzig", transport._entering_bounded)
+        for start in starts:
+            monkeypatch.setattr(transport, "_least_cost_basis", start)
+            coupling, cert, _ = solve_transport(tp)
+            assert cells[-1] is None
+            assert certify(coupling, cert, tp)
+    assert sum(cell is not None for cell in cells) > 2000

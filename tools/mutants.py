@@ -114,6 +114,18 @@ MUTANTS = (
         "bound[p] = min(bound[p], -r - floor)", "pass", ("test_transport.py",),
     ),
     Mutant(
+        "dantzig-takes-first-negative-row", "transport.py",
+        "if low > best or low == best", "if found >= 0 or low > best or low == best", ("test_transport.py",),
+    ),
+    Mutant(
+        "dantzig-prunes-rows-tying-the-best", "transport.py",
+        "if low > best or low == best and a > found:", "if low >= best:", ("test_transport.py",),
+    ),
+    Mutant(
+        "bland-fallback-off", "transport.py",
+        "degenerate = not theta", "degenerate = False", ("test_transport.py",),
+    ),
+    Mutant(
         "parse-ratio-reads-underscores", "rational.py",
         'text.isascii() and "_" not in text:', "text.isascii():", ("test_rational.py", "test_jsonio.py"),
     ),
