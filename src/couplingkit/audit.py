@@ -19,9 +19,11 @@ audit computes, all exactly:
      (0, 1) on both sides, v < Pr{k != u} strictly.
 
 Every step does O(N) exact work on the couplings' structure, without an
-N x N matrix, and on plain ints: P_K and P_U are scaled once by D, their
-common denominator, and a :class:`~fractions.Fraction` is built only for
-the scalar fields of the report.  v is sum |P_K(a) D - P_U(a) D| over
+N x N matrix, and on plain ints over D, the lcm of P_K's common
+denominator and N: P_K's ints are those its validation kept, multiplied
+by D over its own denominator, P_U is D / N at every symbol, and a
+:class:`~fractions.Fraction` is built only for the scalar fields of the
+report.  v is sum |P_K(a) D - P_U(a) D| over
 2D.  The independent coupling P_K x P_U has rank one: its entries are
 non-negative and its marginals are P_K and P_U because both factors are
 validated distributions of total 1, and its mismatch is
@@ -48,10 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import neg, sub
 
 from .coupling import check_maximal
-from .distributions import ONE, ZERO, Alphabet, Pmf, scaled
+from .distributions import ONE, ZERO, Alphabet, Pmf
 from .errors import CorruptedCouplingError, DistributionError
 from .rational import bounded_str, decimal_string
 from .transport import certify_mismatch_ints, upper_set_dual
@@ -142,9 +145,10 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
     """Audit a real key distribution against the uniform ideal key."""
     pk = audit_input.pk
     n = len(pk.p)
-    uniform = (Fraction(1, n),) * n
-    scale, ints = scaled(pk.p + uniform)
-    p, q = ints[:n], ints[n:]
+    own_scale, own_ints = pk._scaled
+    scale = lcm(own_scale, n)
+    factor = scale // own_scale
+    p, q = [x * factor for x in own_ints], [scale // n] * n
 
     v = Fraction(sum(map(abs, map(sub, p, q))), 2 * scale)
     # P_U is 1/N everywhere, so sum P_K(a) P_U(a) = sum(p) / (N D).
@@ -154,7 +158,7 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
 
     inside, objective = upper_set_dual(p, q)
     oracle_min = Fraction(objective, scale)
-    oracle_ok = certify_mismatch_ints(m, inside, list(map(neg, inside)), 1, oracle_min, ints, scale)
+    oracle_ok = certify_mismatch_ints(m, inside, list(map(neg, inside)), 1, oracle_min, p + q, scale)
 
     if not (oracle_ok and v == maximal_mismatch == oracle_min <= independent_mismatch):
         raise CorruptedCouplingError(

@@ -37,7 +37,6 @@ Fractions, passes through as they are, and writes ``"0"`` for the rest.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,15 +53,14 @@ from .distributions import (
     Alphabet,
     Pmf,
     check_mass_ratios,
-    common_denominator,
     fraction_ratios,
+    joint_scaled,
     ratios_over,
     require_same_alphabet,
-    scaled,
 )
 from .errors import CorruptedCouplingError, CouplingError
 from .metrics import vdist_halfsum
-from .rational import bounded_str
+from .rational import _reduced, bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Ratios = tuple[tuple[tuple[int, int], ...], ...]
@@ -285,16 +283,6 @@ def _entry_label(left: Pmf):
     return lambda k: f"entry ({symbols[k // n]},{symbols[k % n]})"
 
 
-# _reduced(n, d) is n / d with no gcd, for ints the caller has proven
-# coprime with d > 0; Python 3.10 and 3.11 spell it as a constructor flag.
-if sys.version_info >= (3, 12):
-    _reduced = Fraction._from_coprime_ints
-else:
-
-    def _reduced(numerator: int, denominator: int) -> Fraction:
-        return Fraction(numerator, denominator, _normalize=False)
-
-
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives a zero cell.
 
@@ -305,8 +293,8 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     row and once per column, and a cell's gcd only when its cofactor is not 1.
     """
     require_same_alphabet(p, q)
-    lcm_p = common_denominator(p.p)
-    lcm_q = common_denominator(q.p)
+    lcm_p = p._scaled[0]
+    lcm_q = q._scaled[0]
     columns = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) if y else None for y in q.p]
     zeros = (ZERO_PAIR,) * len(q.p)
     rows = []
@@ -376,7 +364,7 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     """
     require_same_alphabet(p, q)
     n = len(p.p)
-    scale, ints = scaled(p.p + q.p)
+    scale, ints = joint_scaled(p, q)
     left, right = ints[:n], ints[n:]
     overlap = list(map(min, left, right))
     m = scale - sum(overlap)
@@ -403,7 +391,8 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:
     """Diagonal of :func:`coupling_maximal`, after checking that coupling in O(N).
 
-    Scales P and Q once by D, their common denominator, and runs
+    Puts P and Q over D, their common denominator
+    (:func:`~couplingkit.distributions.joint_scaled`), and runs
     :func:`check_maximal` on the ints; each diagonal entry, min{P, Q},
     is then picked from P or Q by comparing those ints.  Raises
     :class:`CorruptedCouplingError` naming the first failed check;
@@ -411,7 +400,7 @@ def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:
     """
     require_same_alphabet(p, q)
     n = len(p.p)
-    scale, ints = scaled(p.p + q.p)
+    scale, ints = joint_scaled(p, q)
     left, right = ints[:n], ints[n:]
     check_maximal(left, right, scale, p.alphabet.symbols)
     return tuple(x if a <= b else y for x, y, a, b in zip(p.p, q.p, left, right))

@@ -15,18 +15,20 @@ Each row lists (column, pair) for the entries it holds, so a sparse
 row costs what it lists and a dense row lists every column.  Fractions
 reach it through :func:`fraction_ratios`, one row-major pass that
 checks each entry's type and sign and reads its pair: :class:`Pmf` (and
-so :class:`Pmf2`) by the one-row form :func:`check_mass`, and
-:class:`~couplingkit.coupling.Coupling` on its matrix.
+so :class:`Pmf2`) on its one row, unless :meth:`Pmf.over` hands it the
+pairs already read, and :class:`~couplingkit.coupling.Coupling` on its
+matrix.
 
 The exact loops run on plain ints over one common denominator:
-:func:`lcm_of` is the lcm of a set of denominators and
-:func:`common_denominator` that of a set of values,
-:func:`numerators_over` and :func:`ratios_over` give the values, or
-the pairs, times such a scale, and :func:`scaled` turns a vector into
-its lcm and those ints.  :func:`check_mass_ratios` returns the lcm with
-its row and column sums, which :class:`~couplingkit.coupling.Coupling`
-checks against its marginals; a :class:`Fraction` is built only for an
-error message.
+:func:`lcm_of` is the lcm of a set of denominators, :func:`ratios_over`
+gives pairs times such a scale, and :func:`scaled` turns a vector of
+Fractions into its lcm and those ints.  :func:`check_mass_ratios`
+returns the lcm with its row and column sums, which
+:class:`~couplingkit.coupling.Coupling` checks against its marginals;
+a :class:`Fraction` is built only for an error message.  A :class:`Pmf`
+keeps what its validation computed, D and its entries times D, and
+:func:`joint_scaled` puts two distributions over one D from those
+ints, so no consumer scales a distribution again.
 
 Zero-probability symbols are allowed: structural zeros are part of the
 worked examples this package reproduces.
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -107,11 +110,6 @@ def require_same_alphabet(left: "Pmf | Pmf2", right: "Pmf | Pmf2") -> None:
         )
 
 
-def common_denominator(values: Iterable[Fraction]) -> int:
-    """The lcm of the distinct denominators of ``values``; 1 when there are none."""
-    return lcm_of({x.denominator for x in values})
-
-
 def lcm_of(denominators: Iterable[int]) -> int:
     """The lcm of distinct positive ints; 1 when there are none.
 
@@ -127,15 +125,22 @@ def lcm_of(denominators: Iterable[int]) -> int:
     return layer[0] if layer else 1
 
 
-def numerators_over(scale: int, values: Iterable[Fraction]) -> Iterator[int]:
-    """Each value times ``scale``, as an int (0 without a division for a zero value)."""
-    return (x.numerator * (scale // x.denominator) if x.numerator else 0 for x in values)
-
-
 def scaled(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """D = :func:`common_denominator` of ``values``, and each value times D as an int."""
-    scale = common_denominator(values)
-    return scale, list(numerators_over(scale, values))
+    """D, the lcm of the denominators of ``values``, and each value times D as an int."""
+    scale = lcm_of({x.denominator for x in values})
+    return scale, [x.numerator * (scale // x.denominator) if x.numerator else 0 for x in values]
+
+
+def joint_scaled(p: "Pmf", q: "Pmf", scale: int = 0) -> tuple[int, list[int]]:
+    """``scaled(p.p + q.p)``, from the ints each distribution keeps.
+
+    D is lcm(D_P, D_Q), or ``scale`` when given, a common multiple of
+    both; each side's ints are multiplied by D over that side's D.
+    """
+    (dp, x), (dq, y) = p._scaled, q._scaled
+    scale = scale or lcm(dp, dq)
+    fp, fq = scale // dp, scale // dq
+    return scale, [a * fp for a in x] + [b * fq for b in y]
 
 
 def ratios_over(scale: int, pairs: Iterable[tuple[int, int]]) -> Iterator[int]:
@@ -232,22 +237,57 @@ def _distribution_error(message: str, constraint: str) -> DistributionError:
     return DistributionError(message)
 
 
+class _Paired(tuple):
+    """Fractions handed to :meth:`Pmf.over` or :meth:`Pmf2.over`, marked for the constructor.
+
+    ``pairs`` holds each entry's lowest-terms (numerator, denominator),
+    flat in row-major order.
+    """
+
+    def __new__(cls, values: Iterable, pairs: Sequence[tuple[int, int]]):
+        marked = super().__new__(cls, values)
+        marked.pairs = pairs
+        return marked
+
+
 @dataclass(frozen=True)
 class Pmf:
-    """Probability distribution over an alphabet: entries >= 0, exact sum 1."""
+    """Probability distribution over an alphabet: entries >= 0, exact sum 1.
+
+    Validation keeps ``_scaled``: D, the lcm of the denominators, and
+    the entries times D as ints.
+    """
 
     alphabet: Alphabet
     p: tuple[Fraction, ...]
 
     def __init__(self, alphabet: Alphabet, probs: Sequence[Fraction]):
         entries = tuple(probs)
-        if len(entries) != len(alphabet):
+        n = len(entries)
+        if n != len(alphabet):
             raise DistributionError(
-                f"expected {len(alphabet)} probabilities, got {len(entries)}"
+                f"expected {len(alphabet)} probabilities, got {n}"
             )
-        check_mass(entries, lambda k: f"p({alphabet.symbols[k]})", _distribution_error)
+        label = lambda k: f"p({alphabet.symbols[k]})"
+        if isinstance(probs, _Paired):
+            pairs = probs.pairs
+        else:
+            (pairs,) = fraction_ratios((entries,), label, _distribution_error)
+        scale, _, ints = check_mass_ratios(((range(n), pairs),), n, label, _distribution_error)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", entries)
+        # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
+        object.__setattr__(self, "_scaled", (scale, ints))
+
+    @classmethod
+    def over(cls, alphabet: Alphabet, values: Iterable[Fraction], pairs: Sequence[tuple[int, int]]) -> "Pmf":
+        """The distribution of the Fractions ``values``, validated on ``pairs``, their lowest-terms pairs."""
+        return cls(alphabet, _Paired(values, pairs))
+
+    @cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
+        """D and the entries times D, for a copy that skipped validation (which stores them); read only."""
+        return scaled(self.p)
 
     @classmethod
     def uniform(cls, alphabet: Alphabet) -> "Pmf":
@@ -283,11 +323,17 @@ class Pmf2:
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DistributionError(f"expected a {n}x{n} matrix of probabilities")
-        flat = Pmf(alphabet.product(), [v for row in rows for v in row])
+        values = [v for row in rows for v in row]
+        flat = Pmf(alphabet.product(), _Paired(values, matrix.pairs) if isinstance(matrix, _Paired) else values)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", rows)
         # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
         object.__setattr__(self, "_flat", flat)
+
+    @classmethod
+    def over(cls, alphabet: Alphabet, rows: Sequence[Sequence[Fraction]], pairs: Sequence[tuple[int, int]]) -> "Pmf2":
+        """The distribution of the Fraction ``rows``, validated on ``pairs``, their lowest-terms pairs in row-major order."""
+        return cls(alphabet, _Paired(rows, pairs))
 
     @classmethod
     def diagonal(cls, pmf: Pmf) -> "Pmf2":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 
-from .distributions import ZERO, Pmf, require_same_alphabet, scaled
+from .distributions import ZERO, Pmf, joint_scaled, require_same_alphabet
 from .errors import EnumerationLimitError
 
 DEFAULT_SUBSET_LIMIT = 20
@@ -22,12 +22,13 @@ DEFAULT_SUBSET_LIMIT = 20
 def vdist_halfsum(p: Pmf, q: Pmf) -> Fraction:
     """Half the sum of absolute pointwise differences. Exact, in [0, 1].
 
-    Summed on ints: with D the common denominator of both vectors, the
-    distance is sum(|P_i * D - Q_i * D|) over 2D.
+    Summed on ints: with D the common denominator of both vectors
+    (:func:`~couplingkit.distributions.joint_scaled`), the distance is
+    sum(|P_i * D - Q_i * D|) over 2D.
     """
     require_same_alphabet(p, q)
     n = len(p.p)
-    scale, ints = scaled(p.p + q.p)
+    scale, ints = joint_scaled(p, q)
     return Fraction(sum(map(abs, map(sub, ints[:n], ints[n:]))), 2 * scale)
 
 

@@ -8,7 +8,9 @@ text conventions used by the file formats and the CLI:
 * parsing accepts ``"p/q"``, finite decimal strings (``"0.03750"``),
   and plain integers, all converted exactly, either to a Fraction
   (:func:`parse_rational`) or to a (numerator, denominator) pair of ints
-  (:func:`parse_ratio`, which skips the reduction);
+  (:func:`parse_ratio`, which skips the reduction).  A plain literal,
+  ASCII ``"digits"`` or ``"digits/digits"``, is read by ``int`` (and
+  for a Fraction one ``gcd``); every other goes through ``Fraction``;
 * rendering is either the canonical fraction form (``str(Fraction)``,
   which round-trips) or a fixed-width decimal used only for display.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import ParseError
 
@@ -40,13 +43,19 @@ def _quote(text: str) -> str:
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"``, a finite decimal, or an integer into an exact Fraction.
 
-    Decimal strings convert via power-of-ten denominators, never through
+    A plain literal (:func:`_plain_ratio`) is read by ``int`` and reduced
+    by one ``gcd``; every other goes through ``Fraction(text)``, so the
+    accepted language and every error are Fraction's.  Decimal strings
+    convert via power-of-ten denominators, never through
     binary floating point, so ``"0.03750"`` is exactly ``3/80``.  A run of
     digits longer than Python's int-from-str limit
     (``sys.get_int_max_str_digits()``) is reported as too long, and a
     decimal exponent over :data:`MAX_EXPONENT` in magnitude is rejected
     before any power of ten is built.
     """
+    if pair := _plain_ratio(text, {}):
+        g = gcd(*pair)
+        return _reduced(pair[0] // g, pair[1] // g)
     if not isinstance(text, str):
         raise ParseError(f"rational literal must be a string, got {type(text).__name__}")
     exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
@@ -74,12 +83,23 @@ def parse_rational(text: str) -> Fraction:
 def parse_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int]:
     """:func:`parse_rational` as a (numerator, denominator) pair of ints, not reduced.
 
-    An ASCII ``"digits/digits"`` with a non-zero denominator, or ASCII
-    ``"digits"``, is read by ``int`` alone, with no gcd; every other
-    literal goes through :func:`parse_rational`, so the accepted
-    language and every error are the same.  ``denominators``, a dict
-    kept across calls (one per file), maps each denominator string read
-    so far to its int, so ``int`` reads each distinct one once.
+    A plain literal is read by :func:`_plain_ratio`, with no gcd, and
+    ``denominators``, a dict kept across calls (one per file), caches its
+    denominator; every other literal goes through :func:`parse_rational`,
+    so the accepted language and every error are the same.
+    """
+    if pair := _plain_ratio(text, denominators):
+        return pair
+    value = parse_rational(text)
+    return value.numerator, value.denominator
+
+
+def _plain_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int] | None:
+    """An ASCII ``"digits/digits"`` with a non-zero denominator, or ASCII ``"digits"``, as its pair of ints; else None.
+
+    The ints are read by ``int`` alone.  ``denominators`` maps each
+    denominator string read so far to its int, so ``int`` reads each
+    distinct one once.
     """
     if isinstance(text, str) and text.isascii() and "_" not in text:
         head, slash, tail = text.partition("/")
@@ -96,16 +116,28 @@ def parse_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int]:
                 if denominator is None:
                     denominator = denominators[tail] = int(tail)
             except ValueError:  # a non-digit inside, or a run over the digit limit
-                pass
-            else:
-                if denominator:
-                    return numerator, denominator
-    value = parse_rational(text)
-    return value.numerator, value.denominator
+                return None
+            if denominator:
+                return numerator, denominator
+    return None
 
 
 def _digit_ends(text: str) -> bool:
     return text[:1].isdigit() and text[-1:].isdigit()
+
+
+# _reduced(n, d) is n / d with no gcd, for ints the caller has proven
+# coprime with d > 0.  Before Python 3.12 it sets Fraction's two slots as
+# 3.12's Fraction._from_coprime_ints does: the constructor, even with
+# _normalize=False, runs type checks that cost three times as much.
+if sys.version_info >= (3, 12):
+    _reduced = Fraction._from_coprime_ints
+else:
+
+    def _reduced(numerator: int, denominator: int) -> Fraction:
+        value = object.__new__(Fraction)
+        value._numerator, value._denominator = numerator, denominator
+        return value
 
 
 def bounded_str(value: Fraction | int) -> str:

@@ -95,8 +95,7 @@ from .distributions import (
     ONE,
     ZERO,
     Pmf,
-    common_denominator,
-    numerators_over,
+    joint_scaled,
     require_same_alphabet,
     scaled,
 )
@@ -124,7 +123,8 @@ class TransportProblem:
     the problem to ints, once, for every consumer: ``_scaled_cost`` is
     (L, the cost rows times L) and ``_scaled_marginals`` is (D, the
     supply followed by the demand, times D), each scale the lcm of the
-    denominators it covers.
+    denominators it covers; the marginals' ints are those their
+    validation kept (:func:`~couplingkit.distributions.joint_scaled`).
     """
 
     supply: Pmf
@@ -151,7 +151,7 @@ class TransportProblem:
         scale, flat = scaled([c for row in rows for c in row])
         cost_rows = [flat[i * n : (i + 1) * n] for i in range(n)]
         object.__setattr__(self, "_scaled_cost", (scale, cost_rows))
-        object.__setattr__(self, "_scaled_marginals", scaled(supply.p + demand.p))
+        object.__setattr__(self, "_scaled_marginals", joint_scaled(supply, demand))
 
     @classmethod
     def mismatch(cls, p: Pmf, q: Pmf) -> "TransportProblem":
@@ -163,7 +163,7 @@ class TransportProblem:
         require_same_alphabet(p, q)
         tp = object.__new__(cls)
         n = len(p.alphabet)
-        fields = dict(supply=p, demand=q, _scaled_cost=(1, _UnitCost(n)), _scaled_marginals=scaled(p.p + q.p))
+        fields = dict(supply=p, demand=q, _scaled_cost=(1, _UnitCost(n)), _scaled_marginals=joint_scaled(p, q))
         for name, value in fields.items():
             object.__setattr__(tp, name, value)
         return tp
@@ -716,10 +716,11 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     if c.left != tp.supply or c.right != tp.demand:
         return False
     cost_scale, cost_rows = tp._scaled_cost
-    scale = lcm(cost_scale, common_denominator(chain(cert.u, cert.v)))
-    factor = scale // cost_scale
-    u = list(numerators_over(scale, cert.u))
-    v = list(numerators_over(scale, cert.v))
+    potential_scale, potentials = scaled([*cert.u, *cert.v])
+    scale = lcm(cost_scale, potential_scale)
+    factor, shift = scale // cost_scale, scale // potential_scale
+    u = [x * shift for x in potentials[:n]]
+    v = [x * shift for x in potentials[n:]]
     primal = 0
     for i, (ui, crow) in enumerate(zip(u, cost_rows)):
         cost = [x * factor for x in crow]
@@ -738,11 +739,12 @@ def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:
     the potentials u = 1_B and v = -1_B are dual-feasible (u_i + v_i = 0
     on the diagonal, u_i + v_j <= 1 off it) and their value P(B) - Q(B)
     is v(P, Q), which the maximal coupling attains.  Computed by
-    :func:`upper_set_dual` on P and Q scaled by their common denominator.
+    :func:`upper_set_dual` on P and Q over their common denominator
+    (:func:`~couplingkit.distributions.joint_scaled`).
     """
     require_same_alphabet(p, q)
     n = len(p.p)
-    scale, ints = scaled(p.p + q.p)
+    scale, ints = joint_scaled(p, q)
     inside, objective = upper_set_dual(ints[:n], ints[n:])
     u = tuple(ONE if b else ZERO for b in inside)
     return DualCertificate(u=u, v=tuple(-x for x in u), objective=Fraction(objective, scale))
@@ -779,13 +781,15 @@ def certify_mismatch_coupling(c: Coupling, cert: DualCertificate) -> bool:
     """:func:`certify_mismatch` for the coupling ``c`` of its own marginals, on its ints.
 
     ``c`` is validated, so each of its rows and columns sums to its
-    marginal's entry: its diagonal
+    marginal's entry, and ``scale`` is a multiple of each marginal's
+    common denominator: its diagonal
     (:meth:`~couplingkit.coupling.Coupling.diagonal_ints`) and both its
-    marginals are ints over its ``scale``, with no Fraction and no gcd
+    marginals (:func:`~couplingkit.distributions.joint_scaled` over
+    ``scale``) are ints over its ``scale``, with no Fraction and no gcd
     per symbol.  Agrees with ``certify(c, cert,
     TransportProblem.mismatch(c.left, c.right))``.
     """
-    marginals = list(numerators_over(c.scale, c.left.p + c.right.p))
+    _, marginals = joint_scaled(c.left, c.right, c.scale)
     return _certify_mismatch_over(c.scale, c.diagonal_ints(), marginals, cert)
 
 

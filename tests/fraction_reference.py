@@ -11,11 +11,15 @@ same checks, of those constructions, of the vertex enumeration (every
 (:func:`cmd_verify`: one Fraction per literal, Fraction validation and
 Fraction sums), with the same constraint order and the same messages;
 the property tests require both to agree on every verdict, every
-returned value and every printed line.
+returned value and every printed line.  :func:`parse_rational` reads
+every literal by ``Fraction(text)``, which the package does only for
+literals that are not plain ``"digits"`` or ``"digits/digits"``.
 """
 
 from __future__ import annotations
 
+import re
+import sys
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -33,8 +37,39 @@ from couplingkit.errors import (
     ShapeMismatchError,
 )
 from couplingkit.jsonio import _parse_alphabet, dump_json, read_coupling
-from couplingkit.rational import bounded_str, parse_rational
+from couplingkit.rational import _EXPONENT, MAX_EXPONENT, _quote, bounded_str
 from couplingkit.transport import DualCertificate
+
+
+def parse_rational(text: str) -> Fraction:
+    """``couplingkit.rational.parse_rational`` with every literal read by ``Fraction(text)``."""
+    if not isinstance(text, str):
+        raise ParseError(f"rational literal must be a string, got {type(text).__name__}")
+    exponent = ("e" in text or "E" in text) and _EXPONENT.search(text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ParseError(
+                f"rational literal {_quote(text)} has an exponent over {MAX_EXPONENT} in magnitude"
+            )
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in rational literal {_quote(text)}") from None
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(
+            len(run) - run.count("_") > limit for run in re.findall(r"[0-9_]+", text)
+        ):
+            raise ParseError(
+                f"rational literal {_quote(text)} is too long (over {limit} digits)"
+            ) from None
+        raise ParseError(f"malformed rational literal {_quote(text)}") from None
+
+
+def common_denominator(values) -> int:
+    """The lcm of the denominators of ``values``; 1 when there are none."""
+    return lcm(*(x.denominator for x in values))
 
 
 def check_mass(entries, label, error) -> int:

@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplingkit import Alphabet, DistributionError, Pmf, Pmf2
-from couplingkit.distributions import check_mass
+from couplingkit.distributions import check_mass, joint_scaled, scaled
+from couplingkit.jsonio import parse_distribution
 
 F = Fraction
 
@@ -221,3 +222,77 @@ class TestFlatten:
         for i in range(n):
             for j in range(n):
                 assert flat.p[i * n + j] == rows[i][j]
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def scaled_pmf_pairs(draw):
+    """Two distributions on one alphabet: from integer weights, equal, or over distinct primes.
+
+    Weights may be zero, and the two sides' totals share a factor or not;
+    ``"primes"`` gives P(a) = 1/p_a but the last, so its denominators are
+    pairwise coprime, with Q from weights.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    alphabet = Alphabet.of_size(n)
+
+    def weighted() -> Pmf:
+        weights = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n).filter(any))
+        return Pmf(alphabet, [F(w, sum(weights)) for w in weights])
+
+    kind = draw(st.sampled_from(["weights", "equal", "primes"]))
+    q = weighted()
+    if kind == "equal":
+        return Pmf(alphabet, q.p), q
+    if kind == "primes":
+        head = [F(1, d) for d in PRIMES[: n - 1]]
+        return Pmf(alphabet, [*head, 1 - sum(head, F(0))]), q
+    return weighted(), q
+
+
+def kept(pmf: Pmf) -> tuple[int, list[int]]:
+    """The (D, ints) validation stored on ``pmf``."""
+    return vars(pmf)["_scaled"]
+
+
+class TestKeptInts:
+    """A validated Pmf keeps its D and ints; every consumer reads them instead of scaling again."""
+
+    @given(scaled_pmf_pairs())
+    def test_validation_keeps_what_scaled_gives(self, pair):
+        for pmf in pair:
+            assert kept(pmf) == scaled(pmf.p)
+
+    @given(scaled_pmf_pairs())
+    def test_joint_scaled_is_scaled_of_both(self, pair):
+        p, q = pair
+        assert joint_scaled(p, q) == scaled(p.p + q.p)
+        scale, _ = scaled(p.p + q.p)
+        assert joint_scaled(p, q, 6 * scale) == (6 * scale, [6 * x for x in scaled(p.p + q.p)[1]])
+
+    @given(scaled_pmf_pairs(), st.sampled_from(["{}/{}", "0{}/0{}", " {}/{} "]))
+    def test_a_parsed_pmf_keeps_what_scaled_gives(self, pair, form):
+        # written unreduced, and through both parse paths
+        p, _ = pair
+        texts = [form.format(2 * x.numerator, 2 * x.denominator) for x in p.p]
+        parsed = parse_distribution({"alphabet": list(p.alphabet), "p": texts})
+        assert parsed == p and kept(parsed) == scaled(p.p)
+
+    def test_the_flat_form_of_a_parsed_pmf2_keeps_what_scaled_gives(self, band3):
+        texts = [[str(x) for x in row] for row in band3.p]
+        parsed = parse_distribution({"alphabet": list(band3.alphabet), "matrix": texts})
+        assert parsed == band3 and kept(parsed.flatten()) == scaled(band3.flatten().p) == (9, [1, 2, 0, 1, 1, 1, 0, 1, 2])
+
+    def test_kept_ints_leave_equality_alone(self, alpha3):
+        p = Pmf(alpha3, (F(1, 2), F(0), F(1, 2)))
+        twin = Pmf.over(alpha3, p.p, [(1, 2), (0, 1), (1, 2)])
+        assert twin == p and hash(twin) == hash(p) and type(twin.p) is tuple
+        assert repr(twin) == f"Pmf(alphabet={alpha3!r}, p={p.p!r})"
+
+    def test_a_pair_built_pmf_is_validated_on_its_pairs(self, alpha3):
+        with pytest.raises(DistributionError, match=r"^p\(2\) is negative: -1/2$"):
+            Pmf.over(alpha3, (F(1), F(-1, 2), F(1, 2)), [(1, 1), (-1, 2), (1, 2)])
+        with pytest.raises(DistributionError, match="^probabilities sum to 3/2, expected 1$"):
+            Pmf2.over(Alphabet(["a"]), [[F(3, 2)]], [(3, 2)])

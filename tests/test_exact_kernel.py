@@ -44,15 +44,17 @@ from couplingkit import (
     lemma_audit,
     maximal_diagonal,
     mismatch_certificate,
+    vdist_halfsum,
 )
 from couplingkit import cli
-from couplingkit.distributions import check_mass, common_denominator
+from couplingkit.distributions import check_mass, scaled
 from couplingkit.errors import CorruptedCouplingError, CouplingKitError
 from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj
 from couplingkit.multidim import coupling4_maximal
 from couplingkit.rational import decimal_string
 
 from . import fraction_reference as reference
+from .fraction_reference import common_denominator
 from .test_coupling import unchecked_pmf
 from .test_transport import COPRIME_DENOMINATORS
 
@@ -460,6 +462,26 @@ def test_each_maximal_check_fails_as_in_the_fraction_reference(p, q, message):
     assert expected[0] == "CorruptedCouplingError"
     assert expected[3] == f"maximal coupling: {message}"
     assert outcome(lambda: maximal_diagonal(p, q)) == expected
+
+
+broken_entries = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(*[st.lists(broken_entries, min_size=n, max_size=n)] * 2)
+))
+def test_unvalidated_pmfs_fail_as_the_fraction_reference(pair):
+    # An unvalidated copy keeps no ints: it scales its entries when first read, as scaled() does.
+    p, q = map(unchecked_pmf, pair)
+    assert "_scaled" not in vars(p)
+    assert outcome(lambda: vdist_halfsum(p, q)) == sum((abs(x - y) for x, y in zip(*pair)), F(0)) / 2
+    assert outcome(lambda: maximal_diagonal(p, q)) == outcome(lambda: reference.maximal_diagonal(p, q))
+    assert outcome(lambda: mismatch_certificate(p, q)) == outcome(lambda: reference.mismatch_certificate(p, q))
+    for build, rows in ((coupling_maximal, reference.coupling_maximal_rows),
+                        (coupling_independent, reference.coupling_independent_rows)):
+        assert outcome(lambda: build(p, q).j) == outcome(lambda: Coupling(rows(p, q), p, q).j)
+    assert p._scaled == scaled(p.p) and q._scaled == scaled(q.p)
 
 
 def diagonal_and_band(rng: random.Random, side: int) -> tuple[Pmf, Pmf]:

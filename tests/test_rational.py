@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from couplingkit import ParseError, decimal_string, parse_rational
 from couplingkit.rational import MAX_EXPONENT, bounded_str, parse_ratio
 
+from . import fraction_reference as reference
+
 F = Fraction
 
 
@@ -248,6 +250,53 @@ def test_each_distinct_denominator_is_read_once():
     pairs = [parse_ratio(text, denominators) for text in ["1/2", "2/3", "3/2", "12/2", "2/12"]]
     assert pairs == [(1, 2), (2, 3), (3, 2), (12, 2), (2, 12)]
     assert denominators == {"2": 2, "3": 3, "12": 12}
+
+
+def assert_parse_rational_matches_the_reference(text):
+    """``parse_rational`` gives the Fraction that ``Fraction(text)`` reads, or the reference's ParseError message."""
+    try:
+        expected = reference.parse_rational(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_rational(text)
+        assert str(info.value) == str(exc)
+    else:
+        value = parse_rational(text)
+        assert type(value) is F
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+plain_literals = st.builds(
+    "{0}{1}/{2}{3}".format,
+    st.sampled_from(["", "0", "000"]),
+    st.integers(0, 10**40),
+    st.sampled_from(["", "0", "000"]),
+    st.integers(0, 10**40),
+)
+
+
+@given(st.one_of(literal_grammar, plain_literals))
+def test_parse_rational_matches_the_fraction_reference(text):
+    assert_parse_rational_matches_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    NEAR_MISSES + CACHED_NEAR_MISSES + [
+        "0/7", "00/007", "0", "000", "10/80", "12/1", "1/0", "00/0", "1_000", "-3/6", "+3/6", " 3/6", "3/6 ",
+        "\u0663/\u0666", "3/\uff16", "0.5", "1e3", "1.5E-2", "1" * 4300, "1" * 4301, "2/" + "0" * 4301,
+    ],
+)
+def test_parse_rational_matches_the_fraction_reference_on_edge_cases(text):
+    assert_parse_rational_matches_the_reference(text)
+
+
+def test_digit_runs_over_the_current_limit_match_the_fraction_reference():
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("the int-from-str digit limit is switched off")
+    for text in ("7" * (limit + 1), "1/" + "3" * (limit + 1), "9" * (limit + 1) + "/2", "5" * limit + "/" + "2" * limit):
+        assert_parse_rational_matches_the_reference(text)
 
 
 def test_bounded_str_gives_the_size_of_a_value_past_the_limit(default_digit_limit):

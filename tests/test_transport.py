@@ -157,7 +157,7 @@ class TestProblemConstruction:
     def test_costs_are_scaled_to_ints_once(self, ramp, uniform4, monkeypatch):
         # every scaling helper the module calls, with the length of its input
         sizes = []
-        for name in ("scaled", "common_denominator", "numerators_over"):
+        for name in ("scaled",):
 
             def counted(*args, _original=getattr(transport_module, name)):
                 values = list(args[-1])

@@ -138,6 +138,19 @@ MUTANTS = (
         "dense-row-skips-column-sums", "distributions.py",
         "sums = list(map(add, sums, ints))", "pass", ("test_distributions.py", "test_coupling.py"),
     ),
+    Mutant(
+        "joint-scale-uses-left-denominator", "distributions.py",
+        "fp, fq = scale // dp, scale // dq", "fp, fq = scale // dp, scale // dp",
+        ("test_distributions.py", "test_metrics.py"),
+    ),
+    Mutant(
+        "plain-literal-unreduced", "rational.py",
+        "g = gcd(*pair)", "g = 1", ("test_rational.py",),
+    ),
+    Mutant(
+        "plain-literal-zero-denominator", "rational.py",
+        "if denominator:", "if True:", ("test_rational.py", "test_jsonio.py"),
+    ),
 )
 
 
