@@ -182,12 +182,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"a {kind} coupling file needs {'two' if two_dim else 'one'}-dim marginal files"
         )
     parse = parse_coupling4_blocks if two_dim else parse_coupling_matrix
-    alphabet, ratios = parse(obj, where=args.coupling_file)
+    alphabet, rows = parse(obj, where=args.coupling_file)
     if alphabet != p.alphabet:
         raise AlphabetMismatchError(
             "coupling file alphabet differs from the marginals' alphabet"
         )
-    c = _coupling_of(Coupling.over(ratios, *_one_dim(p, q)), p, q)
+    columns, pairs = zip(*rows)
+    c = _coupling_of(Coupling.over(pairs, *_one_dim(p, q), columns), p, q)
     audit, lines, fields = _report(cfg, c)
     if cfg.format == "json":
         _emit(dump_json({"valid": True, **audit.to_json_dict(), **fields}).rstrip("\n"))

@@ -21,10 +21,13 @@ marked as coprime, so no Fraction is built per cell.  A
 :class:`Coupling` holds its entries in one form: each row lists
 (column, pair) for the entries it holds, the pairs (numerator,
 denominator) ints, and an entry not listed is zero.  A dense row lists
-every column: the rows of a builder or a coupling file, and the
-Fractions given to ``Coupling(j, left, right)``.  The transportation
-simplex lists only its non-zero flows, so its couplings cost O(N) to
-hold and to validate.  Validation and the readers,
+every column, as ``range(N)``: the Fractions given to
+``Coupling(j, left, right)``, and a row of a builder or of a coupling
+file that has no zero cell.  Every other row lists only its non-zero
+cells: the builders emit no zero pair, a coupling file's literal
+``"0"`` is left out (:mod:`~couplingkit.jsonio`), and the
+transportation simplex lists only its non-zero flows, so a coupling
+costs O(N + listed cells) to hold and to validate.  Validation and the readers,
 :meth:`Coupling.diagonal_mass`, :func:`mismatch_prob` and
 :func:`lemma_audit`, sum the entries they read as ints over D, the lcm
 of the denominators, and build one Fraction per result; the Fractions
@@ -63,7 +66,7 @@ from .metrics import vdist_halfsum
 from .rational import _reduced, bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Ratios = tuple[tuple[tuple[int, int], ...], ...]
+Rows = list[tuple[Sequence[int], Sequence[tuple[int, int]]]]
 
 
 class _Ratios(tuple):
@@ -284,7 +287,10 @@ def _entry_label(left: Pmf):
 
 
 def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
-    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives a zero cell.
+    """The product coupling j(a, b) = P(a) * Q(b); a zero factor gives a zero cell, which is not listed.
+
+    Row a lists supp(Q), as ``range(N)`` when Q has no zero, and a row
+    with P(a) = 0 lists nothing.
 
     For P(a) = x/y and Q(b) = u/v, both reduced, the cell is
     (x/g1)(u/g2) / ((y/g2)(v/g1)) with g1 = gcd(x, v) and g2 = gcd(u, y).
@@ -295,17 +301,20 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     require_same_alphabet(p, q)
     lcm_p = p._scaled[0]
     lcm_q = q._scaled[0]
-    columns = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) if y else None for y in q.p]
-    zeros = (ZERO_PAIR,) * len(q.p)
-    rows = []
+    n = len(q.p)
+    factors = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) for y in q.p if y]
+    listed = range(n) if len(factors) == n else [b for b, y in enumerate(q.p) if y]
+    columns, rows = [], []
     for x in p.p:
         if x:
             a, b = x.numerator, x.denominator
             g = gcd(a, lcm_q)
-            rows.append(tuple(_product(a, b, g, *column) if column else ZERO_PAIR for column in columns))
+            columns.append(listed)
+            rows.append(tuple(_product(a, b, g, *factor) for factor in factors))
         else:
-            rows.append(zeros)
-    return Coupling.over(_Coprime(rows), p, q)
+            columns.append(())
+            rows.append(())
+    return Coupling.over(_Coprime(rows), p, q, columns)
 
 
 def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> tuple[int, int]:
@@ -361,6 +370,12 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     h != 1, e = gcd(h, M / g) per cell.  A negative m, which only an
     unvalidated :class:`Pmf` gives, takes the pair ``(-rx(a) * ry(b), -M)``,
     which puts the sign on the numerator for validation to reject.
+
+    Only the non-zero cells are listed.  The support of ry and its column
+    gcds are found once; a row with rx(a) > 0 lists that support, with its
+    diagonal inserted in column order (ry(a) is then 0, so column a is
+    not in it), and every other row lists its diagonal alone.  A zero
+    diagonal is not listed.
     """
     require_same_alphabet(p, q)
     n = len(p.p)
@@ -370,22 +385,28 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     m = scale - sum(overlap)
     ry = list(map(sub, right, overlap))
     denominator = m * scale
-    column_gcds = [gcd(b, denominator) if b else 0 for b in ry]
-    rows = []
+    support = [b for b, y in enumerate(ry) if y]
+    factors = [(ry[b], gcd(ry[b], denominator)) for b in support]
+    columns, rows = [], []
     for i, (x, y, a, d) in enumerate(zip(p.p, q.p, left, overlap)):
         rx = a - d
+        listed = list(support) if rx and m else []
         if rx and m > 0:
             g = gcd(rx, denominator)
             factor, rest = rx // g, denominator // g
-            row = [_product(factor, rest, 1, b, 1, h) if b else ZERO_PAIR for b, h in zip(ry, column_gcds)]
+            row = [_product(factor, rest, 1, b, 1, h) for b, h in factors]
         elif rx and m < 0:  # a negative cell: validation rejects the rows, mark and all
-            row = [(-rx * b, -denominator) if b else ZERO_PAIR for b in ry]
+            row = [(-rx * b, -denominator) for b, _ in factors]
         else:
-            row = [ZERO_PAIR] * n
+            row = []
         diagonal = y if rx else x  # rx == 0 iff P(a) <= Q(a)
-        row[i] = diagonal.numerator, diagonal.denominator
+        if diagonal:  # rx > 0 leaves ry(a) == 0, so column a is not in the support
+            k = bisect_left(listed, i)
+            listed.insert(k, i)
+            row.insert(k, (diagonal.numerator, diagonal.denominator))
+        columns.append(listed)
         rows.append(row)
-    return Coupling.over(_Coprime(rows), p, q)
+    return Coupling.over(_Coprime(rows), p, q, columns)
 
 
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:

@@ -222,17 +222,6 @@ def check_mass_ratios(
     return scale, row_sums, sums
 
 
-def check_mass(
-    entries: Sequence[Fraction],
-    label: Callable[[int], str],
-    error: Callable[[str, str], Exception],
-) -> int:
-    """:func:`check_mass_ratios` on the one dense row ``entries``, read by :func:`fraction_ratios`; returns D alone."""
-    (pairs,) = fraction_ratios((entries,), label, error)
-    n = len(pairs)
-    return check_mass_ratios(((range(n), pairs),), n, label, error)[0]
-
-
 def _distribution_error(message: str, constraint: str) -> DistributionError:
     return DistributionError(message)
 

@@ -10,9 +10,10 @@ A coupling's become (numerator, denominator) pairs of ints
 (:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
 integers cost ``int`` calls and no gcd, and each distinct denominator
 string is read once per file), and the coupling parsers
-return the rows of those pairs, ready for
-:meth:`~couplingkit.coupling.Coupling.over`; no Fraction is built per
-cell.  Shapes:
+return each row in the coupling's one entry form, (columns, pairs):
+every cell but those written as the literal ``"0"`` is listed with its
+pair, ready for :meth:`~couplingkit.coupling.Coupling.over`, and no
+Fraction is built per cell.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -41,10 +42,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .coupling import Coupling, Ratios, _dense
+from .coupling import Coupling, Rows, _dense
 from .distributions import Alphabet, Pmf, Pmf2
 from .errors import ParseError
 from .multidim import Coupling4
@@ -113,9 +115,20 @@ def _ratio_parser() -> Callable[[str], tuple[int, int]]:
     return lambda text: parse_ratio(text, denominators)
 
 
-def _ratios(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Ratios:
-    """The literals of ``rows`` as their parsed pairs; a literal's pair is shared by its cells."""
-    return tuple(tuple(map(literals.__getitem__, row)) for row in rows)
+def _entries(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Rows:
+    """Each row of literals as (columns, pairs), every cell but a literal ``"0"`` listed with its parsed pair.
+
+    A row with no ``"0"`` lists ``range(width)``.  A literal's pair is
+    shared by its cells.
+    """
+    entries = []
+    for row in rows:
+        columns = range(len(row))
+        if "0" in row:
+            kept = list(map("0".__ne__, row))
+            columns, row = list(compress(columns, kept)), compress(row, kept)
+        entries.append((columns, tuple(map(literals.__getitem__, row))))
+    return entries
 
 
 def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
@@ -150,11 +163,17 @@ def load_pmf(path: str | Path) -> Pmf:
     return dist
 
 
-def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, Ratios]:
-    """Alphabet and entries of a one-dim coupling file, each a (numerator, denominator) pair.
+def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet, Rows]:
+    """Alphabet and rows of a one-dim coupling file, each row (columns, pairs).
 
-    The pairs are the literals as written, not reduced, and validation,
-    :meth:`~couplingkit.coupling.Coupling.over`, is the caller's; there
+    Each row lists every cell but those written ``"0"``, at strictly
+    increasing columns, and a row with no ``"0"`` lists ``range(N)``.
+    Every literal is parsed in order, ``"0"`` too, so the first bad one
+    is the one reported; other spellings of zero (``"0/7"``, ``"00"``)
+    stay listed, and validation reads them as zero.  The pairs are the
+    literals as written, not reduced, and validation,
+    :meth:`~couplingkit.coupling.Coupling.over` (given the pairs and the
+    columns of the rows), is the caller's; there
     the lcm of the non-zero entries' denominators becomes the scale of
     every sum, so an unreduced literal such as ``"2/6"`` can make it
     larger than the values need.
@@ -164,10 +183,10 @@ def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet,
         raise ParseError(f"{where}: coupling file must carry a 'matrix'")
     literals: dict[str, tuple[int, int]] = {}
     rows = _parse_matrix(obj, alphabet, where, literals, _ratio_parser())
-    return alphabet, _ratios(rows, literals)
+    return alphabet, _entries(rows, literals)
 
 
-def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, Ratios]:
+def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, Rows]:
     return parse_coupling_matrix(_load_obj(path), where=str(path))
 
 
@@ -275,8 +294,8 @@ def coupling4_to_obj(c4: Coupling4, render: Render = str) -> dict:
     return {"alphabet": list(symbols), "blocks": blocks}
 
 
-def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, Ratios]:
-    """Alphabet and entries of the nested-block layout, as :func:`parse_coupling_matrix`.
+def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabet, Rows]:
+    """Alphabet and rows of the nested-block layout, as :func:`parse_coupling_matrix`.
 
     The entries are those of the flat coupling over the product alphabet:
     row (x1, x2) is block (x1, x2), its columns y1 in turn, each indexed
@@ -303,10 +322,10 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
                 where_c = f"{where} block {label!r} column {c!r}"
                 row += _read_row(block[c], n, where_c, literals, parse)
             rows.append(row)
-    return alphabet, _ratios(rows, literals)
+    return alphabet, _entries(rows, literals)
 
 
-def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, Ratios]:
+def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, Rows]:
     return parse_coupling4_blocks(_load_obj(path), where=str(path))
 
 

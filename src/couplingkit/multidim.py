@@ -12,7 +12,9 @@ than an implementation secret.
 first three coordinates are forced equal (x1 = x2 = y1): all mass sits
 on cells (a, a, a, b), weighted by the right-hand distribution.  Under
 that constraint the pair mismatch collapses to the second-coordinate
-mismatch and both equal the variational distance.
+mismatch and both equal the variational distance.  Every builder's flat
+coupling lists only its non-zero cells (at most N^2 of the N^4 for the
+constrained one), and :func:`mismatch_components` reads only those.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coupling import Coupling, _Coprime, coupling_independent, coupling_maximal, mismatch_prob
-from .distributions import ZERO_PAIR, Alphabet, Pmf2, require_same_alphabet
+from .distributions import Alphabet, Pmf2, ratios_over, require_same_alphabet
 from .errors import ConstraintInfeasibleError
 from .metrics import vdist_halfsum
 
@@ -101,9 +103,9 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
     Requires P2 to be diagonal (x1 = x2 has probability 1) and each
     diagonal entry P2(a, a) to equal the first-coordinate marginal of Q2
     at a; otherwise no such coupling exists and the offending symbol is
-    reported.  Flat row (a, a) is Q2's row a as lowest-terms pairs,
-    placed at columns (a, b); every other row is one shared all-zero
-    row, and the rows reach :meth:`Coupling.over` marked as coprime, so
+    reported.  Flat row (a, a) lists the non-zero entries of Q2's row a
+    as lowest-terms pairs, at columns (a, b); every other row lists
+    nothing.  The rows reach :meth:`Coupling.over` marked as coprime, so
     no Fraction is built per cell.
     """
     require_same_alphabet(p2, q2)
@@ -127,12 +129,12 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
                 "the y1 = x1 constraint is unsatisfiable",
                 symbol=a,
             )
-    zeros = (ZERO_PAIR,) * n
-    rows = [zeros * n] * (n * n)
+    columns, rows = [()] * (n * n), [()] * (n * n)
     for a, q_row in enumerate(q2.p):
-        pairs = tuple((x.numerator, x.denominator) if x else ZERO_PAIR for x in q_row)
-        rows[a * n + a] = zeros * a + pairs + zeros * (n - 1 - a)
-    flat = Coupling.over(_Coprime(rows), p2.flatten(), q2.flatten())
+        listed = [b for b, x in enumerate(q_row) if x]
+        columns[a * n + a] = [a * n + b for b in listed]
+        rows[a * n + a] = [(q_row[b].numerator, q_row[b].denominator) for b in listed]
+    flat = Coupling.over(_Coprime(rows), p2.flatten(), q2.flatten(), columns)
     return Coupling4(flat, p2, q2)
 
 
@@ -151,12 +153,18 @@ class MismatchComponents:
 def mismatch_components(c: Coupling4) -> MismatchComponents:
     """Both mismatch probabilities, from the flat coupling's ints.
 
-    Flat row (x1, x2) meets x2 == y2 in columns (y1, x2), every N-th
-    cell from x2, so only those N^3 of the N^4 cells are read.
+    Flat row (x1, x2) meets x2 == y2 in columns (y1, x2), those equal to
+    the row modulo N.  Only the cells the row lists are read, and of a
+    dense row only every N-th from x2, so at most N^3 of the N^4 cells.
     """
     n = len(c.alphabet)
     flat = c.flat
-    coord_match = sum(sum(flat.row_ints(r, slice(r % n, None, n))) for r in range(n * n))
+    coord_match = 0
+    for r, (columns, pairs) in enumerate(flat._rows):
+        if len(pairs) == n * n:  # a dense row: its cells in columns (y1, x2) are every N-th from x2
+            columns, pairs = columns[r % n::n], pairs[r % n::n]
+        matched = [pair for column, pair in zip(columns, pairs) if column % n == r % n]
+        coord_match += sum(ratios_over(flat.scale, matched))
     return MismatchComponents(
         pair_mismatch=mismatch_prob(flat),
         coord_mismatch=Fraction(flat.scale - coord_match, flat.scale),

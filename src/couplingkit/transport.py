@@ -54,12 +54,12 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   hangs from the entering column) or from the other rows to S's columns
   (when it hangs from the entering row), and exactly those rows' bounds
   are lowered by -r, the second case as one shared floor.  Each pricing
-  resets the rows it scans to their exact least.  Bland's
-  (:func:`_entering_bounded`) scans in row order and skips the rows
-  whose bound is non-negative; Dantzig's (:func:`_entering_dantzig`)
-  scans in order of bound and stops at the first row that cannot hold
-  the best cell.  So each returns the cell of its dense scan
-  (:func:`_entering_cell` for Bland's);
+  resets the rows it scans to their exact least.  Dantzig's
+  (:func:`_entering_dantzig`) scans in order of bound and stops at the
+  first row that cannot hold the best cell, so it returns the cell of
+  its dense scan.  Bland's, which prices only after a degenerate pivot,
+  is the dense scan itself (:func:`_entering_cell`); it leaves the
+  bounds as they are, and they stay lower bounds;
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
@@ -85,9 +85,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, islice, repeat
 from math import lcm
-from operator import add, ge, lt, mul, sub
+from operator import add, ge, mul, sub
 from typing import Iterable, Iterator, Sequence
 
 from .coupling import Coupling
@@ -96,6 +96,7 @@ from .distributions import (
     ZERO,
     Pmf,
     joint_scaled,
+    ratios_over,
     require_same_alphabet,
     scaled,
 )
@@ -425,56 +426,14 @@ def _entering_cell(
 ) -> Cell | None:
     """First cell in row-major order with negative reduced cost cost_ab - u_a - v_b.
 
-    Bland's rule.  The dense reference for :func:`_entering_bounded` and
+    Bland's rule, which :func:`solve_transport` applies after a
+    degenerate pivot on general costs, and the dense reference for
     :func:`_entering_mismatch`: it scans every row.  Basic cells have
     reduced cost exactly 0, so they never qualify.
     """
     for a, (crow, ua) in enumerate(zip(cost, u)):
         if min(map(sub, crow, v)) < ua:
             return a, next(b for b, (c, vb) in enumerate(zip(crow, v)) if c - vb < ua)
-    return None
-
-
-def _entering_bounded(
-    cost: Sequence[Sequence[int]],
-    u: Sequence[int],
-    v: Sequence[int],
-    basic: Flows,
-    bound: list[int],
-    floor: int,
-) -> Cell | None:
-    """:func:`_entering_cell`, scanning only the rows that may hold a negative reduced cost.
-
-    ``basic[a]`` holds row a's basic columns, and ``bound[a] + floor`` is
-    a lower bound on the reduced costs of row a's other cells.  A basic
-    cell's reduced cost is 0, so a row whose bound is non-negative holds
-    no negative one, and it is skipped: the dense scan would pass it
-    too.  The other rows are scanned in order, and each has its bound
-    reset to the exact least reduced cost of its non-basic cells: with
-    the row's k basic cells at exactly u_a, that is the k-th smallest of
-    its cost_ab - v_b (from 0), less u_a.  The first row scanned with a
-    negative one is the dense scan's row, and the cell is its first
-    negative column.  That cell is about to turn basic, so the row's
-    bound is set for after the pivot: the row's least reduced cost when
-    it holds another negative one, else the least ranked past the cell
-    and the k basic cells.
-    """
-    limit = -floor
-    for a, low in enumerate(bound):
-        if low >= limit:
-            continue
-        ua, crow, k = u[a], cost[a], len(basic[a])
-        ranked = sorted(map(sub, crow, v))
-        if ranked[0] < ua:
-            # The cell found turns basic; if it was the row's only negative
-            # one, the row's other non-basic cells rank past it and the k basic ones.
-            if ranked[1] < ua:
-                least = ranked[0]
-            else:
-                least = ranked[k + 1] if k + 1 < len(ranked) else ua
-            bound[a] = least - ua - floor
-            return a, next(compress(count(), map(lt, map(sub, crow, v), repeat(ua))))
-        bound[a] = (ranked[k] - ua if k < len(ranked) else 0) - floor
     return None
 
 
@@ -488,7 +447,8 @@ def _entering_dantzig(
 ) -> Cell | None:
     """The most negative reduced cost, ties to the smallest row and then column, visiting rows by their bounds.
 
-    Takes the arguments of :func:`_entering_bounded`.  Rows are visited
+    ``basic[a]`` holds row a's basic columns, and ``bound[a] + floor`` is
+    a lower bound on the reduced costs of row a's other cells.  Rows are visited
     in increasing order of ``bound[a] + floor`` (ties by row), and each
     visited row has its bound reset to its exact least reduced cost.
     The visit stops at the first row whose bound can neither beat the
@@ -547,7 +507,7 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     ties to the smallest row and then column (:func:`_entering_dantzig`),
     except after a degenerate pivot (one that moves no flow), when it is
     the first negative one in row-major order (Bland's rule,
-    :func:`_entering_bounded`).  On the 0/1 cost it is always Bland's
+    :func:`_entering_cell`).  On the 0/1 cost it is always Bland's
     (:func:`_entering_mismatch`), and the start is already optimal.
     Leaving variable: smallest-index cell among those attaining the
     minimum flow on the cycle's decreasing positions.  The loop cannot
@@ -594,8 +554,10 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     while True:
         if unit:
             entering = _entering_mismatch(u, v)
+        elif degenerate:
+            entering = _entering_cell(cost, u, v)
         else:
-            entering = (_entering_bounded if degenerate else _entering_dantzig)(cost, u, v, flow, bound, floor)
+            entering = _entering_dantzig(cost, u, v, flow, bound, floor)
         if entering is None:
             break
         pivots += 1
@@ -703,11 +665,11 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     data and the certificate, never the solver's internals.  The
     potentials and costs share one scale S, the lcm of the problem's
     cost scale L and the potentials' denominators: the potentials are
-    scaled by S and the problem's cost ints multiplied by S // L, so
-    row i is feasible iff max_j (V_j - C_ij) <= -U_i with every value
-    times S.  The primal objective sums C_ij * J_ij, the coupling's
-    entries over its ``scale``
-    (:meth:`~couplingkit.coupling.Coupling.row_ints`), and the dual sums
+    scaled by S and the problem's cost ints multiplied by S // L (not
+    at all when that is 1), so row i is feasible iff
+    max_j (V_j - C_ij) <= -U_i with every value times S.  The primal
+    objective sums C_ij * J_ij over the cells each row of the coupling
+    lists, J_ij its entries over its ``scale``, and the dual sums
     U_i * S_i and V_j * D_j, the problem's marginal ints over D.
     """
     n = len(tp.supply.alphabet)
@@ -722,11 +684,11 @@ def certify(c: Coupling, cert: DualCertificate, tp: TransportProblem) -> bool:
     u = [x * shift for x in potentials[:n]]
     v = [x * shift for x in potentials[n:]]
     primal = 0
-    for i, (ui, crow) in enumerate(zip(u, cost_rows)):
-        cost = [x * factor for x in crow]
+    for ui, crow, (columns, pairs) in zip(u, cost_rows, c._rows):
+        cost = crow if factor == 1 else [x * factor for x in crow]
         if max(map(sub, v, cost)) > -ui:
             return False
-        primal += sum(map(mul, cost, c.row_ints(i)))
+        primal += sum(map(mul, map(cost.__getitem__, columns), ratios_over(c.scale, pairs)))
     marginal_scale, marginals = tp._scaled_marginals
     dual = sum(map(mul, chain(u, v), marginals))
     return Fraction(primal, scale * c.scale) == cert.objective == Fraction(dual, scale * marginal_scale)

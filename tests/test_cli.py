@@ -19,6 +19,8 @@ from couplingkit.jsonio import coupling_to_obj, dump_json, load_coupling_matrix
 from couplingkit.rational import parse_rational
 from couplingkit.tables import generate_fixtures
 
+from .test_jsonio import dense_rows
+
 F = Fraction
 
 RAMP = {"alphabet": ["1", "2", "3", "4"], "p": ["0.1", "0.2", "0.3", "0.4"]}
@@ -133,8 +135,8 @@ class TestCouple:
     def test_maximal_matches_golden_fixture(self, tmp_path, capsys, ramp_file, uniform_file):
         out = tmp_path / "cmax.json"
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, ratios = load_coupling_matrix(out)
-        rows = tuple(tuple(F(*x) for x in row) for row in ratios)
+        _, parsed = load_coupling_matrix(out)
+        rows = tuple(tuple(F(*x) for x in row) for row in dense_rows(parsed, 4))
         golden = json.loads(generate_fixtures()["ramp_uniform_maximal.json"])
         expected = tuple(
             tuple(parse_rational(v) for v in row) for row in golden["matrix"]
@@ -153,8 +155,8 @@ class TestCouple:
     def test_equal_inputs_give_diagonal(self, tmp_path, ramp_file):
         out = tmp_path / "diag.json"
         assert main(["couple", ramp_file, ramp_file, "--kind", "maximal", "--out", str(out)]) == 0
-        _, ratios = load_coupling_matrix(out)
-        assert all(ratios[i][j] == (0, 1) for i in range(4) for j in range(4) if i != j)
+        _, rows = load_coupling_matrix(out)
+        assert [list(columns) for columns, _ in rows] == [[0], [1], [2], [3]]
 
     def test_stdout_payload_without_out(self, capsys, ramp_file, uniform_file):
         assert main(["couple", ramp_file, uniform_file, "--kind", "maximal"]) == 0

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from couplingkit import Alphabet, DistributionError, Pmf, Pmf2
-from couplingkit.distributions import check_mass, joint_scaled, scaled
+from couplingkit.distributions import check_mass_ratios, fraction_ratios, joint_scaled, lcm_of, scaled
 from couplingkit.jsonio import parse_distribution
 
 F = Fraction
@@ -135,30 +137,55 @@ class TestPmf2:
 
 
 class TestCheckMass:
-    """The one check of "non-negative Fractions with an exact total of 1"."""
+    """The one check of "non-negative entries with an exact total of 1", through ``Pmf`` and on pairs."""
 
     @staticmethod
     def failure(entries):
+        """The constraint and message of the first failure, on the Fractions read by ``fraction_ratios``."""
+
         def error(message, constraint):
             return ValueError(constraint, message)
 
+        label = lambda k: f"cell {k}"
         with pytest.raises(ValueError) as info:
-            check_mass(entries, lambda k: f"cell {k}", error)
+            (pairs,) = fraction_ratios((entries,), label, error)
+            check_mass_ratios(((range(len(pairs)), pairs),), len(pairs), label, error)
         return info.value.args
 
     def test_valid_entries_pass(self):
-        assert check_mass((F(1, 3), F(0), F(2, 3)), str, ValueError) == 3
+        assert Pmf(Alphabet.of_size(3), (F(1, 3), F(0), F(2, 3)))._scaled == (3, [1, 0, 2])
+        assert check_mass_ratios(((range(3), ((1, 3), (0, 1), (2, 3))),), 3, str, ValueError) == (3, [3], [1, 0, 2])
 
     def test_first_failing_entry_is_reported_before_the_total(self):
         assert self.failure((F(1, 2), 0.5, F(-1))) == ("shape", "cell 1 must be a Fraction, got float")
         assert self.failure((F(1, 2), F(-1), 0.5)) == ("negative_entry", "cell 1 is negative: -1")
         assert self.failure((F(1, 2), F(1, 3))) == ("total_mass", "probabilities sum to 5/6, expected 1")
+        alphabet = Alphabet.of_size(3)
+        for entries, message in [
+            ((F(1, 2), 0.5, F(-1)), "p(2) must be a Fraction, got float"),
+            ((F(1, 2), F(-1), 0.5), "p(2) is negative: -1"),
+            ((F(1, 2), F(1, 3), F(0)), "probabilities sum to 5/6, expected 1"),
+        ]:
+            with pytest.raises(DistributionError) as info:
+                Pmf(alphabet, entries)
+            assert str(info.value) == message
 
     def test_labels_are_built_only_on_failure(self):
         def label(k):
             raise AssertionError("label asked for on a valid vector")
 
-        check_mass((F(1, 2), F(1, 2)), label, ValueError)
+        check_mass_ratios(((range(2), ((1, 2), (1, 2))),), 2, label, ValueError)
+        fraction_ratios(((F(1, 2), F(1, 2)),), label, ValueError)
+
+
+def test_lcm_of_is_the_lcm_of_its_denominators():
+    rng = random.Random(3)
+    assert lcm_of([]) == 1
+    for size in (1, 2, 3, 5, 8, 33):
+        # random 64-bit ints, with 3 and 6 sharing a factor
+        denominators = {rng.randint(1, 2**64) for _ in range(size)} | {3, 6}
+        assert lcm_of(denominators) == math.lcm(*denominators)
+        assert lcm_of(iter(denominators)) == math.lcm(*denominators)
 
 
 class TestFlatten:

@@ -1,6 +1,6 @@
 """The integer validators against their Fraction references.
 
-``check_mass``, ``Coupling`` (from Fractions and from ints),
+``Pmf`` validation, ``Coupling`` (from Fractions and from ints),
 ``couplingkit verify``, ``certify`` and the key audit
 (``maximal_diagonal``, ``mismatch_certificate``, ``certify_mismatch``
 and ``epsilon_audit``) run on ints over a common denominator, and the
@@ -47,8 +47,8 @@ from couplingkit import (
     vdist_halfsum,
 )
 from couplingkit import cli
-from couplingkit.distributions import check_mass, scaled
-from couplingkit.errors import CorruptedCouplingError, CouplingKitError
+from couplingkit.distributions import lcm_of, scaled
+from couplingkit.errors import CorruptedCouplingError, CouplingKitError, DistributionError
 from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj
 from couplingkit.multidim import coupling4_maximal
 from couplingkit.rational import decimal_string
@@ -201,15 +201,17 @@ def test_coupling_and_check_mass_match_the_fraction_reference(n, seed, denominat
         if change == "none":
             assert Coupling.over(ratios, p, q) == Coupling(m, p, q)
 
+    # Pmf runs the same one check on the cells as one distribution, D its result
     flat = [x for row in m for x in row]
+    alphabet = Alphabet.of_size(len(flat))
 
     def error(message, constraint):
-        return CouplingKitError(message, constraint)
+        return DistributionError(message)
 
     def label(k):
-        return f"cell {k}"
+        return f"p({alphabet.symbols[k]})"
 
-    assert outcome(lambda: check_mass(flat, label, error)) == outcome(
+    assert outcome(lambda: Pmf(alphabet, flat)._scaled[0]) == outcome(
         lambda: reference.check_mass(flat, label, error)
     )
 
@@ -290,6 +292,7 @@ def test_common_denominator_is_the_lcm():
     for size in (0, 1, 2, 3, 5, 8, 33):
         values = [F(1, rng.randint(1, 2**64)) for _ in range(size)] + [F(2, 3), F(5, 3)]
         assert common_denominator(values) == math.lcm(*(x.denominator for x in values))
+        assert lcm_of({x.denominator for x in values}) == common_denominator(values)
     assert common_denominator([]) == 1
 
 

@@ -750,9 +750,25 @@ def dense_most_negative(cost, u, v):
     return cell
 
 
+def dense_first_negative(cost, u, v):
+    """The dense reference for Bland's rule: the first negative reduced cost in row-major order."""
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        for b, (c, vb) in enumerate(zip(crow, v)):
+            if c - ua - vb < 0:
+                return a, b
+    return None
+
+
+def check_bounds(cost, u, v, basic, bound, floor) -> None:
+    """Every row's bound is a true lower bound on the reduced costs of the row's non-basic cells."""
+    for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
+        free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
+        assert not free or bound[a] + floor <= min(free)
+
+
 # The two general-cost pricings, by kind, and the dense scan each must agree with.
 PRICINGS = {
-    "bland": ("_entering_bounded", transport_module._entering_cell),
+    "bland": ("_entering_cell", dense_first_negative),
     "dantzig": ("_entering_dantzig", dense_most_negative),
 }
 
@@ -761,18 +777,17 @@ def watch_pricings(monkeypatch, checked: bool = False) -> list:
     """Every call of either general-cost pricing, as (kind, cell), in order.
 
     When ``checked``, each call's cell must be its dense reference's, and
-    before each call every row's bound must be a true lower bound on the
-    reduced costs of the row's non-basic cells.
+    before each call that is given the row bounds (Dantzig's), every
+    row's bound must be a true lower bound on the reduced costs of the
+    row's non-basic cells.
     """
     calls = []
 
     def watched(kind, price, reference):
-        def call(cost, u, v, basic, bound, floor):
-            if checked:
-                for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
-                    free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
-                    assert not free or bound[a] + floor <= min(free)
-            cell = price(cost, u, v, basic, bound, floor)
+        def call(cost, u, v, *state):
+            if checked and state:
+                check_bounds(cost, u, v, *state)
+            cell = price(cost, u, v, *state)
             assert not checked or cell == reference(cost, u, v)
             calls.append((kind, cell))
             return cell
@@ -785,8 +800,17 @@ def watch_pricings(monkeypatch, checked: bool = False) -> list:
 
 
 def bland_throughout(monkeypatch) -> None:
-    """Price every general-cost pivot by Bland's rule; after :func:`watch_pricings`, each call is watched as "bland"."""
-    monkeypatch.setattr(transport_module, "_entering_dantzig", lambda *args: transport_module._entering_bounded(*args))
+    """Price every general-cost pivot by Bland's rule; after :func:`watch_pricings`, each call is watched as "bland".
+
+    The row bounds are still kept by the solver, and still checked at
+    every pricing.
+    """
+
+    def bland(cost, u, v, basic, bound, floor):
+        check_bounds(cost, u, v, basic, bound, floor)
+        return transport_module._entering_cell(cost, u, v)
+
+    monkeypatch.setattr(transport_module, "_entering_dantzig", bland)
 
 
 def pivots(calls, kind: str | None = None) -> int:
@@ -794,7 +818,7 @@ def pivots(calls, kind: str | None = None) -> int:
 
 
 class TestBoundedPricing:
-    """On general costs both pricings skip rows by their bounds and still pick their dense scans' cells."""
+    """On general costs the row bounds stay true lower bounds, and both pricings pick their dense scans' cells."""
 
     def solve_all(
         self, problems, monkeypatch, starts=(transport_module._least_cost_basis, closed_form_start), bland=False

@@ -4,11 +4,12 @@ The problem is solved from the solver's least-cost start and from the
 closed-form start of the 0/1 cost put in its place, each under the
 shipped pricing (the most negative reduced cost, Bland's rule after a
 degenerate pivot) and then under Bland's rule throughout, from which the
-simplex makes thousands of pivots, so the row bounds of both pricings
-are lowered and reset many times over.  Before every pricing each row's
-bound must be a true lower bound, the cell each pricing enters must be
-the one its dense scan picks, and each result must be certified.  Runs
-with the other slow tests::
+simplex makes thousands of pivots, so the row bounds are lowered many
+times over, and reset by every Dantzig pricing.  Before every pricing
+that the solver hands the bounds to (each one, under Bland's rule
+throughout) each row's bound must be a true lower bound, the cell each
+pricing enters must be the one its dense scan picks, and each result
+must be certified.  Runs with the other slow tests::
 
     PYTHONPATH=src python -m pytest -q tests_slow
 """
@@ -34,6 +35,15 @@ def most_negative(cost, u, v):
     return cell
 
 
+def first_negative(cost, u, v):
+    """The dense Bland scan: the first negative reduced cost in row-major order."""
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        for b, (c, vb) in enumerate(zip(crow, v)):
+            if c - ua - vb < 0:
+                return a, b
+    return None
+
+
 def test_every_entering_cell_is_the_dense_scans(monkeypatch):
     rng = random.Random(2016)
     alphabet = Alphabet.of_size(N)
@@ -45,19 +55,22 @@ def test_every_entering_cell_is_the_dense_scans(monkeypatch):
     cost = [[Fraction(rng.randint(0, 99)) for _ in range(N)] for _ in range(N)]
     tp = TransportProblem(marginal(), marginal(), cost)
     cells = []
+    bland_cell = transport._entering_cell
 
     def checked(price, reference):
-        def call(cost, u, v, basic, bound, floor):
-            for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
-                free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
-                assert not free or bound[a] + floor <= min(free)
-            cells.append(price(cost, u, v, basic, bound, floor))
+        def call(cost, u, v, *state):
+            if state:  # the row bounds, given to Dantzig's pricing
+                basic, bound, floor = state
+                for a, (crow, ua, row) in enumerate(zip(cost, u, basic)):
+                    free = [c - ua - vb for b, (c, vb) in enumerate(zip(crow, v)) if b not in row]
+                    assert not free or bound[a] + floor <= min(free)
+            cells.append(price(cost, u, v, *state))
             assert cells[-1] == reference(cost, u, v)
             return cells[-1]
 
         return call
 
-    monkeypatch.setattr(transport, "_entering_bounded", checked(transport._entering_bounded, transport._entering_cell))
+    monkeypatch.setattr(transport, "_entering_cell", checked(bland_cell, first_negative))
     monkeypatch.setattr(transport, "_entering_dantzig", checked(transport._entering_dantzig, most_negative))
 
     def closed_form(supply, demand, cost):
@@ -65,8 +78,9 @@ def test_every_entering_cell_is_the_dense_scans(monkeypatch):
 
     starts = (transport._least_cost_basis, closed_form)
     for bland in (False, True):
-        if bland:
-            monkeypatch.setattr(transport, "_entering_dantzig", transport._entering_bounded)
+        if bland:  # Bland's rule at every pivot, the row bounds still checked before each
+            monkeypatch.setattr(transport, "_entering_dantzig", checked(
+                lambda cost, u, v, *state: bland_cell(cost, u, v), first_negative))
         for start in starts:
             monkeypatch.setattr(transport, "_least_cost_basis", start)
             coupling, cert, _ = solve_transport(tp)

@@ -151,6 +151,16 @@ MUTANTS = (
         "plain-literal-zero-denominator", "rational.py",
         "if denominator:", "if True:", ("test_rational.py", "test_jsonio.py"),
     ),
+    Mutant(
+        "maximal-support-from-left-residual", "coupling.py",
+        "enumerate(ry) if y]", "enumerate(map(sub, left, overlap)) if y]",
+        ("test_coupling.py", "test_sparse_couplings.py"),
+    ),
+    Mutant(
+        "coordinate-match-wrong-axis", "multidim.py",
+        "if column % n == r % n]", "if column // n == r % n]",
+        ("test_multidim.py", "test_sparse_couplings.py"),
+    ),
 )
 
 
