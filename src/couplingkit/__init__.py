@@ -48,7 +48,6 @@ from .transport import (
     DualCertificate,
     TransportProblem,
     certify,
-    certify_mismatch,
     lp_min_mismatch,
     mismatch_certificate,
     solve_transport,
@@ -82,7 +81,6 @@ __all__ = [
     "TransportProblem",
     "UpperSet",
     "certify",
-    "certify_mismatch",
     "coupling4_constrained",
     "coupling4_independent",
     "coupling4_maximal",

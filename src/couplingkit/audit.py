@@ -34,10 +34,10 @@ entry-for-entry equivalently to dense validation by
 couplings is certified by the closed-form dual on the event
 {P_K >= P_U} (:func:`~couplingkit.transport.upper_set_dual`), checked
 exactly by :func:`~couplingkit.transport.certify_mismatch_ints`.  The
-public :func:`~couplingkit.coupling.maximal_diagonal`,
-:func:`~couplingkit.transport.mismatch_certificate` and
-:func:`~couplingkit.transport.certify_mismatch` run the same integer
-code.  The transportation simplex stays the independent oracle behind
+public :func:`~couplingkit.coupling.maximal_diagonal` and
+:func:`~couplingkit.transport.mismatch_certificate` run the same integer
+code, and ``couplingkit oracle`` checks its certificate through the same
+kernel.  The transportation simplex stays the independent oracle behind
 ``couplingkit oracle`` and the tests, which compare the two routes.
 
 An optional epsilon with v <= epsilon is accepted as a user-supplied

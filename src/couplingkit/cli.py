@@ -187,8 +187,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise AlphabetMismatchError(
             "coupling file alphabet differs from the marginals' alphabet"
         )
-    columns, pairs = zip(*rows)
-    c = _coupling_of(Coupling.over(pairs, *_one_dim(p, q), columns), p, q)
+    c = _coupling_of(Coupling.over(rows, *_one_dim(p, q)), p, q)
     audit, lines, fields = _report(cfg, c)
     if cfg.format == "json":
         _emit(dump_json({"valid": True, **audit.to_json_dict(), **fields}).rstrip("\n"))

@@ -66,21 +66,22 @@ from .metrics import vdist_halfsum
 from .rational import _reduced, bounded_str
 
 Matrix = tuple[tuple[Fraction, ...], ...]
-Rows = list[tuple[Sequence[int], Sequence[tuple[int, int]]]]
+Rows = Sequence[tuple[Sequence[int], Sequence[tuple[int, int]]]]
 
 
 class _Ratios(tuple):
     """The rows handed to :meth:`Coupling.over`, marked for the constructor.
 
     Each row is (columns, pairs) in the coupling's one entry form.
-    ``coprime`` is set on rows whose every pair is in lowest terms.
     """
 
     coprime = False
 
 
-class _Coprime(tuple):
-    """Rows of pairs in lowest terms, with zero as ``(0, 1)``, marked as such by a builder."""
+class _Coprime(_Ratios):
+    """Rows whose every pair is in lowest terms, with zero as ``(0, 1)``, marked as such by a builder."""
+
+    coprime = True
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -94,8 +95,8 @@ class Coupling:
     ``j`` given to ``Coupling(j, left, right)``, which keeps ``j`` as it
     is, and of the rows given to :meth:`over`, which builds ``j`` when it
     is first read.  ``scale`` is D, the lcm of the non-zero entries'
-    denominators, and :meth:`row_ints` reads entries times D as ints, so
-    no N x N array of ints over D is ever kept.  Equality and hashing
+    denominators; the readers scale the entries they read by D, so no
+    N x N array of ints over D is ever kept.  Equality and hashing
     compare ``j`` and the marginals, so they do not depend on the
     constructor, the form of the rows or D.
 
@@ -135,32 +136,18 @@ class Coupling:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def over(
-        cls,
-        ratios: Sequence[Sequence[tuple[int, int]]],
-        left: Pmf,
-        right: Pmf,
-        columns: Sequence[Sequence[int]] | None = None,
-    ) -> "Coupling":
-        """The coupling whose entry (a, b) is n / d for ``ratios[a][b] == (n, d)``.
+    def over(cls, rows: Rows, left: Pmf, right: Pmf) -> "Coupling":
+        """The coupling whose row a lists the entries ``rows[a]``, in the one entry form.
 
-        ``n`` and ``d`` are ints, ``d`` positive, the pair not necessarily
-        reduced.  With ``columns``, row a lists only some entries:
-        ``ratios[a][k]`` is the entry at column ``columns[a][k]``, the
-        columns strictly increasing, and every other entry of the row is
+        Each row is (columns, pairs): the columns strictly increasing, each
+        (numerator, denominator) pair of ints with a positive denominator
+        and not necessarily reduced, and every entry a row does not list
         zero.  The constructor runs its checks in its order, with its
         messages, on the ints
         (:func:`~couplingkit.distributions.check_mass_ratios`).  Rows a
         builder marked as coprime keep the mark.
         """
-        n = len(left.alphabet)
-        if columns is None:
-            columns = repeat(range(n))
-        elif len(columns) != len(ratios):
-            raise CouplingError(f"joint matrix must be {n}x{n}", constraint="shape")
-        rows = _Ratios(zip(columns, ratios))
-        rows.coprime = isinstance(ratios, _Coprime)
-        return cls(rows, left, right)
+        return cls(rows if isinstance(rows, _Ratios) else _Ratios(rows), left, right)
 
     @cached_property
     def j(self) -> Matrix:
@@ -181,14 +168,6 @@ class Coupling:
         if self._coprime:
             return iter(self._rows)
         return ((columns, [_lowest_terms(x, d) for x, d in pairs]) for columns, pairs in self._rows)
-
-    def row_ints(self, row: int, columns: slice = slice(None)) -> Iterator[int]:
-        """The entries of row ``row``, or of its ``columns``, times ``scale``, as ints."""
-        listed, pairs = self._rows[row]
-        n = len(self.alphabet)
-        if len(pairs) == n:
-            return ratios_over(self.scale, pairs[columns])
-        return iter(_dense(listed, list(ratios_over(self.scale, pairs)), n, 0)[columns])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -304,17 +283,15 @@ def coupling_independent(p: Pmf, q: Pmf) -> Coupling:
     n = len(q.p)
     factors = [(y.numerator, y.denominator, gcd(y.numerator, lcm_p)) for y in q.p if y]
     listed = range(n) if len(factors) == n else [b for b, y in enumerate(q.p) if y]
-    columns, rows = [], []
+    rows = []
     for x in p.p:
         if x:
             a, b = x.numerator, x.denominator
             g = gcd(a, lcm_q)
-            columns.append(listed)
-            rows.append(tuple(_product(a, b, g, *factor) for factor in factors))
+            rows.append((listed, tuple(_product(a, b, g, *factor) for factor in factors)))
         else:
-            columns.append(())
-            rows.append(())
-    return Coupling.over(_Coprime(rows), p, q, columns)
+            rows.append(((), ()))
+    return Coupling.over(_Coprime(rows), p, q)
 
 
 def _product(a: int, b: int, g: int, c: int, d: int, h: int) -> tuple[int, int]:
@@ -387,7 +364,7 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     denominator = m * scale
     support = [b for b, y in enumerate(ry) if y]
     factors = [(ry[b], gcd(ry[b], denominator)) for b in support]
-    columns, rows = [], []
+    rows = []
     for i, (x, y, a, d) in enumerate(zip(p.p, q.p, left, overlap)):
         rx = a - d
         listed = list(support) if rx and m else []
@@ -404,9 +381,8 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
             k = bisect_left(listed, i)
             listed.insert(k, i)
             row.insert(k, (diagonal.numerator, diagonal.denominator))
-        columns.append(listed)
-        rows.append(row)
-    return Coupling.over(_Coprime(rows), p, q, columns)
+        rows.append((listed, row))
+    return Coupling.over(_Coprime(rows), p, q)
 
 
 def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:

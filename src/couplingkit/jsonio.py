@@ -172,8 +172,8 @@ def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet,
     is the one reported; other spellings of zero (``"0/7"``, ``"00"``)
     stay listed, and validation reads them as zero.  The pairs are the
     literals as written, not reduced, and validation,
-    :meth:`~couplingkit.coupling.Coupling.over` (given the pairs and the
-    columns of the rows), is the caller's; there
+    :meth:`~couplingkit.coupling.Coupling.over` given the rows, is the
+    caller's; there
     the lcm of the non-zero entries' denominators becomes the scale of
     every sum, so an unreduced literal such as ``"2/6"`` can make it
     larger than the values need.

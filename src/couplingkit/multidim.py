@@ -129,12 +129,11 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
                 "the y1 = x1 constraint is unsatisfiable",
                 symbol=a,
             )
-    columns, rows = [()] * (n * n), [()] * (n * n)
+    rows = [((), ())] * (n * n)
     for a, q_row in enumerate(q2.p):
         listed = [b for b, x in enumerate(q_row) if x]
-        columns[a * n + a] = [a * n + b for b in listed]
-        rows[a * n + a] = [(q_row[b].numerator, q_row[b].denominator) for b in listed]
-    flat = Coupling.over(_Coprime(rows), p2.flatten(), q2.flatten(), columns)
+        rows[a * n + a] = ([a * n + b for b in listed], [(q_row[b].numerator, q_row[b].denominator) for b in listed])
+    flat = Coupling.over(_Coprime(rows), p2.flatten(), q2.flatten())
     return Coupling4(flat, p2, q2)
 
 

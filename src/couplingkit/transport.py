@@ -67,11 +67,11 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   L and their denominators, the cost ints times S // L, and the
   problem's marginals over D, with the coupling's own ints;
 * for the 0/1 mismatch cost, :func:`mismatch_certificate` builds the
-  closed-form optimal dual and :func:`certify_mismatch` checks any
-  certificate in O(N), both on ints over one common denominator;
-  ``couplingkit oracle`` certifies through
-  :func:`certify_mismatch_coupling`, the same check on a coupling's own
-  ints, and the dense :func:`certify` is their cross-check in the tests;
+  closed-form optimal dual, and :func:`certify_mismatch_coupling`, which
+  ``couplingkit oracle`` runs, checks any certificate in O(N) on the
+  coupling's own ints through :func:`certify_mismatch_ints`, the kernel
+  that the key audit also calls; the dense :func:`certify` is their
+  cross-check in the tests;
 * :func:`vertex_enumerate` walks every spanning-tree basis at desk
   scale, depth-first with an undoable union-find, and strips each
   tree's leaves on the ints over D, as a second, exhaustive oracle over
@@ -642,9 +642,9 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
 
 def _flow_coupling(flow: Flows, mass_scale: int, tp: TransportProblem) -> Coupling:
     """The coupling of ``tp``'s marginals with entries ``flow`` over ``mass_scale``; each row lists its non-zero flows."""
-    columns = [sorted(b for b, x in row.items() if x) for row in flow]
-    pairs = [[(row[b], mass_scale) for b in listed] for row, listed in zip(flow, columns)]
-    return Coupling.over(pairs, tp.supply, tp.demand, columns)
+    listed = [sorted(b for b, x in row.items() if x) for row in flow]
+    rows = [(columns, [(row[b], mass_scale) for b in columns]) for row, columns in zip(flow, listed)]
+    return Coupling.over(rows, tp.supply, tp.demand)
 
 
 def lp_min_mismatch(p: Pmf, q: Pmf) -> tuple[Coupling, DualCertificate]:
@@ -718,29 +718,8 @@ def upper_set_dual(p: Sequence[int], q: Sequence[int]) -> tuple[list[bool], int]
     return inside, sum(x - y for x, y, b in zip(p, q, inside) if b)
 
 
-def certify_mismatch(
-    diagonal: Sequence[Fraction], cert: DualCertificate, supply: Pmf, demand: Pmf
-) -> bool:
-    """O(N) form of :func:`certify` for the 0/1 mismatch cost.
-
-    ``diagonal`` is the diagonal of a coupling of ``supply`` and
-    ``demand`` whose feasibility the caller has checked.  The potentials
-    are scaled by their common denominator, the marginals and the
-    diagonal by theirs, and :func:`certify_mismatch_ints` checks the
-    ints.  For the diagonal of a coupling ``c`` this agrees with
-    ``certify(c, cert, TransportProblem.mismatch(supply, demand))``,
-    without the N x N scans.
-    """
-    require_same_alphabet(supply, demand)
-    n = len(supply.alphabet)
-    if len(diagonal) != n:
-        raise ShapeMismatchError("diagonal/certificate size does not match problem")
-    mass, ints = scaled([*supply.p, *demand.p, *diagonal])
-    return _certify_mismatch_over(mass, ints[2 * n :], ints[: 2 * n], cert)
-
-
 def certify_mismatch_coupling(c: Coupling, cert: DualCertificate) -> bool:
-    """:func:`certify_mismatch` for the coupling ``c`` of its own marginals, on its ints.
+    """O(N) form of :func:`certify` for the 0/1 mismatch cost, on the coupling ``c`` of its own marginals.
 
     ``c`` is validated, so each of its rows and columns sums to its
     marginal's entry, and ``scale`` is a multiple of each marginal's
@@ -748,23 +727,18 @@ def certify_mismatch_coupling(c: Coupling, cert: DualCertificate) -> bool:
     (:meth:`~couplingkit.coupling.Coupling.diagonal_ints`) and both its
     marginals (:func:`~couplingkit.distributions.joint_scaled` over
     ``scale``) are ints over its ``scale``, with no Fraction and no gcd
-    per symbol.  Agrees with ``certify(c, cert,
-    TransportProblem.mismatch(c.left, c.right))``.
+    per symbol.  The potentials are scaled by their common denominator,
+    and :func:`certify_mismatch_ints` checks the ints.  Agrees with
+    ``certify(c, cert, TransportProblem.mismatch(c.left, c.right))``,
+    without the N x N scans.
     """
-    _, marginals = joint_scaled(c.left, c.right, c.scale)
-    return _certify_mismatch_over(c.scale, c.diagonal_ints(), marginals, cert)
-
-
-def _certify_mismatch_over(
-    mass: int, diagonal: Sequence[int], marginals: Sequence[int], cert: DualCertificate
-) -> bool:
-    """:func:`certify_mismatch_ints` on a diagonal and marginals times ``mass``, the potentials scaled here."""
-    n = len(diagonal)
+    n = len(c.alphabet)
     if len(cert.u) != n or len(cert.v) != n:
         raise ShapeMismatchError("diagonal/certificate size does not match problem")
+    _, marginals = joint_scaled(c.left, c.right, c.scale)
     scale, potentials = scaled([*cert.u, *cert.v])
     return certify_mismatch_ints(
-        mass - sum(diagonal), potentials[:n], potentials[n:], scale, cert.objective, marginals, mass
+        c.scale - sum(c.diagonal_ints()), potentials[:n], potentials[n:], scale, cert.objective, marginals, c.scale
     )
 
 
@@ -777,7 +751,7 @@ def certify_mismatch_ints(
     marginals: Sequence[int],
     mass: int,
 ) -> bool:
-    """:func:`certify_mismatch` on ints: potentials over ``scale``, masses over ``mass``.
+    """:func:`certify_mismatch_coupling` on ints: potentials over ``scale``, masses over ``mass``.
 
     ``primal`` is the coupling's cost 1 - sum(diagonal) and ``marginals``
     the supply followed by the demand, all times ``mass``; ``u`` and

@@ -13,7 +13,6 @@ from couplingkit import (
     Pmf,
     TransportProblem,
     certify,
-    certify_mismatch,
     coupling_independent,
     coupling_maximal,
     epsilon_audit,
@@ -24,7 +23,9 @@ from couplingkit import (
     vdist_halfsum,
 )
 from couplingkit.cli import main
+from couplingkit.transport import certify_mismatch_coupling
 
+from . import fraction_reference as reference
 from .conftest import pmf_batch, random_pmf
 
 F = Fraction
@@ -193,11 +194,11 @@ class TestAgainstDenseRoute:
 
         closed_form = mismatch_certificate(pk, pu)
         assert certify(maximal, closed_form, tp)
-        diagonal = tuple(maximal.j[i][i] for i in range(len(pk.alphabet)))
-        assert certify_mismatch(diagonal, closed_form, pk, pu)
+        assert certify_mismatch_coupling(maximal, closed_form)
+        assert reference.certify_mismatch(maximal.diagonal(), closed_form, pk, pu)
         # and the O(N) check accepts the simplex's own optimum and potentials
-        lp_diagonal = tuple(optimal.j[i][i] for i in range(len(pk.alphabet)))
-        assert certify_mismatch(lp_diagonal, lp_cert, pk, pu)
+        assert certify_mismatch_coupling(optimal, lp_cert)
+        assert reference.certify_mismatch(optimal.diagonal(), lp_cert, pk, pu)
 
 
 def test_cli_audit_of_a_65536_symbol_key(tmp_path, capsys):

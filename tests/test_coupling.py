@@ -156,14 +156,14 @@ class TestIntConstructor:
     def test_equal_and_hash_equal_to_the_fraction_constructor(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
         # Every pair unreduced by 6, so D is 6 times the lcm of the denominators
-        d = Coupling.over([[(6 * x.numerator, 6 * x.denominator) for x in row] for row in c.j], ramp, uniform4)
+        d = Coupling.over(pair_rows(c.j, 6), ramp, uniform4)
         assert d.scale == 6 * c.scale
         assert d == c and hash(d) == hash(c)
         assert d != coupling_independent(ramp, uniform4)
 
     def test_j_is_built_on_first_read_and_equals_the_eager_one(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
-        d = Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
+        d = Coupling.over(pair_rows(c.j), ramp, uniform4)
         assert lemma_audit(d) == lemma_audit(c)
         assert d[("4", "1")] == c[("4", "1")] == F(9, 80)
         assert "j" not in vars(d)
@@ -173,7 +173,7 @@ class TestIntConstructor:
 
     def test_zero_entries_leave_the_scale_alone(self):
         half = Pmf(Alphabet(["1", "2"]), (F(1, 2), F(1, 2)))
-        d = Coupling.over([[(1, 2), (0, 3**200)], [(0, 5**200), (2, 4)]], half, half)
+        d = Coupling.over([(range(2), [(1, 2), (0, 3**200)]), (range(2), [(0, 5**200), (2, 4)])], half, half)
         assert d.scale == 4
         assert d == Coupling(((F(1, 2), ZERO), (ZERO, F(1, 2))), half, half)
 
@@ -184,13 +184,14 @@ class TestIntConstructor:
         init = Coupling.__init__
 
         def recording(self, j, left, right):
-            seen.append(type(j).__name__)
+            seen.append((type(j).__name__, j.coprime))
             init(self, j, left, right)
 
         monkeypatch.setattr(Coupling, "__init__", recording)
         c = coupling_maximal(ramp, uniform4)
-        Coupling.over([[(x.numerator, x.denominator) for x in row] for row in c.j], ramp, uniform4)
-        assert seen == ["_Ratios", "_Ratios"]
+        Coupling.over(pair_rows(c.j), ramp, uniform4)
+        assert seen == [("_Coprime", True), ("_Ratios", False)]
+        assert issubclass(coupling_module._Coprime, coupling_module._Ratios)
 
     def test_every_mass_check_is_check_mass_ratios(self, monkeypatch, ramp, uniform4):
         # One mass check: Pmf, Pmf2, Coupling(j) and Coupling.over all reach it.
@@ -206,18 +207,22 @@ class TestIntConstructor:
         Pmf(ramp.alphabet, ramp.p)
         Pmf2(Alphabet.of_size(2), ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4))))
         Coupling(MAXIMAL_MATRIX, ramp, uniform4)
-        Coupling.over([[(x.numerator, x.denominator) for x in row] for row in MAXIMAL_MATRIX], ramp, uniform4)
+        Coupling.over(pair_rows(MAXIMAL_MATRIX), ramp, uniform4)
         assert seen == [1, 1, 4, 4]
 
 
-def sparse_rows(matrix) -> tuple[list[list[tuple[int, int]]], list[list[int]]]:
-    """The non-zero entries of each row of ``matrix`` as pairs, and their columns, for :meth:`Coupling.over`."""
-    pairs, columns = [], []
+def pair_rows(matrix, k: int = 1) -> list[tuple[range, list[tuple[int, int]]]]:
+    """Each row of ``matrix`` as (range(N), its pairs, each unreduced by ``k``), for :meth:`Coupling.over`."""
+    return [(range(len(row)), [(k * x.numerator, k * x.denominator) for x in row]) for row in matrix]
+
+
+def sparse_rows(matrix) -> list[tuple[list[int], list[tuple[int, int]]]]:
+    """Each row of ``matrix`` as the columns of its non-zero entries and their pairs, for :meth:`Coupling.over`."""
+    rows = []
     for row in matrix:
-        listed = [(b, x) for b, x in enumerate(row) if x]
-        columns.append([b for b, _ in listed])
-        pairs.append([(x.numerator, x.denominator) for _, x in listed])
-    return pairs, columns
+        columns = [b for b, x in enumerate(row) if x]
+        rows.append((columns, [(row[b].numerator, row[b].denominator) for b in columns]))
+    return rows
 
 
 def first_error(build):
@@ -237,15 +242,13 @@ class TestSparseRows:
         p, q = pair
         n = len(p.alphabet)
         dense = Coupling(random_coupling(random.Random(seed), p, q).j, p, q)
-        pairs, columns = sparse_rows(dense.j)
-        sparse = Coupling.over(pairs, p, q, columns)
+        sparse = Coupling.over(sparse_rows(dense.j), p, q)
         assert sparse.j == dense.j and sparse == dense and hash(sparse) == hash(dense)
         assert sparse.scale == dense.scale
         for i in range(n):
-            assert list(sparse.row_ints(i)) == list(dense.row_ints(i))
-            assert list(sparse.row_ints(i, slice(i % 2, None, 2))) == list(dense.row_ints(i, slice(i % 2, None, 2)))
             assert [sparse.entry(i, k) for k in range(n)] == list(dense.j[i])
         assert sparse.diagonal() == dense.diagonal() == tuple(dense.j[i][i] for i in range(n))
+        assert sparse.diagonal_ints() == dense.diagonal_ints()
         assert sparse.diagonal_mass() == dense.diagonal_mass()
         assert lemma_audit(sparse) == lemma_audit(dense)
 
@@ -254,8 +257,7 @@ class TestSparseRows:
     def test_coupling4_lookups_match_the_dense_form(self, pair):
         p2, q2 = pair
         dense = coupling4_maximal(p2, q2)
-        pairs, columns = sparse_rows(dense.flat.j)
-        sparse = Coupling4(Coupling.over(pairs, dense.flat.left, dense.flat.right, columns), p2, q2)
+        sparse = Coupling4(Coupling.over(sparse_rows(dense.flat.j), dense.flat.left, dense.flat.right), p2, q2)
         symbols = p2.alphabet.symbols
         quads = [(a, b, c, d) for a in symbols for b in symbols for c in symbols for d in symbols]
         assert [sparse[quad] for quad in quads] == [dense[quad] for quad in quads]
@@ -282,8 +284,7 @@ class TestSparseRows:
             m[a][b] += delta
             m[c][d] -= delta
         dense = first_error(lambda: Coupling(m, p, q))
-        pairs, columns = sparse_rows(m)
-        assert first_error(lambda: Coupling.over(pairs, p, q, columns)) == dense
+        assert first_error(lambda: Coupling.over(sparse_rows(m), p, q)) == dense
         if change != "marginal" or (a, b) != (c, d):
             assert dense is not None
 
@@ -301,8 +302,7 @@ class TestSparseRows:
             ("column_marginal", "1", "column marginal at '1' is 19/80, expected 1/4"),
         ]
         for m, error in zip((negative, total, column), expected):
-            pairs, columns = sparse_rows(m)
-            assert first_error(lambda: Coupling.over(pairs, ramp, uniform4, columns)) == error
+            assert first_error(lambda: Coupling.over(sparse_rows(m), ramp, uniform4)) == error
             assert first_error(lambda: Coupling(m, ramp, uniform4)) == error
 
     @pytest.mark.parametrize(
@@ -313,7 +313,7 @@ class TestSparseRows:
     def test_malformed_columns_are_a_shape_error(self, ramp, uniform4, last_row, last_columns):
         pairs = [[(1, 10)], [(1, 5)], [(1, 4)], last_row]
         columns = [[0], [1], [2]] + ([last_columns] if last_columns is not None else [])
-        assert first_error(lambda: Coupling.over(pairs, ramp, uniform4, columns)) == (
+        assert first_error(lambda: Coupling.over(list(zip(columns, pairs)), ramp, uniform4)) == (
             "shape", None, "joint matrix must be 4x4"
         )
 

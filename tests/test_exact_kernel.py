@@ -2,9 +2,10 @@
 
 ``Pmf`` validation, ``Coupling`` (from Fractions and from ints),
 ``couplingkit verify``, ``certify`` and the key audit
-(``maximal_diagonal``, ``mismatch_certificate``, ``certify_mismatch``
-and ``epsilon_audit``) run on ints over a common denominator, and the
-independent and maximal coupling builders form each cell already reduced;
+(``maximal_diagonal``, ``mismatch_certificate``,
+``certify_mismatch_coupling`` and ``epsilon_audit``) run on ints over a
+common denominator, and the independent and maximal coupling builders
+form each cell already reduced;
 :mod:`tests.fraction_reference` keeps the direct Fraction forms.  Both
 must reach the same verdict, fail on the same first constraint and say
 the same thing, on valid inputs and on inputs broken by one small change.
@@ -37,7 +38,6 @@ from couplingkit import (
     Pmf2,
     TransportProblem,
     certify,
-    certify_mismatch,
     coupling_independent,
     coupling_maximal,
     epsilon_audit,
@@ -52,6 +52,7 @@ from couplingkit.errors import CorruptedCouplingError, CouplingKitError, Distrib
 from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj
 from couplingkit.multidim import coupling4_maximal
 from couplingkit.rational import decimal_string
+from couplingkit.transport import certify_mismatch_coupling
 
 from . import fraction_reference as reference
 from .fraction_reference import common_denominator
@@ -196,7 +197,7 @@ def test_coupling_and_check_mass_match_the_fraction_reference(n, seed, denominat
             k = rng.randint(1, 6)
             return x.numerator * k, x.denominator * k
 
-        ratios = [[unreduced(x) for x in row] for row in m]
+        ratios = [(range(len(row)), [unreduced(x) for x in row]) for row in m]
         assert outcome(lambda: Coupling.over(ratios, p, q).j) == expected
         if change == "none":
             assert Coupling.over(ratios, p, q) == Coupling(m, p, q)
@@ -396,6 +397,8 @@ def test_maximal_diagonal_and_certificate_match_the_fraction_reference(
     rng = random.Random(seed)
     p = random_marginal(rng, n, keys[0])
     q = p if keys[1] == "same" else random_marginal(rng, n, keys[1])
+    # The certificate check reads a validated coupling, so the marginals before any change.
+    maximal = coupling_maximal(p, q)
     if side != "q":
         p = changed_pmf(rng, change, p)
     if side != "p":
@@ -403,17 +406,13 @@ def test_maximal_diagonal_and_certificate_match_the_fraction_reference(
 
     expected = outcome(lambda: reference.maximal_diagonal(p, q))
     assert outcome(lambda: maximal_diagonal(p, q)) == expected
-    cert = reference.mismatch_certificate(p, q)
-    assert mismatch_certificate(p, q) == cert
+    assert mismatch_certificate(p, q) == reference.mismatch_certificate(p, q)
 
-    try:
-        diagonal = reference.maximal_diagonal(p, q)
-    except CorruptedCouplingError:
-        diagonal = tuple(map(min, p.p, q.p))
-    cert = changed_certificate(rng, cert_change, cert)
-    verdict = outcome(lambda: reference.certify_mismatch(diagonal, cert, p, q))
-    assert outcome(lambda: certify_mismatch(diagonal, cert, p, q)) == verdict
-    if change == "none" and cert_change in ("none", "objective_up", "objective_down"):
+    p, q = maximal.left, maximal.right
+    cert = changed_certificate(rng, cert_change, reference.mismatch_certificate(p, q))
+    verdict = outcome(lambda: reference.certify_mismatch(maximal.diagonal(), cert, p, q))
+    assert outcome(lambda: certify_mismatch_coupling(maximal, cert)) == verdict
+    if cert_change in ("none", "objective_up", "objective_down"):
         assert verdict is (cert_change == "none")
 
 

@@ -113,8 +113,7 @@ class TestCouplingFiles:
         c = coupling_maximal(ramp, uniform4)
         path = write(tmp_path, "c.json", coupling_to_obj(c))
         alphabet, rows = load_coupling_matrix(path)
-        columns, pairs = zip(*rows)
-        assert alphabet == ramp.alphabet and Coupling.over(pairs, ramp, uniform4, columns) == c
+        assert alphabet == ramp.alphabet and Coupling.over(rows, ramp, uniform4) == c
 
     def test_decimal_render(self, ramp, uniform4):
         c = coupling_maximal(ramp, uniform4)
@@ -126,8 +125,7 @@ class TestCouplingFiles:
         c4 = coupling4_maximal(diag3, band3)
         path = write(tmp_path, "c4.json", coupling4_to_obj(c4))
         alphabet, rows = load_coupling4_blocks(path)
-        columns, pairs = zip(*rows)
-        rebuilt = Coupling4(Coupling.over(pairs, diag3.flatten(), band3.flatten(), columns), diag3, band3)
+        rebuilt = Coupling4(Coupling.over(rows, diag3.flatten(), band3.flatten()), diag3, band3)
         assert alphabet == diag3.alphabet and rebuilt.flat.j == c4.flat.j
 
     def test_blocks_layout_mirrors_tables(self, diag3, band3):
@@ -252,7 +250,7 @@ def couplings_to_write(draw):
         c = Coupling(j, left, right)
     elif source == "pairs":
         k = draw(st.integers(1, 6))
-        c = Coupling.over([[(k * x.numerator, k * x.denominator) for x in row] for row in j], left, right)
+        c = Coupling.over([(range(n), [(k * x.numerator, k * x.denominator) for x in row]) for row in j], left, right)
     else:
         c = (coupling_maximal if source == "maximal" else coupling_independent)(left, right)
     if two_dim:

@@ -168,8 +168,7 @@ class TestCouplingFiles:
         obj["matrix"] = [[rng.choice(("0", "0", "0/7", "00")) if x == "0" else x for x in row] for row in obj["matrix"]]
         _, rows = parse_coupling_matrix(obj)
         _, dense = reference.parse_coupling_rows("matrix", obj, "coupling")
-        columns, listed = zip(*rows)
-        parsed = Coupling.over(listed, p, q, columns)
+        parsed = Coupling.over(rows, p, q)
         assert_same_coupling(parsed, Coupling(dense, p, q))
         for (columns, _), text in zip(rows, obj["matrix"]):
             assert list(columns) == [b for b, x in enumerate(text) if x != "0"]
@@ -183,9 +182,9 @@ class TestCouplingFiles:
                 cells[:] = [next(spellings) if x == "0" else x for x in cells]
         _, rows = parse_coupling4_blocks(obj)
         _, dense = reference.parse_coupling_rows("blocks", obj, "coupling4")
-        columns, listed = zip(*rows)
-        flat = Coupling.over(listed, diag3.flatten(), band3.flatten(), columns)
+        flat = Coupling.over(rows, diag3.flatten(), band3.flatten())
         assert_same_coupling(flat, Coupling(dense, diag3.flatten(), band3.flatten()))
+        columns = [c for c, _ in rows]
         assert sum(map(len, columns)) < 81 and any(not isinstance(c, range) for c in columns)
 
     @pytest.mark.parametrize("row", [

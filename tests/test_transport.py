@@ -17,7 +17,6 @@ from couplingkit import (
     ShapeMismatchError,
     TransportProblem,
     certify,
-    certify_mismatch,
     coupling_maximal,
     lp_min_mismatch,
     mismatch_certificate,
@@ -462,20 +461,15 @@ class TestCertify:
             assert not certify(coupling, bumped, tp)
 
 
-def _diagonal(c) -> tuple:
-    return tuple(c.j[i][i] for i in range(len(c.alphabet)))
-
-
 class TestCertifyMismatch:
     """The O(N) check must reject exactly what dense certify rejects."""
 
     @staticmethod
     def both(p, q, cert) -> tuple[bool, bool]:
         c = coupling_maximal(p, q)
-        return (
-            certify_mismatch(_diagonal(c), cert, p, q),
-            certify(c, cert, TransportProblem.mismatch(p, q)),
-        )
+        fast = certify_mismatch_coupling(c, cert)
+        assert reference.certify_mismatch(c.diagonal(), cert, p, q) == fast
+        return fast, certify(c, cert, TransportProblem.mismatch(p, q))
 
     def test_closed_form_on_worked_pair(self, ramp, uniform4):
         cert = mismatch_certificate(ramp, uniform4)
@@ -516,8 +510,12 @@ class TestCertifyMismatch:
 
     def test_shape_mismatch_raises(self, ramp, uniform4):
         cert = mismatch_certificate(ramp, uniform4)
-        with pytest.raises(ShapeMismatchError):
-            certify_mismatch((F(1, 2),) * 3, cert, ramp, uniform4)
+        c = coupling_maximal(ramp, uniform4)
+        short = DualCertificate(cert.u[:3], cert.v[:3], cert.objective)
+        long_v = DualCertificate(cert.u, cert.v + (F(0),), cert.objective)
+        for bad in (short, long_v):
+            with pytest.raises(ShapeMismatchError):
+                certify_mismatch_coupling(c, bad)
 
     def test_agrees_with_dense_on_random_potentials(self):
         # potentials from a few values, so ties and a shared argmax of u and
@@ -1034,7 +1032,7 @@ class TestStructuralCertify:
         verdicts = []
         for c in tampered:
             fast = certify_mismatch_coupling(coupling, c)
-            assert certify_mismatch(coupling.diagonal(), c, p, q) == fast
+            assert reference.certify_mismatch(coupling.diagonal(), c, p, q) == fast
             verdicts.append((fast, reference.certify(coupling, c, tp)))
         assert verdicts[0] == (True, True)
         assert all(fast == dense for fast, dense in verdicts)

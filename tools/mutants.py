@@ -161,6 +161,10 @@ MUTANTS = (
         "if column % n == r % n]", "if column // n == r % n]",
         ("test_multidim.py", "test_sparse_couplings.py"),
     ),
+    Mutant(
+        "unmarked-rows-read-as-coprime", "coupling.py",
+        "coprime = False", "coprime = True", ("test_coupling.py", "test_cli.py"),
+    ),
 )
 
 
