@@ -69,7 +69,7 @@ class EpsilonAuditInput:
 
     def __post_init__(self):
         if self.epsilon is not None and not (ZERO <= self.epsilon <= ONE):
-            raise DistributionError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise DistributionError(f"epsilon must lie in [0, 1], got {bounded_str(self.epsilon)}")
 
 
 @dataclass(frozen=True)

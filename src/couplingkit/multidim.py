@@ -26,6 +26,7 @@ from .coupling import Coupling, _Coprime, coupling_independent, coupling_maximal
 from .distributions import Alphabet, Pmf2, ratios_over, require_same_alphabet
 from .errors import ConstraintInfeasibleError
 from .metrics import vdist_halfsum
+from .rational import bounded_str
 
 Tensor4 = tuple[tuple[tuple[tuple[Fraction, ...], ...], ...], ...]
 
@@ -124,8 +125,8 @@ def coupling4_constrained(p2: Pmf2, q2: Pmf2) -> Coupling4:
     for i, a in enumerate(alphabet):
         if p2.p[i][i] != q_row_marginal.p[i]:
             raise ConstraintInfeasibleError(
-                f"P2({a},{a}) = {p2.p[i][i]} but the right first-coordinate "
-                f"marginal at {a!r} is {q_row_marginal.p[i]}; "
+                f"P2({a},{a}) = {bounded_str(p2.p[i][i])} but the right first-coordinate "
+                f"marginal at {a!r} is {bounded_str(q_row_marginal.p[i])}; "
                 "the y1 = x1 constraint is unsatisfiable",
                 symbol=a,
             )

@@ -37,29 +37,16 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
 * Dantzig's rule on general costs: the most negative reduced cost
-  enters (ties to the smallest row, then column), which makes about a
-  third of the pivots of Bland's first-negative rule;
+  enters (ties to the smallest row, then column), found by one dense
+  scan of every row's least (:func:`_entering_dantzig`), which makes
+  about a third of the pivots of Bland's first-negative rule;
 * degeneracy handled with zero-flow basic cells: the smallest tied cell
   leaves, and after a pivot that moves no flow Bland's rule prices the
-  next one.  So the loop cannot cycle without perturbing data: a cycle
-  of bases holds only degenerate pivots, so only Bland pivots (each
-  pricing returns its dense scan's cell, which the basis decides), and
-  Bland's rule never revisits a basis.  A pivot budget of
+  next one (:func:`_entering_cell`, also a dense scan).  So the loop
+  cannot cycle without perturbing data: a cycle of bases holds only
+  degenerate pivots, so only Bland pivots, each decided by the basis
+  alone, and Bland's rule never revisits a basis.  A pivot budget of
   ``MAX_PIVOTS_PER_CELL * N**2`` still guards the loop;
-* pricing on general costs by row bounds: each row keeps a lower bound
-  on the reduced costs of its non-basic cells.  A pivot whose entering
-  cell has reduced cost r < 0 moves only the potentials of the subtree
-  S that it cuts off, by r and -r, so the only cells that fall, each by
-  exactly -r, are those from S's rows to the other columns (when S
-  hangs from the entering column) or from the other rows to S's columns
-  (when it hangs from the entering row), and exactly those rows' bounds
-  are lowered by -r, the second case as one shared floor.  Each pricing
-  resets the rows it scans to their exact least.  Dantzig's
-  (:func:`_entering_dantzig`) scans in order of bound and stops at the
-  first row that cannot hold the best cell, so it returns the cell of
-  its dense scan.  Bland's, which prices only after a degenerate pivot,
-  is the dense scan itself (:func:`_entering_cell`); it leaves the
-  bounds as they are, and they stay lower bounds;
 * the returned :class:`DualCertificate` carries row/column potentials
   whose feasibility plus exact objective equality proves optimality
   without trusting the solver's internals; :func:`certify` checks them
@@ -401,8 +388,8 @@ def _rehang(
     col_adj: Sequence[Iterable[int]],
     cost: Sequence[Sequence[int]],
     tree: Tree,
-) -> list[int]:
-    """Hang the subtree below ``node`` from ``up``, reset it in place and return its nodes.
+) -> None:
+    """Hang the subtree below ``node`` from ``up`` and reset it in place.
 
     After a pivot the leaving cell has cut a subtree off the root's
     side, and the entering cell (``node``, ``up``) joins it back, with
@@ -418,7 +405,7 @@ def _rehang(
         u[node] = cost[node][up - n] - v[up - n]
     else:
         v[node - n] = cost[up][node - n] - u[up]
-    return _walk_below(node, row_adj, col_adj, cost, tree)
+    _walk_below(node, row_adj, col_adj, cost, tree)
 
 
 def _entering_cell(
@@ -428,8 +415,9 @@ def _entering_cell(
 
     Bland's rule, which :func:`solve_transport` applies after a
     degenerate pivot on general costs, and the dense reference for
-    :func:`_entering_mismatch`: it scans every row.  Basic cells have
-    reduced cost exactly 0, so they never qualify.
+    :func:`_entering_mismatch`: it scans the rows in order up to the
+    first that holds a negative reduced cost.  Basic cells have reduced
+    cost exactly 0, so they never qualify.
     """
     for a, (crow, ua) in enumerate(zip(cost, u)):
         if min(map(sub, crow, v)) < ua:
@@ -437,46 +425,23 @@ def _entering_cell(
     return None
 
 
-def _entering_dantzig(
-    cost: Sequence[Sequence[int]],
-    u: Sequence[int],
-    v: Sequence[int],
-    basic: Flows,
-    bound: list[int],
-    floor: int,
-) -> Cell | None:
-    """The most negative reduced cost, ties to the smallest row and then column, visiting rows by their bounds.
+def _entering_dantzig(cost: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> Cell | None:
+    """The most negative reduced cost cost_ab - u_a - v_b, ties to the smallest row and then column.
 
-    ``basic[a]`` holds row a's basic columns, and ``bound[a] + floor`` is
-    a lower bound on the reduced costs of row a's other cells.  Rows are visited
-    in increasing order of ``bound[a] + floor`` (ties by row), and each
-    visited row has its bound reset to its exact least reduced cost.
-    The visit stops at the first row whose bound can neither beat the
-    best cell found nor tie it from a smaller row: every later row's
-    bound is at least as large, and an equal one belongs to a larger
-    row.  The found row's bound is then set for after its cell turns
-    basic, to the least of its other non-basic cells.
+    Dantzig's rule, which :func:`solve_transport` applies on general
+    costs except after a degenerate pivot: a dense scan that takes each
+    row's least reduced cost and keeps the first row with the strictly
+    least, then that row's first cell holding it.  Basic cells have
+    reduced cost exactly 0, so only a negative one is returned.
     """
-    best, found, kept = -floor, -1, None
-    for a in sorted(range(len(bound)), key=bound.__getitem__):
-        low = bound[a]
-        if low > best or low == best and a > found:
-            break
-        ua, k = u[a], len(basic[a])
-        ranked = sorted(map(sub, cost[a], v))
-        # The row's k basic cells sit at exactly u_a, so its least non-basic one is its
-        # least when that is negative, else the k-th (from 0).
-        low = (ranked[0] if ranked[0] < ua else ranked[k] if k < len(ranked) else ua) - ua - floor
-        bound[a] = low
-        if low < best or low == best and a < found:
-            best, found, kept = low, a, ranked
-    if kept is None:
+    best, found = 0, -1
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        low = min(map(sub, crow, v)) - ua
+        if low < best:
+            best, found = low, a
+    if found < 0:
         return None
-    ua, k = u[found], len(basic[found])
-    # Past the cell found come the row's next negative one, else its k basic cells and then the rest.
-    after = kept[1] if kept[1] < ua else kept[k + 1] if k + 1 < len(kept) else ua
-    bound[found] = after - ua - floor
-    return found, list(map(sub, cost[found], v)).index(kept[0])
+    return found, list(map(sub, cost[found], v)).index(best + u[found])
 
 
 def _entering_mismatch(u: Sequence[int], v: Sequence[int]) -> Cell | None:
@@ -524,9 +489,8 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     Neither is scaled here: :class:`TransportProblem` did it once when
     it was built.  The potentials are walked over the whole tree once
     and then, after each pivot, only over the subtree that the leaving
-    cell cuts off, whose rows then have their pricing bounds lowered
-    (or, when the cut was on the entering row's side, every other row,
-    through one shared floor).  Strong duality is checked on the integers; the coupling is the
+    cell cuts off (:func:`_rehang`); each pricing scans them afresh.
+    Strong duality is checked on the integers; the coupling is the
     flows over D (:meth:`~couplingkit.coupling.Coupling.over`, with no
     Fraction per cell) and the certificate's potentials the integer ones
     over L.
@@ -544,10 +508,6 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
             col_adj[b].add(a)
     tree = _tree_walk(flow, col_adj, cost, n)
     u, v, parent, depth = tree
-    # Row a's non-basic cells have reduced costs of at least bound[a] +
-    # floor, at first the least cost less max(u) and max(v).
-    least = 0 if unit else min(map(min, cost))
-    bound, floor = [least - max(u) - max(v)] * n, 0
     budget = MAX_PIVOTS_PER_CELL * n * n
     pivots = 0
     degenerate = False  # the last pivot moved no flow, so Bland's rule prices the next
@@ -557,7 +517,7 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
         elif degenerate:
             entering = _entering_cell(cost, u, v)
         else:
-            entering = _entering_dantzig(cost, u, v, flow, bound, floor)
+            entering = _entering_dantzig(cost, u, v)
         if entering is None:
             break
         pivots += 1
@@ -600,28 +560,12 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
         del flow[p][q]
         col_adj[q].remove(p)
         col_adj[b].add(a)
-        r = cost[a][b] - u[a] - v[b]
         # The cycle passes each decreasing cell from its column to its
         # row, so the leaving cell's lower end says which side it cut.
         if parent[n + q] == p:
-            subtree = _rehang(n + b, a, flow, col_adj, cost, tree)
+            _rehang(n + b, a, flow, col_adj, cost, tree)
         else:
-            subtree = _rehang(a, n + b, flow, col_adj, cost, tree)
-        # Only the cut-off subtree S moved: its row potentials by -r and
-        # its column potentials by r when it hangs from column b, the
-        # reverse when it hangs from row a.  So the cells from S's rows to
-        # the other columns, or from the other rows to S's columns, fell
-        # by exactly -r > 0, and no other cell fell.
-        if subtree[0] >= n:
-            shift = r
-        else:  # lower every row through the shared floor, and raise S's rows back
-            floor += r
-            shift = -r
-        for i in subtree:
-            if i < n:
-                bound[i] += shift
-        # The leaving cell now joins S to the rest at reduced cost -r.
-        bound[p] = min(bound[p], -r - floor)
+            _rehang(a, n + b, flow, col_adj, cost, tree)
 
     cells = tuple((a, b) for a, row in enumerate(flow) for b in sorted(row))
     primal = sum(sum(crow[b] * x for b, x in row.items()) for crow, row in zip(cost, flow))

@@ -531,6 +531,14 @@ class TestBoundary:
             f"v <a rational over a {bits}-bit denominator>, certified False\n"
         )
 
+    def test_epsilon_past_the_digit_limit_exits_2_with_its_constraint(self, capsys, ramp_file, default_digit_limit):
+        # -1e-4300 parses exactly, but its 4301-digit denominator is past the int-to-str limit
+        assert main(["audit", ramp_file, "--epsilon=-1e-4300"]) == 2
+        bits = (10**4300).bit_length()
+        assert capsys.readouterr().err == (
+            f"error: epsilon must lie in [0, 1], got <a rational over a {bits}-bit denominator>\n"
+        )
+
     def test_long_literal_is_quoted_briefly(self, files, capsys):
         pk = files("pk.json", {"alphabet": ["1", "2"], "p": ["1" * 5000, "0"]})
         assert main(["audit", pk]) == 2

@@ -156,6 +156,14 @@ class TestConstrained4:
             coupling4_constrained(lop, band3)
         assert err.value.symbol == "1"
 
+    def test_incompatibility_past_the_digit_limit_keeps_its_message(self, alpha3, band3, default_digit_limit):
+        # P2(1,1) has a 4401-digit denominator, past the int-to-str limit
+        d = 10**4400 + 1
+        lop = Pmf2.diagonal(Pmf(alpha3, (F(1, d), F(1, 2), F(1, 2) - F(1, d))))
+        bits = d.bit_length()
+        with pytest.raises(ConstraintInfeasibleError, match=rf"P2\(1,1\) = <a rational over a {bits}-bit denominator>"):
+            coupling4_constrained(lop, band3)
+
     def test_random_diagonal_pairs_attain_equality(self):
         rng = random.Random(77)
         for _ in range(40):

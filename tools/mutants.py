@@ -102,24 +102,17 @@ MUTANTS = (
         "denominators.get(tail)", "denominators.get(head)", ("test_rational.py", "test_jsonio.py"),
     ),
     Mutant(
-        "row-bound-lowered-on-wrong-side", "transport.py",
-        "if subtree[0] >= n:", "if subtree[0] < n:", ("test_transport.py",),
-    ),
-    Mutant(
-        "row-bound-not-lowered", "transport.py",
-        "shift = r", "shift = 0", ("test_transport.py",),
-    ),
-    Mutant(
-        "leaving-row-bound-not-capped", "transport.py",
-        "bound[p] = min(bound[p], -r - floor)", "pass", ("test_transport.py",),
-    ),
-    Mutant(
         "dantzig-takes-first-negative-row", "transport.py",
-        "if low > best or low == best", "if found >= 0 or low > best or low == best", ("test_transport.py",),
+        "if low < best:", "if low < best and found < 0:", ("test_transport.py",),
     ),
     Mutant(
         "dantzig-prunes-rows-tying-the-best", "transport.py",
-        "if low > best or low == best and a > found:", "if low >= best:", ("test_transport.py",),
+        "if low < best:", "if low < best or low == best < 0:", ("test_transport.py",),
+    ),
+    Mutant(
+        "dantzig-ties-to-last-column", "transport.py",
+        "list(map(sub, cost[found], v)).index(best + u[found])",
+        "max(b for b, x in enumerate(map(sub, cost[found], v)) if x == best + u[found])", ("test_transport.py",),
     ),
     Mutant(
         "bland-fallback-off", "transport.py",
