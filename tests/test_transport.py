@@ -879,10 +879,21 @@ class TestBoundedPricing:
         ],
         ids=["rows-and-columns", "rows", "columns", "columns-in-row-0", "strict-later-row", "none"],
     )
-    def test_ties_go_to_the_smallest_row_then_column(self, cost, cell):
+    def test_tie_patterns(self, cost, cell):
         # u = v = 0, so the reduced costs are the costs.
         assert dense_most_negative(cost, [0] * 3, [0] * 3) == cell
         assert transport_module._entering_dantzig(cost, [0] * 3, [0] * 3) == cell
+
+    @pytest.mark.parametrize("bound", [[0, -2, -3], [0, -3, -2], [-5, -5, -5], [-2, -2, -2]])
+    def test_ties_go_to_the_smallest_row_then_column(self, bound):
+        # The least reduced cost, -2, is at (1, 1), (2, 1) and (2, 2).  Row a
+        # is shifted by bound[a] and column b by bound[2 - b], in both the
+        # costs and the potentials, so the reduced costs, and the cell, stay.
+        reduced = [[0, 0, 0], [0, -2, -1], [0, -2, -2]]
+        u, v = bound, bound[::-1]
+        cost = [[r + ua + vb for r, vb in zip(row, v)] for row, ua in zip(reduced, u)]
+        assert dense_most_negative(cost, u, v) == (1, 1)
+        assert transport_module._entering_dantzig(cost, u, v) == (1, 1)
 
 
 @st.composite
