@@ -8,12 +8,13 @@ files and the "pair mismatch" and "coordinate mismatch" lines of its
 reports are its own.  Exit codes are stable API:
 
     0  success
-    2  parse failure (file shape, rational literal, invalid distribution,
-       invalid flag value, such as ``--precision`` outside 1..4300), an
-       ``--out`` path that cannot be written (a directory, or a missing
-       parent directory), or a result too large to write as text (an
-       integer over Python's int-to-str digit limit,
-       ``sys.set_int_max_str_digits``)
+    2  parse failure (file shape, such as a blocks file with a missing
+       or an extra block or column, rational literal, invalid
+       distribution, invalid flag value, such as ``--precision``
+       outside 1..4300), an ``--out`` path that cannot be written (a
+       directory, or a missing parent directory), or a result too large
+       to write as text (an integer over Python's int-to-str digit
+       limit, ``sys.set_int_max_str_digits``)
     3  alphabet mismatch between inputs (including one-dim vs two-dim)
     4  invalid coupling (first violated constraint is reported)
     5  claimed epsilon bound inconsistent with the computed distance

@@ -13,7 +13,9 @@ string is read once per file), and the coupling parsers
 return each row in the coupling's one entry form, (columns, pairs):
 every cell but those written as the literal ``"0"`` is listed with its
 pair, ready for :meth:`~couplingkit.coupling.Coupling.over`, and no
-Fraction is built per cell.  Shapes:
+Fraction is built per cell.  A cell written ``"0"`` costs no parser
+call: the readers pass over it in C, and a two-dim column written all
+``"0"`` is taken by one list comparison.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -32,7 +34,8 @@ documents (``--out``'s {"coupling", "certificate"} file and the
 ``--format json`` payload), are written by one writer,
 :func:`coupling_json`.  It reads the entries as lowest-terms pairs of
 ints, renders the decimal digits of each distinct denominator once,
-writes ``"0"`` for each cell its row does not list, and lays the text
+writes ``"0"`` for each cell its row does not list (the text of a
+two-dim column that holds no listed cell once per file), and lays the text
 out row by row exactly as :func:`dump_json` lays out
 :func:`coupling_to_obj` or :func:`coupling4_to_obj`, which stay for
 the golden tables and for library callers.
@@ -42,12 +45,14 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import compress
+from operator import ne
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .coupling import Coupling, Rows, _dense
-from .distributions import Alphabet, Pmf, Pmf2
+from .distributions import ZERO, Alphabet, Pmf, Pmf2
 from .errors import ParseError
 from .multidim import Coupling4
 from .rational import decimal_string, parse_ratio, parse_rational
@@ -84,15 +89,22 @@ def _parse_alphabet(obj: dict, where: str) -> Alphabet:
     return Alphabet(symbols)
 
 
+# Whether a cell is other than the literal "0"; operator.ne, unlike "0".__ne__,
+# gives a bool for a non-string cell too.
+_written = partial(ne, "0")
+
+
 def _read_row(row, n: int, where: str, literals: dict, parse: Callable) -> list[str]:
     """``row`` after checking its length and parsing, in order, each literal not yet in ``literals``.
 
+    A cell written as the literal ``"0"`` is passed over without a parser
+    call; a reader that looks its literals up seeds ``literals`` with it.
     A literal that fails to parse is not stored, so the first bad literal
     is the one reported.
     """
     if not isinstance(row, list) or len(row) != n:
         raise ParseError(f"{where}: expected a list of {n} rational strings")
-    for text in row:
+    for text in filter(_written, row):
         # Lists and dicts cannot be keys; the parsers reject every non-string.
         if not isinstance(text, str):
             parse(text)
@@ -125,7 +137,7 @@ def _entries(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Row
     for row in rows:
         columns = range(len(row))
         if "0" in row:
-            kept = list(map("0".__ne__, row))
+            kept = list(map(_written, row))
             columns, row = list(compress(columns, kept)), compress(row, kept)
         entries.append((columns, tuple(map(literals.__getitem__, row))))
     return entries
@@ -140,7 +152,7 @@ def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
     if not has_p and not has_matrix:
         raise ParseError(f"{where}: neither 'p' nor 'matrix' present")
     alphabet = _parse_alphabet(obj, where)
-    literals: dict[str, Fraction] = {}
+    literals: dict[str, Fraction] = {"0": ZERO}
     if has_p:
         rows = [_read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse_rational)]
     else:
@@ -168,9 +180,10 @@ def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet,
 
     Each row lists every cell but those written ``"0"``, at strictly
     increasing columns, and a row with no ``"0"`` lists ``range(N)``.
-    Every literal is parsed in order, ``"0"`` too, so the first bad one
-    is the one reported; other spellings of zero (``"0/7"``, ``"00"``)
-    stay listed, and validation reads them as zero.  The pairs are the
+    Every other literal is parsed in order, so the first bad one is the
+    one reported, and ``"0"`` is left out with no parser call; other
+    spellings of zero (``"0/7"``, ``"00"``) are parsed and stay listed,
+    and validation reads them as zero.  The pairs are the
     literals as written, not reduced, and validation,
     :meth:`~couplingkit.coupling.Coupling.over` given the rows, is the
     caller's; there
@@ -214,7 +227,8 @@ def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None, fiel
     if isinstance(c, Coupling4):
         body = ['"blocks": ', *_blocks(c, inner)]
     else:
-        rows = (_json_list(row, inner + "  ") for row in _cells(c))
+        size = len(c.alphabet)
+        rows = (_json_list(_dense(columns, cells, size, '"0"'), inner + "  ") for columns, cells in _cells(c))
         body = ['"matrix": ', *_json_pieces(rows, inner)]
     parts = _json_pieces(['"alphabet": ' + symbols, body], indent, "{}")
     if certificate is not None:
@@ -224,27 +238,38 @@ def coupling_json(c: Coupling | Coupling4, certificate: dict | None = None, fiel
     return "".join(parts)
 
 
-def _cells(c: Coupling) -> Iterator[list[str]]:
-    """Each row of ``c`` as JSON string literals, the digits of each distinct denominator rendered once.
+def _cells(c: Coupling) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """Each row of ``c`` as (columns, JSON string literals of its listed cells).
 
-    A cell that its row does not list is ``"0"``.
+    The digits of each distinct denominator are rendered once.
     """
     digits: dict[int, str] = {}
-    size = len(c.alphabet)
     for columns, pairs in c._pairs():
-        cells = [f'"{n}"' if d == 1 else f'"{n}/{digits.get(d) or digits.setdefault(d, str(d))}"' for n, d in pairs]
-        yield _dense(columns, cells, size, '"0"')
+        yield columns, [f'"{n}"' if d == 1 else f'"{n}/{digits.get(d) or digits.setdefault(d, str(d))}"' for n, d in pairs]
 
 
 def _blocks(c4: Coupling4, indent: str) -> list[str]:
-    """The "blocks" value of :func:`coupling4_to_obj`, in pieces laid out at ``indent``."""
+    """The "blocks" value of :func:`coupling4_to_obj`, in pieces laid out at ``indent``.
+
+    The text of a column that holds no listed cell is rendered once, and
+    so is that of a block whose row lists nothing.
+    """
     keys = list(map(json.dumps, c4.alphabet.symbols))
     n = len(keys)
     inner = indent + "  "
+    zero = [y1 + ": " + _json_list(['"0"'] * n, inner + "  ") for y1 in keys]
+    empty = "".join(_json_pieces(zero, inner, "{}"))
     blocks = []
-    for label, row in zip(c4.flat.alphabet.symbols, _cells(c4.flat)):
-        columns = [y1 + ": " + _json_list(row[k * n:(k + 1) * n], inner + "  ") for k, y1 in enumerate(keys)]
-        blocks.append(json.dumps(label) + ": " + "".join(_json_pieces(columns, inner, "{}")))
+    for label, (columns, cells) in zip(c4.flat.alphabet.symbols, _cells(c4.flat)):
+        block = empty
+        if cells:
+            row = _dense(columns, cells, n * n, '"0"')
+            touched = {b // n for b in columns}
+            block = "".join(_json_pieces([
+                y1 + ": " + _json_list(row[k * n:(k + 1) * n], inner + "  ") if k in touched else zero[k]
+                for k, y1 in enumerate(keys)
+            ], inner, "{}"))
+        blocks.append(json.dumps(label) + ": " + block)
     return _json_pieces(blocks, indent, "{}")
 
 
@@ -299,30 +324,48 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
 
     The entries are those of the flat coupling over the product alphabet:
     row (x1, x2) is block (x1, x2), its columns y1 in turn, each indexed
-    by y2.
+    by y2.  The file holds exactly the N² blocks, each with exactly the N
+    columns; the first other key is reported.  A column written all
+    ``"0"`` is taken as it is, with no parser call.
     """
     alphabet = _parse_alphabet(obj, where)
-    n = len(alphabet)
+    symbols = alphabet.symbols
+    n = len(symbols)
     blocks = obj.get("blocks")
     if not isinstance(blocks, dict):
         raise ParseError(f"{where}: coupling file must carry 'blocks'")
     rows = []
     literals: dict[str, tuple[int, int]] = {}
     parse = _ratio_parser()
-    for a in alphabet.symbols:
-        for b in alphabet.symbols:
+    zeros = ["0"] * n
+    for a in symbols:
+        for b in symbols:
             label = alphabet.pair_label(a, b)
             block = blocks.get(label)
             if not isinstance(block, dict):
                 raise ParseError(f"{where}: missing block {label!r}")
             row = []
-            for c in alphabet.symbols:
+            for c in symbols:
                 if c not in block:
                     raise ParseError(f"{where}: block {label!r} missing column {c!r}")
-                where_c = f"{where} block {label!r} column {c!r}"
-                row += _read_row(block[c], n, where_c, literals, parse)
+                column = block[c]
+                if column != zeros:
+                    _read_row(column, n, f"{where} block {label!r} column {c!r}", literals, parse)
+                row += column
+            if len(block) != n:
+                _reject_extra_key(block, symbols, f"{where}: block {label!r} has unexpected column")
             rows.append(row)
+    if len(blocks) != n * n:
+        labels = {alphabet.pair_label(a, b) for a in symbols for b in symbols}
+        _reject_extra_key(blocks, labels, f"{where}: unexpected block")
     return alphabet, _entries(rows, literals)
+
+
+def _reject_extra_key(obj: dict, expected: Container[str], message: str) -> None:
+    """Raise ``message`` with the first key of ``obj`` not in ``expected``, if there is one."""
+    for key in obj:
+        if key not in expected:
+            raise ParseError(f"{message} {key!r}")
 
 
 def load_coupling4_blocks(path: str | Path) -> tuple[Alphabet, Rows]:

@@ -107,7 +107,9 @@ def _plain_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int] | N
         # int() reads exactly those made of digits alone.  ("_" is kept
         # out because Fraction rejects it before Python 3.11, and int()
         # does not.)
-        if _digit_ends(head) and (_digit_ends(tail) or not slash):
+        if head[:1].isdigit() and head[-1:].isdigit() and (
+            not slash or tail[:1].isdigit() and tail[-1:].isdigit()
+        ):
             try:
                 numerator = int(head)
                 if not slash:
@@ -120,10 +122,6 @@ def _plain_ratio(text: str, denominators: dict[str, int]) -> tuple[int, int] | N
             if denominator:
                 return numerator, denominator
     return None
-
-
-def _digit_ends(text: str) -> bool:
-    return text[:1].isdigit() and text[-1:].isdigit()
 
 
 # _reduced(n, d) is n / d with no gcd, for ints the caller has proven

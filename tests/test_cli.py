@@ -252,6 +252,21 @@ class TestVerify:
         assert "pair mismatch: 5/9 (0.55556)" in printed
         assert "coordinate mismatch: 5/9 (0.55556)" in printed
 
+    @pytest.mark.parametrize("junk,message", [
+        (lambda blocks: blocks.update({"(zz,zz)": {}}), "unexpected block '(zz,zz)'"),
+        (lambda blocks: blocks["(2,3)"].update({"extra": ["5", "5", "5"]}),
+         "block '(2,3)' has unexpected column 'extra'"),
+    ])
+    def test_blocks_file_with_extra_keys_exits_2(self, tmp_path, capsys, files, junk, message):
+        obj = json.loads(generate_fixtures()["diag_band_maximal.json"])
+        junk(obj["blocks"])
+        fx = tmp_path / "junk.json"
+        fx.write_text(json.dumps(obj), encoding="utf-8")
+        assert main(["verify", str(fx), files("d.json", DIAG3), files("b.json", BAND3)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {fx}: {message}\n"
+
     @pytest.mark.parametrize("fixture,dim", [("ramp_uniform_generic.json", 1), ("diag_band_constrained.json", 2)])
     def test_coupling_file_is_read_once(self, tmp_path, monkeypatch, files, fixture, dim):
         p, q = (files("p.json", RAMP), files("q.json", UNIFORM4)) if dim == 1 else (

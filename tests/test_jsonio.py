@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -146,6 +148,26 @@ class TestCouplingFiles:
         with pytest.raises(ParseError, match="missing column"):
             parse_coupling4_blocks(obj)
 
+    def test_extra_block_rejected(self, diag3, band3):
+        obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
+        obj["blocks"]["(zz,zz)"] = {"1": ["x"]}
+        obj["blocks"]["(yy,yy)"] = {}
+        with pytest.raises(ParseError, match=r"^coupling4: unexpected block '\(zz,zz\)'$"):
+            parse_coupling4_blocks(obj)
+
+    def test_extra_column_rejected(self, diag3, band3):
+        obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
+        obj["blocks"]["(1,2)"]["extra"] = ["5", "5", "5"]
+        with pytest.raises(ParseError, match=r"^coupling4: block '\(1,2\)' has unexpected column 'extra'$"):
+            parse_coupling4_blocks(obj)
+
+    def test_missing_key_reported_before_extra_one(self, diag3, band3):
+        obj = coupling4_to_obj(coupling4_maximal(diag3, band3))
+        obj["blocks"]["(1,1)"]["extra"] = ["0", "0", "0"]
+        obj["blocks"]["(1,1)"]["4"] = obj["blocks"]["(1,1)"].pop("3")
+        with pytest.raises(ParseError, match="block '\\(1,1\\)' missing column '3'"):
+            parse_coupling4_blocks(obj)
+
     def test_detect_kind(self, tmp_path, ramp, uniform4, diag3, band3):
         m = write(tmp_path, "m.json", coupling_to_obj(coupling_maximal(ramp, uniform4)))
         b = write(tmp_path, "b.json", coupling4_to_obj(coupling4_maximal(diag3, band3)))
@@ -182,14 +204,16 @@ class TestLiteralsParsedOnce:
         literals = [x for block in obj["blocks"].values() for column in block.values() for x in column]
         _, rows = parse_coupling4_blocks(obj)
         assert [F(*x) for row in dense_rows(rows, 9) for x in row] == [F(x) for x in literals]
-        assert sorted(parsed) == sorted(set(literals))
+        # "0" is recognised with no parser call; every other literal is parsed once, in file order
+        assert "0" in literals
+        assert parsed == list(dict.fromkeys(x for x in literals if x != "0"))
 
     def test_first_bad_literal_is_reported_though_it_repeats(self, parsed):
         # "x" recurs after "1/0"; parsing each distinct literal up front could report either
         obj = {"alphabet": ["1", "2"], "matrix": [["0", "x"], ["1/0", "x"]]}
         with pytest.raises(ParseError, match="malformed rational literal 'x'"):
             parse_coupling_matrix(obj)
-        assert parsed == ["0", "x"]
+        assert parsed == ["x"]
 
     @pytest.mark.parametrize("bad", [["1/2"], {"1": "1/2"}, 1, None])
     def test_non_string_literal_exits_2(self, tmp_path, capsys, bad):
@@ -220,8 +244,11 @@ def couplings_to_write(draw):
     The cells are the gaps between sorted cut points in [0, 1], so equal
     points give zero cells and N = 1 gives the one cell "1".  The cut
     points are k/101 (one shared denominator) or a/b for random b (many).
-    The coupling is built from Fractions, from unreduced pairs, or by a
-    builder on its marginals.
+    Or the cells are weights on a few random cells, on the diagonal
+    (P = Q) or on one cell (point masses), so rows and two-dim blocks
+    may list nothing and whole two-dim columns may be zero.  The
+    coupling is built from Fractions, from unreduced pairs (every cell
+    listed, or only the non-zero ones), or by a builder on its marginals.
     """
     symbols = draw(st.lists(SYMBOLS, min_size=1, max_size=3, unique=True))
     two_dim = draw(st.booleans())
@@ -234,14 +261,26 @@ def couplings_to_write(draw):
     else:
         cells_alphabet = alphabet
     n = len(cells_alphabet)
-    if draw(st.booleans()):
-        points = [F(k, 101) for k in draw(st.lists(st.integers(0, 101), min_size=n * n - 1, max_size=n * n - 1))]
+    shape = draw(st.sampled_from(["cuts", "sparse", "diagonal", "point"]))
+    if shape == "cuts":
+        if draw(st.booleans()):
+            points = [F(k, 101) for k in draw(st.lists(st.integers(0, 101), min_size=n * n - 1, max_size=n * n - 1))]
+        else:
+            points = [F(a, b) for b, a in draw(st.lists(
+                st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
+                min_size=n * n - 1, max_size=n * n - 1))]
+        cuts = [F(0), *sorted(points), F(1)]
+        cells = [b - a for a, b in zip(cuts, cuts[1:])]
     else:
-        points = [F(a, b) for b, a in draw(st.lists(
-            st.integers(1, 10**6).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, b))),
-            min_size=n * n - 1, max_size=n * n - 1))]
-    cuts = [F(0), *sorted(points), F(1)]
-    cells = [b - a for a, b in zip(cuts, cuts[1:])]
+        weights = st.integers(1, 10**6)
+        if shape == "point":
+            support = {draw(st.integers(0, n * n - 1)): 1}
+        elif shape == "diagonal":
+            support = {i * (n + 1): draw(weights) for i in draw(st.sets(st.integers(0, n - 1), min_size=1))}
+        else:
+            support = draw(st.dictionaries(st.integers(0, n * n - 1), weights, min_size=1, max_size=n + 2))
+        total = sum(support.values())
+        cells = [F(support.get(k, 0), total) for k in range(n * n)]
     j = [cells[i * n:(i + 1) * n] for i in range(n)]
     left = Pmf(cells_alphabet, [sum(row) for row in j])
     right = Pmf(cells_alphabet, [sum(column) for column in zip(*j)])
@@ -250,7 +289,9 @@ def couplings_to_write(draw):
         c = Coupling(j, left, right)
     elif source == "pairs":
         k = draw(st.integers(1, 6))
-        c = Coupling.over([(range(n), [(k * x.numerator, k * x.denominator) for x in row]) for row in j], left, right)
+        every = draw(st.booleans())
+        c = Coupling.over([([b for b, x in enumerate(row) if every or x],
+                            [(k * x.numerator, k * x.denominator) for x in row if every or x]) for row in j], left, right)
     else:
         c = (coupling_maximal if source == "maximal" else coupling_independent)(left, right)
     if two_dim:
@@ -282,3 +323,53 @@ class TestCouplingWriter:
         point = Pmf(Alphabet(["é"]), [F(1)])
         assert coupling_json(coupling_independent(point, point)) == (
             '{\n  "alphabet": [\n    "\\u00e9"\n  ],\n  "matrix": [\n    [\n      "1"\n    ]\n  ]\n}\n')
+
+
+# A bad cell and the error its parse raises.
+BAD_CELLS = [
+    ("x", "malformed rational literal 'x'"),
+    ("1/0", "zero denominator in rational literal '1/0'"),
+    (None, "rational literal must be a string, got NoneType"),
+    (7, "rational literal must be a string, got int"),
+    (["0"], "rational literal must be a string, got list"),
+]
+
+
+class TestZeroCells:
+    @settings(max_examples=200, deadline=None)
+    @given(c=couplings_to_write(), data=st.data())
+    def test_zero_cells_read_as_every_other_cell(self, c, data):
+        # TestCouplingWriter holds the writer to the dumped layouts on the same couplings.
+        if isinstance(c, Coupling4):
+            obj, parse = coupling4_to_obj(c), parse_coupling4_blocks
+            symbols = obj["alphabet"]
+            size = len(symbols)
+            cells = [[x for y1 in symbols for x in block[y1]] for block in obj["blocks"].values()]
+
+            def plant(r, k, value):
+                list(obj["blocks"].values())[r][symbols[k // size]][k % size] = value
+        else:
+            obj, parse = coupling_to_obj(c), parse_coupling_matrix
+            cells = obj["matrix"]
+
+            def plant(r, k, value):
+                obj["matrix"][r][k] = value
+
+        _, rows = parse(obj)
+        reference = [[(k, F(text)) for k, text in enumerate(row) if text != "0"] for row in cells]
+        assert [list(zip(columns, (F(*pair) for pair in pairs))) for columns, pairs in rows] == reference
+
+        # Plant two bad cells after the first zero cell; the earlier one is reported.
+        width = len(cells[0])
+        places = [divmod(i, width) for i in range(width * width)]
+        zeros = [i for i, (r, k) in enumerate(places) if cells[r][k] == "0"]
+        assume(zeros and zeros[0] + 2 < len(places))
+        first, second = sorted(data.draw(st.lists(
+            st.integers(zeros[0] + 1, len(places) - 1), min_size=2, max_size=2, unique=True)))
+        (bad, message), (other, _) = data.draw(st.lists(st.sampled_from(BAD_CELLS), min_size=2, max_size=2))
+        plant(*places[first], bad)
+        plant(*places[second], other)
+        with warnings.catch_warnings(), pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            # "0".__ne__ of a non-string cell is NotImplemented, whose truth value warns
+            warnings.simplefilter("error", DeprecationWarning)
+            parse(obj)

@@ -158,6 +158,18 @@ MUTANTS = (
         "unmarked-rows-read-as-coprime", "coupling.py",
         "coprime = False", "coprime = True", ("test_coupling.py", "test_cli.py"),
     ),
+    Mutant(
+        "zero-column-shortcut-reads-first-cell", "jsonio.py",
+        "if column != zeros:", "if column[:1] != zeros[:1]:", ("test_jsonio.py",),
+    ),
+    Mutant(
+        "zero-filter-truth-tests-notimplemented", "jsonio.py",
+        '_written = partial(ne, "0")', '_written = "0".__ne__', ("test_jsonio.py",),
+    ),
+    Mutant(
+        "written-columns-marked-by-y2", "jsonio.py",
+        "touched = {b // n for b in columns}", "touched = {b % n for b in columns}", ("test_jsonio.py",),
+    ),
 )
 
 
