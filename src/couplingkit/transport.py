@@ -36,10 +36,17 @@ transportation LP with 0/1 mismatch cost.  This module solves that LP
 * each pivot's cycle is the tree path between the entering cell's row
   and column, and only the subtree that the leaving cell cuts off has
   its potentials walked again;
-* Dantzig's rule on general costs: the most negative reduced cost
-  enters (ties to the smallest row, then column), found by one dense
-  scan of every row's least (:func:`_entering_dantzig`), which makes
-  about a third of the pivots of Bland's first-negative rule;
+* a candidate list on general costs (multiple pricing): one dense scan
+  (:func:`_row_leasts`) lists each row's first cell of least reduced
+  cost wherever that least is negative, and each pricing re-prices only
+  those cells, at most N, from the current potentials and enters the
+  most negative, ties to the earliest row (:func:`_entering_candidate`).
+  Only when none is negative is the matrix scanned again, so the loop
+  ends only after a scan finds no negative reduced cost, and right after
+  a scan the entering cell is Dantzig's: the most negative reduced cost,
+  ties to the smallest row and then column.  At N = 16 with costs 0-99
+  a solve makes about 17 pivots but only about 6 scans, and under half
+  the pivots of Bland's first-negative rule;
 * degeneracy handled with zero-flow basic cells: the smallest tied cell
   leaves, and after a pivot that moves no flow Bland's rule prices the
   next one (:func:`_entering_cell`, also a dense scan).  So the loop
@@ -425,23 +432,41 @@ def _entering_cell(
     return None
 
 
-def _entering_dantzig(cost: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> Cell | None:
-    """The most negative reduced cost cost_ab - u_a - v_b, ties to the smallest row and then column.
+def _row_leasts(cost: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]) -> list[Cell]:
+    """Each row's first cell of least reduced cost cost_ab - u_a - v_b, for every row where that least is negative.
 
-    Dantzig's rule, which :func:`solve_transport` applies on general
-    costs except after a degenerate pivot: a dense scan that takes each
-    row's least reduced cost and keeps the first row with the strictly
-    least, then that row's first cell holding it.  Basic cells have
-    reduced cost exactly 0, so only a negative one is returned.
+    The dense scan of the candidate list that :func:`solve_transport`
+    prices general costs from (:func:`_entering_candidate`).  The rows
+    are listed in increasing order, so the list's most negative cell,
+    ties to its earliest, is the most negative reduced cost of the whole
+    matrix, ties to the smallest row and then column (Dantzig's rule).
+    Basic cells have reduced cost exactly 0, so no listed cell is basic.
     """
-    best, found = 0, -1
+    listed = []
     for a, (crow, ua) in enumerate(zip(cost, u)):
-        low = min(map(sub, crow, v)) - ua
-        if low < best:
-            best, found = low, a
-    if found < 0:
-        return None
-    return found, list(map(sub, cost[found], v)).index(best + u[found])
+        reduced = list(map(sub, crow, v))
+        low = min(reduced)
+        if low < ua:
+            listed.append((a, reduced.index(low)))
+    return listed
+
+
+def _entering_candidate(
+    candidates: Sequence[Cell], cost: Sequence[Sequence[int]], u: Sequence[int], v: Sequence[int]
+) -> Cell | None:
+    """The listed cell of most negative reduced cost, ties to the earliest; None if no listed cell is negative.
+
+    Re-prices only the listed cells, in O(N), from the current
+    potentials: a pivot moves them, so a listed cell may have turned
+    non-negative (or basic) and an unlisted one negative; the caller
+    scans again (:func:`_row_leasts`) when this finds nothing.
+    """
+    best, found = 0, None
+    for a, b in candidates:
+        reduced = cost[a][b] - u[a] - v[b]
+        if reduced < best:
+            best, found = reduced, (a, b)
+    return found
 
 
 def _entering_mismatch(u: Sequence[int], v: Sequence[int]) -> Cell | None:
@@ -468,12 +493,17 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     it is far nearer the optimum; on a problem with tied optima the start
     and the pricing decide which one the pivots reach.
 
-    Entering variable on general costs: the most negative reduced cost,
-    ties to the smallest row and then column (:func:`_entering_dantzig`),
-    except after a degenerate pivot (one that moves no flow), when it is
-    the first negative one in row-major order (Bland's rule,
-    :func:`_entering_cell`).  On the 0/1 cost it is always Bland's
-    (:func:`_entering_mismatch`), and the start is already optimal.
+    Entering variable on general costs: the most negative reduced cost
+    among the candidate list's cells, ties to the earliest
+    (:func:`_entering_candidate`); when none is negative the list is
+    rebuilt by a dense scan of each row's least (:func:`_row_leasts`), so
+    the cell entering right after a scan is the most negative reduced
+    cost of the matrix, ties to the smallest row and then column.  After
+    a degenerate pivot (one that moves no flow) the entering cell is
+    instead the first negative one in row-major order (Bland's rule,
+    :func:`_entering_cell`), and the list is dropped.  On the 0/1 cost it
+    is always Bland's (:func:`_entering_mismatch`), and the start is
+    already optimal.
     Leaving variable: smallest-index cell among those attaining the
     minimum flow on the cycle's decreasing positions.  The loop cannot
     cycle: a cycle of bases would hold only degenerate pivots, so only
@@ -489,7 +519,8 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     Neither is scaled here: :class:`TransportProblem` did it once when
     it was built.  The potentials are walked over the whole tree once
     and then, after each pivot, only over the subtree that the leaving
-    cell cuts off (:func:`_rehang`); each pricing scans them afresh.
+    cell cuts off (:func:`_rehang`); each pricing reads them afresh,
+    over the listed cells or, at a scan, over the whole matrix.
     Strong duality is checked on the integers; the coupling is the
     flows over D (:meth:`~couplingkit.coupling.Coupling.over`, with no
     Fraction per cell) and the certificate's potentials the integer ones
@@ -511,13 +542,18 @@ def solve_transport(tp: TransportProblem) -> tuple[Coupling, DualCertificate, Ba
     budget = MAX_PIVOTS_PER_CELL * n * n
     pivots = 0
     degenerate = False  # the last pivot moved no flow, so Bland's rule prices the next
+    candidates: list[Cell] = []  # the last scan's cells, re-priced until none is negative
     while True:
         if unit:
             entering = _entering_mismatch(u, v)
         elif degenerate:
             entering = _entering_cell(cost, u, v)
+            candidates = []
         else:
-            entering = _entering_dantzig(cost, u, v)
+            entering = _entering_candidate(candidates, cost, u, v)
+            if entering is None:
+                candidates = _row_leasts(cost, u, v)
+                entering = _entering_candidate(candidates, cost, u, v)
         if entering is None:
             break
         pivots += 1

@@ -756,45 +756,99 @@ def dense_first_negative(cost, u, v):
     return None
 
 
-# The two general-cost pricings, by kind, and the dense scan each must agree with.
-PRICINGS = {
-    "bland": ("_entering_cell", dense_first_negative),
-    "dantzig": ("_entering_dantzig", dense_most_negative),
-}
+def dense_row_leasts(cost, u, v):
+    """The reference for the scan: each row's first cell of least reduced cost, in row order, where it is negative."""
+    listed = []
+    for a, (crow, ua) in enumerate(zip(cost, u)):
+        best, cell = 0, None
+        for b, (c, vb) in enumerate(zip(crow, v)):
+            if c - ua - vb < best:
+                best, cell = c - ua - vb, (a, b)
+        if cell is not None:
+            listed.append(cell)
+    return listed
+
+
+def most_negative_listed(candidates, cost, u, v):
+    """The reference for the candidate pricing: the listed cell of least negative reduced cost, the earliest of ties."""
+    best, cell = 0, None
+    for a, b in candidates:
+        if cost[a][b] - u[a] - v[b] < best:
+            best, cell = cost[a][b] - u[a] - v[b], (a, b)
+    return cell
 
 
 def watch_pricings(monkeypatch, checked: bool = False) -> list:
-    """Every call of either general-cost pricing, as (kind, cell), in order.
+    """Every general-cost pricing call, as (kind, cell), in order.
 
-    When ``checked``, each call's cell must be its dense reference's.
+    The kinds are "bland" (:func:`_entering_cell`), "scan"
+    (:func:`_row_leasts`, recorded with the cell None) and "candidate"
+    (:func:`_entering_candidate`).  When ``checked``, each call must follow
+    the rule cell by cell: Bland's cell is the dense first negative one;
+    the scan lists :func:`dense_row_leasts`; the candidate pricing is
+    handed the last scan's list (an empty one before the first scan and
+    after a Bland pricing) and enters its most negative cell, which right
+    after a scan is the dense most negative cell.
     """
     calls = []
+    listed = []  # what the next candidate pricing must be handed
+    bland, scan, candidate = (
+        getattr(transport_module, name) for name in ("_entering_cell", "_row_leasts", "_entering_candidate")
+    )
 
-    def watched(kind, price, reference):
-        def call(cost, u, v):
-            cell = price(cost, u, v)
-            assert not checked or cell == reference(cost, u, v)
-            calls.append((kind, cell))
-            return cell
+    def watched_bland(cost, u, v):
+        cell = bland(cost, u, v)
+        assert not checked or cell == dense_first_negative(cost, u, v)
+        listed.clear()
+        calls.append(("bland", cell))
+        return cell
 
-        return call
+    def watched_scan(cost, u, v):
+        cells = scan(cost, u, v)
+        assert not checked or cells == dense_row_leasts(cost, u, v)
+        listed[:] = cells
+        calls.append(("scan", None))
+        return cells
 
-    for kind, (name, reference) in PRICINGS.items():
-        monkeypatch.setattr(transport_module, name, watched(kind, getattr(transport_module, name), reference))
+    def watched_candidate(candidates, cost, u, v):
+        cell = candidate(candidates, cost, u, v)
+        if checked:
+            assert candidates == listed
+            assert cell == most_negative_listed(candidates, cost, u, v)
+            if calls and calls[-1][0] == "scan":
+                assert cell == dense_most_negative(cost, u, v)
+        calls.append(("candidate", cell))
+        return cell
+
+    monkeypatch.setattr(transport_module, "_entering_cell", watched_bland)
+    monkeypatch.setattr(transport_module, "_row_leasts", watched_scan)
+    monkeypatch.setattr(transport_module, "_entering_candidate", watched_candidate)
     return calls
 
 
 def bland_throughout(monkeypatch) -> None:
     """Price every general-cost pivot by Bland's rule; after :func:`watch_pricings`, each call is watched as "bland"."""
-    monkeypatch.setattr(transport_module, "_entering_dantzig", transport_module._entering_cell)
+    monkeypatch.setattr(
+        transport_module, "_entering_candidate",
+        lambda candidates, cost, u, v: transport_module._entering_cell(cost, u, v),
+    )
 
 
 def pivots(calls, kind: str | None = None) -> int:
     return sum(cell is not None for k, cell in calls if kind in (None, k))
 
 
+def scans(calls) -> int:
+    return sum(k == "scan" for k, _ in calls)
+
+
+def dantzig_cell(cost, u, v):
+    """The cell the candidate pricing enters right after a scan."""
+    return transport_module._entering_candidate(transport_module._row_leasts(cost, u, v), cost, u, v)
+
+
 class TestBoundedPricing:
-    """On general costs both pricings pick their dense references' cells, and every solve is certified."""
+    """On general costs every pricing follows its plain-Python reference, and every solve is certified."""
 
     def solve_all(
         self, problems, monkeypatch, starts=(transport_module._least_cost_basis, closed_form_start), bland=False
@@ -805,8 +859,8 @@ class TestBoundedPricing:
         pivots, so by default each problem is also solved from the
         closed-form start, which is far from optimal on general costs and
         makes the pricing work.  With ``bland``, each is then solved again
-        under Bland's rule throughout, which makes about three times the
-        pivots of the shipped rule.
+        under Bland's rule throughout, which makes several times the pivots
+        of the shipped rule.
         """
         calls = watch_pricings(monkeypatch, checked=True)
         for rule in ("shipped", "bland") if bland else ("shipped",):
@@ -817,7 +871,7 @@ class TestBoundedPricing:
                 for tp in problems:
                     coupling, cert, _ = solve_transport(tp)
                     assert_certificate(tp, coupling, cert)
-        assert pivots(calls, "dantzig") > 0
+        assert pivots(calls, "candidate") > 0
         return pivots(calls)
 
     @pytest.mark.parametrize("max_cost", [1, 3, 99])
@@ -882,7 +936,8 @@ class TestBoundedPricing:
     def test_tie_patterns(self, cost, cell):
         # u = v = 0, so the reduced costs are the costs.
         assert dense_most_negative(cost, [0] * 3, [0] * 3) == cell
-        assert transport_module._entering_dantzig(cost, [0] * 3, [0] * 3) == cell
+        assert transport_module._row_leasts(cost, [0] * 3, [0] * 3) == dense_row_leasts(cost, [0] * 3, [0] * 3)
+        assert dantzig_cell(cost, [0] * 3, [0] * 3) == cell
 
     @pytest.mark.parametrize("bound", [[0, -2, -3], [0, -3, -2], [-5, -5, -5], [-2, -2, -2]])
     def test_ties_go_to_the_smallest_row_then_column(self, bound):
@@ -893,7 +948,32 @@ class TestBoundedPricing:
         u, v = bound, bound[::-1]
         cost = [[r + ua + vb for r, vb in zip(row, v)] for row, ua in zip(reduced, u)]
         assert dense_most_negative(cost, u, v) == (1, 1)
-        assert transport_module._entering_dantzig(cost, u, v) == (1, 1)
+        assert transport_module._row_leasts(cost, u, v) == [(1, 1), (2, 1)]
+        assert dantzig_cell(cost, u, v) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "candidates, cell",
+        [
+            ([(0, 2), (1, 0), (2, 1)], (0, 2)),  # -3 in rows 0 and 1: the earliest listed
+            ([(1, 0), (0, 2), (2, 1)], (1, 0)),  # the same tie listed the other way round
+            ([(0, 0), (2, 1)], (2, 1)),  # a listed cell has turned non-negative (or basic)
+            ([(2, 1), (0, 2)], (0, 2)),  # the most negative, not the first negative
+            ([(2, 1)], (2, 1)),  # unlisted cells are not priced, though (0, 2) is more negative
+            ([(0, 0), (1, 1)], None),  # no listed cell is negative: the caller scans again
+            ([], None),
+        ],
+        ids=[
+            "tie-to-earliest", "tie-to-earliest-listed", "skips-non-negative", "most-negative", "listed-only",
+            "none", "empty",
+        ],
+    )
+    def test_candidate_patterns(self, candidates, cell):
+        # The reduced costs are [[0, 0, -3], [-3, 0, 0], [0, -1, 0]], shifted as above.
+        u, v = [1, -2, 4], [3, 0, -5]
+        reduced = [[0, 0, -3], [-3, 0, 0], [0, -1, 0]]
+        cost = [[r + ua + vb for r, vb in zip(row, v)] for row, ua in zip(reduced, u)]
+        assert most_negative_listed(candidates, cost, u, v) == cell
+        assert transport_module._entering_candidate(candidates, cost, u, v) == cell
 
 
 @st.composite
@@ -914,6 +994,35 @@ def integer_marginals(draw, max_n: int = 7):
     if draw(st.booleans()):
         demand = draw(st.permutations(demand))
     return supply, demand
+
+
+@st.composite
+def general_problems(draw, max_n: int = 6):
+    """Marginals with zeros and ties (:func:`integer_marginals`), with integer, negative or fractional costs."""
+    supply, demand = draw(integer_marginals(max_n=max_n))
+    n, total = len(supply), sum(supply)
+    alphabet = Alphabet.of_size(n)
+    entry = draw(st.sampled_from([
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=-20, max_value=99),
+        st.builds(F, st.integers(min_value=-20, max_value=20), st.sampled_from(COST_DENOMINATORS)),
+    ]))
+    cost = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    p, q = (Pmf(alphabet, tuple(F(w, total) for w in ws)) for ws in (supply, demand))
+    return TransportProblem(p, q, cost)
+
+
+def n64_problem() -> TransportProblem:
+    """The N = 64 instance of the slow tests: 16-bit marginals, integer costs 0-99."""
+    rng = random.Random(2016)
+    alphabet = Alphabet.of_size(64)
+
+    def marginal() -> Pmf:
+        weights = [rng.randint(1, 2**16) for _ in range(64)]
+        return Pmf(alphabet, [F(w, sum(weights)) for w in weights])
+
+    cost = [[F(rng.randint(0, 99)) for _ in range(64)] for _ in range(64)]
+    return TransportProblem(marginal(), marginal(), cost)
 
 
 @pytest.fixture(scope="module")
@@ -948,11 +1057,11 @@ def start_pivots() -> tuple[dict, dict]:
 
 
 class TestDantzigPricing:
-    """The most negative reduced cost enters, and Bland's rule prices after each degenerate pivot."""
+    """The most negative listed cell enters, a scan lists the rows' leasts, and Bland's rule follows a degenerate pivot."""
 
     def test_pivot_counts_are_pinned(self, start_pivots):
         # A pricing or leaving rule that picks other cells on these instances moves these counts.
-        assert start_pivots == ({"shipped": 201, "bland": 625}, {"shipped": 562, "bland": 2845})
+        assert start_pivots == ({"shipped": 228, "bland": 625}, {"shipped": 639, "bland": 2845})
 
     def test_at_most_half_the_pivots_of_blands_rule(self, start_pivots):
         least_cost, _ = start_pivots
@@ -966,7 +1075,32 @@ class TestDantzigPricing:
         calls = watch_pricings(monkeypatch, checked=True)
         assert_optimal(degenerate_problems())
         assert sum(kind == "bland" for kind, _ in calls) > blands
-        assert pivots(calls, "dantzig") > 0
+        assert pivots(calls, "candidate") > 0
+
+    @pytest.mark.parametrize("start", [transport_module._least_cost_basis, closed_form_start])
+    def test_far_fewer_scans_than_pivots_at_n64(self, start, monkeypatch):
+        # The candidate list is re-priced in O(N) per pivot and scanned
+        # again only when no listed cell is negative, so a dense scan
+        # serves about eight pivots or more here; a scan per pivot fails.
+        tp = n64_problem()
+        monkeypatch.setattr(transport_module, "_least_cost_basis", start)
+        calls = watch_pricings(monkeypatch)
+        coupling, cert, _ = solve_transport(tp)
+        assert certify(coupling, cert, tp)
+        assert pivots(calls) > 100
+        assert 5 * scans(calls) < pivots(calls)
+
+    @settings(max_examples=200, deadline=None)
+    @given(general_problems())
+    def test_every_solve_ends_with_no_negative_reduced_cost(self, tp):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            watch_pricings(monkeypatch, checked=True)
+            coupling, cert, _ = solve_transport(tp)
+        n = len(tp.supply.p)
+        assert all(tp.cost[a][b] - cert.u[a] - cert.v[b] >= 0 for a in range(n) for b in range(n))
+        assert_certificate(tp, coupling, cert)
+        if n <= transport_module.DEFAULT_VERTEX_LIMIT:
+            assert cert.objective == min(reference.objective(tp, v) for v in vertex_enumerate(tp))
 
 
 class TestLeastCostStart:

@@ -103,16 +103,24 @@ MUTANTS = (
     ),
     Mutant(
         "dantzig-takes-first-negative-row", "transport.py",
-        "if low < best:", "if low < best and found < 0:", ("test_transport.py",),
+        "if low < ua:", "if low < ua and not listed:", ("test_transport.py",),
     ),
     Mutant(
         "dantzig-prunes-rows-tying-the-best", "transport.py",
-        "if low < best:", "if low < best or low == best < 0:", ("test_transport.py",),
+        "if reduced < best:", "if reduced < best or reduced == best < 0:", ("test_transport.py",),
     ),
     Mutant(
         "dantzig-ties-to-last-column", "transport.py",
-        "list(map(sub, cost[found], v)).index(best + u[found])",
-        "max(b for b, x in enumerate(map(sub, cost[found], v)) if x == best + u[found])", ("test_transport.py",),
+        "reduced.index(low)", "len(reduced) - 1 - reduced[::-1].index(low)", ("test_transport.py",),
+    ),
+    Mutant(
+        "candidates-never-refreshed", "transport.py",
+        "candidates = _row_leasts(cost, u, v)", "candidates = candidates or _row_leasts(cost, u, v)",
+        ("test_transport.py",),
+    ),
+    Mutant(
+        "candidate-takes-first-negative", "transport.py",
+        "if reduced < best:", "if reduced < best and found is None:", ("test_transport.py",),
     ),
     Mutant(
         "bland-fallback-off", "transport.py",
