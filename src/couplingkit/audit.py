@@ -170,7 +170,7 @@ def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
 
     interior = any(0 < x < scale and 0 < y < scale for x, y in zip(p, q))
     strict_gap = interior and v < independent_mismatch
-    degenerate = any(x == 0 or x == scale for x in p)
+    degenerate = 0 in p or scale in p
 
     notes = []
     if degenerate:

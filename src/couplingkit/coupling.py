@@ -358,7 +358,7 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     n = len(p.p)
     scale, ints = joint_scaled(p, q)
     left, right = ints[:n], ints[n:]
-    overlap = list(map(min, left, right))
+    overlap = [x if x < y else y for x, y in zip(left, right)]
     m = scale - sum(overlap)
     ry = list(map(sub, right, overlap))
     denominator = m * scale
@@ -420,31 +420,42 @@ def check_maximal(p: list[int], q: list[int], scale: int, symbols: Sequence[str]
     diagonal and the overlap must equal both marginals.  No two
     ``scale``-sized ints are multiplied per symbol.  Raises
     :class:`CorruptedCouplingError` naming the first failed check.
+
+    Each per-symbol loop runs only when its sums say it can fail, so a
+    coupling that passes costs a few C-level passes.  rx and ry are P and
+    Q less their pointwise minimum, so both are non-negative and one of
+    them is 0 at every symbol: the first loop can fail only at a negative
+    overlap, and runs only when there is one.  The marginal loop can fail
+    only where ``sum(rx)`` or ``sum(ry)`` differs from m, and is skipped
+    when neither does.  Those sums are ``sum(P)`` and ``sum(Q)`` less the
+    overlap's, so rx and ry are formed only inside a loop that runs.
     """
-    overlap = list(map(min, p, q))
-    m = scale - sum(overlap)
+    overlap = [x if x < y else y for x, y in zip(p, q)]
+    total = sum(overlap)
+    m = scale - total
     if m < 0:
         raise CorruptedCouplingError(
             f"maximal coupling: residual mass {bounded_str(Fraction(m, scale))} is negative"
         )
-    rx = list(map(sub, p, overlap))
-    ry = list(map(sub, q, overlap))
-    for a, d, x, y in zip(symbols, overlap, rx, ry):
-        if d < 0 or x < 0 or y < 0:
-            raise CorruptedCouplingError(f"maximal coupling: negative factor at {a!r}")
-        if x and y:
-            raise CorruptedCouplingError(f"maximal coupling: rx * ry != 0 at {a!r}")
+    if min(overlap, default=0) < 0:
+        for a, d, x, y in zip(symbols, overlap, map(sub, p, overlap), map(sub, q, overlap)):
+            if d < 0 or x < 0 or y < 0:
+                raise CorruptedCouplingError(f"maximal coupling: negative factor at {a!r}")
+            if x and y:
+                raise CorruptedCouplingError(f"maximal coupling: rx * ry != 0 at {a!r}")
     if m == 0:
         if not overlap == p == q:
             raise CorruptedCouplingError("maximal coupling: zero residual mass but P != Q")
         return m
-    sx = sum(rx)
-    sy = sum(ry)
+    sx = sum(p) - total
+    sy = sum(q) - total
     if sx * sy != m * m:
         raise CorruptedCouplingError("maximal coupling: total mass is not 1")
+    if sx == m == sy:
+        return m
     # d + rx == P holds by the definition of rx, so row a sums to
     # d + rx * sy / m == P iff rx == 0 or sy == m; likewise column a.
-    for a, x, y in zip(symbols, rx, ry):
+    for a, x, y in zip(symbols, map(sub, p, overlap), map(sub, q, overlap)):
         if x and sy != m:
             raise CorruptedCouplingError(f"maximal coupling: row marginal at {a!r} is not P({a})")
         if y and sx != m:

@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
@@ -61,9 +62,9 @@ class Alphabet:
         syms = tuple(symbols)
         if not syms:
             raise DistributionError("alphabet must contain at least one symbol")
-        if any(not isinstance(s, str) for s in syms):
+        if not all(map(isinstance, syms, repeat(str))):
             raise DistributionError("alphabet symbols must be strings")
-        positions = {s: i for i, s in enumerate(syms)}
+        positions = dict(zip(syms, range(len(syms))))
         if len(positions) != len(syms):
             raise DistributionError("alphabet symbols must be pairwise distinct")
         object.__setattr__(self, "symbols", syms)

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
 from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -84,7 +84,7 @@ def _load_obj(path: str | Path) -> dict:
 
 def _parse_alphabet(obj: dict, where: str) -> Alphabet:
     symbols = obj.get("alphabet")
-    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+    if not isinstance(symbols, list) or not all(map(isinstance, symbols, repeat(str))):
         raise ParseError(f"{where}: 'alphabet' must be a list of strings")
     return Alphabet(symbols)
 
@@ -101,10 +101,22 @@ def _read_row(row, n: int, where: str, literals: dict, parse: Callable) -> list[
     call; a reader that looks its literals up seeds ``literals`` with it.
     A literal that fails to parse is not stored, so the first bad literal
     is the one reported.
+
+    The cells are walked as ``dict.fromkeys(row)``, each distinct cell
+    once, in the order of its first occurrence: a near-uniform row of N
+    cells holds far fewer distinct literals, and the walk pays a Python
+    step per distinct one, not per cell.  The parsers reject every
+    non-string, and a string equals no other type, so the first cell
+    that fails is the one the plain cell loop would reach first.  A row
+    with an unhashable cell (a list or a dict) is walked cell by cell.
     """
     if not isinstance(row, list) or len(row) != n:
         raise ParseError(f"{where}: expected a list of {n} rational strings")
-    for text in filter(_written, row):
+    try:
+        distinct = dict.fromkeys(row)
+    except TypeError:
+        distinct = row
+    for text in filter(_written, distinct):
         # Lists and dicts cannot be keys; the parsers reject every non-string.
         if not isinstance(text, str):
             parse(text)
@@ -127,20 +139,17 @@ def _ratio_parser() -> Callable[[str], tuple[int, int]]:
     return lambda text: parse_ratio(text, denominators)
 
 
-def _entries(rows: list[list[str]], literals: dict[str, tuple[int, int]]) -> Rows:
-    """Each row of literals as (columns, pairs), every cell but a literal ``"0"`` listed with its parsed pair.
+def _listed(row: list[str], literals: dict[str, tuple[int, int]], start: int = 0) -> tuple[Sequence[int], list]:
+    """The cells of ``row`` not written ``"0"``, at columns ``start + k``, with their parsed pairs.
 
-    A row with no ``"0"`` lists ``range(width)``.  A literal's pair is
-    shared by its cells.
+    A row with no ``"0"`` lists a range.  A literal's pair is shared by
+    its cells.
     """
-    entries = []
-    for row in rows:
-        columns = range(len(row))
-        if "0" in row:
-            kept = list(map(_written, row))
-            columns, row = list(compress(columns, kept)), compress(row, kept)
-        entries.append((columns, tuple(map(literals.__getitem__, row))))
-    return entries
+    columns = range(start, start + len(row))
+    if "0" in row:
+        kept = list(map(_written, row))
+        columns, row = list(compress(columns, kept)), compress(row, kept)
+    return columns, list(map(literals.__getitem__, row))
 
 
 def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
@@ -196,7 +205,7 @@ def parse_coupling_matrix(obj: dict, where: str = "coupling") -> tuple[Alphabet,
         raise ParseError(f"{where}: coupling file must carry a 'matrix'")
     literals: dict[str, tuple[int, int]] = {}
     rows = _parse_matrix(obj, alphabet, where, literals, _ratio_parser())
-    return alphabet, _entries(rows, literals)
+    return alphabet, [_listed(row, literals) for row in rows]
 
 
 def load_coupling_matrix(path: str | Path) -> tuple[Alphabet, Rows]:
@@ -326,7 +335,9 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
     row (x1, x2) is block (x1, x2), its columns y1 in turn, each indexed
     by y2.  The file holds exactly the N² blocks, each with exactly the N
     columns; the first other key is reported.  A column written all
-    ``"0"`` is taken as it is, with no parser call.
+    ``"0"`` is taken as it is, with no parser call and nothing listed;
+    each other column lists its cells at flat columns y1·N + y2 as it is
+    read, and a row with no ``"0"`` lists ``range(N²)``.
     """
     alphabet = _parse_alphabet(obj, where)
     symbols = alphabet.symbols
@@ -338,27 +349,31 @@ def parse_coupling4_blocks(obj: dict, where: str = "coupling4") -> tuple[Alphabe
     literals: dict[str, tuple[int, int]] = {}
     parse = _ratio_parser()
     zeros = ["0"] * n
+    starts = range(0, n * n, n)
+    full = range(n * n)
     for a in symbols:
         for b in symbols:
             label = alphabet.pair_label(a, b)
             block = blocks.get(label)
             if not isinstance(block, dict):
                 raise ParseError(f"{where}: missing block {label!r}")
-            row = []
-            for c in symbols:
+            columns, pairs = [], []
+            for start, c in zip(starts, symbols):
                 if c not in block:
                     raise ParseError(f"{where}: block {label!r} missing column {c!r}")
                 column = block[c]
                 if column != zeros:
                     _read_row(column, n, f"{where} block {label!r} column {c!r}", literals, parse)
-                row += column
+                    listed, cells = _listed(column, literals, start)
+                    columns += listed
+                    pairs += cells
             if len(block) != n:
                 _reject_extra_key(block, symbols, f"{where}: block {label!r} has unexpected column")
-            rows.append(row)
+            rows.append((full if len(columns) == n * n else columns, pairs))
     if len(blocks) != n * n:
         labels = {alphabet.pair_label(a, b) for a in symbols for b in symbols}
         _reject_extra_key(blocks, labels, f"{where}: unexpected block")
-    return alphabet, _entries(rows, literals)
+    return alphabet, rows
 
 
 def _reject_extra_key(obj: dict, expected: Container[str], message: str) -> None:

@@ -256,7 +256,7 @@ def _initial_basis(supply: Sequence[int], demand: Sequence[int]) -> Flows:
     u = v = 0 at it, and reduced costs of 0, 1 and 2 off the diagonal.
     """
     n = len(supply)
-    overlap = list(map(min, supply, demand))
+    overlap = [x if x < y else y for x, y in zip(supply, demand)]
     flow: Flows = [{i: x} for i, x in enumerate(overlap)]
     rx = list(map(sub, supply, overlap))
     ry = list(map(sub, demand, overlap))

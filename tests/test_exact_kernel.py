@@ -47,6 +47,7 @@ from couplingkit import (
     vdist_halfsum,
 )
 from couplingkit import cli
+from couplingkit.coupling import check_maximal
 from couplingkit.distributions import lcm_of, scaled
 from couplingkit.errors import CorruptedCouplingError, CouplingKitError, DistributionError
 from couplingkit.jsonio import coupling4_to_obj, coupling_to_obj
@@ -452,6 +453,8 @@ BROKEN_MAXIMAL_INPUTS = [
     ((F(1, 2), F(1, 2), F(1, 4)), (F(1, 2), F(1, 4), F(1, 2)), "zero residual mass but P != Q"),
     # negative residual mass, yet rx(2) and ry(3) are both positive: a negative cell
     ((F(9, 10), F(9, 10), F(1, 10)), (F(9, 10), F(1, 2), F(1, 2)), "residual mass -1/2 is negative"),
+    # a tie, where rx and ry are both 0, before the negative overlap
+    ((F(5, 7), F(-1, 7)), (F(5, 7), F(3, 7)), "negative factor at '2'"),
 ]
 
 
@@ -466,7 +469,59 @@ def test_each_maximal_check_fails_as_in_the_fraction_reference(p, q, message):
     assert outcome(lambda: maximal_diagonal(p, q)) == expected
 
 
+def test_check_maximal_passes_a_tie_before_a_negative_overlap():
+    # At '1' both residuals are 0; only the overlap at '2' is negative.
+    with pytest.raises(CorruptedCouplingError, match=r"^maximal coupling: negative factor at '2'$"):
+        check_maximal([5, -1], [5, 3], 7, ("1", "2"))
+
+
 broken_entries = st.fractions(min_value=-1, max_value=2, max_denominator=12)
+# A few values drawn often, so zeros, ties and repeated entries are common.
+pooled_entries = st.one_of(st.sampled_from([F(0), F(1, 2), F(1, 3), F(1), F(-1, 6)]), broken_entries)
+
+
+def skewed_residuals(xs, ys, skew):
+    """``xs`` and ``ys`` with their residuals over min(xs, ys) rescaled to total ``skew * m`` and ``m / skew``.
+
+    m is 1 less the overlap, so the total mass of the maximal coupling
+    holds, and unless ``skew`` is 1 its marginals do not.  Left as they
+    are when m or a residual total is not positive.
+    """
+    overlap = [min(x, y) for x, y in zip(xs, ys)]
+    m = 1 - sum(overlap, F(0))
+    sx, sy = sum(xs, F(0)) - sum(overlap, F(0)), sum(ys, F(0)) - sum(overlap, F(0))
+    if m <= 0 or not sx or not sy:
+        return xs, ys
+    return ([d + (x - d) * skew * m / sx for x, d in zip(xs, overlap)],
+            [d + (y - d) * m / (skew * sy) for y, d in zip(ys, overlap)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(lambda n: st.tuples(
+        st.lists(pooled_entries, min_size=n, max_size=n),
+        st.lists(pooled_entries, min_size=n, max_size=n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+    )),
+    st.sampled_from(("none", "p", "q", "both", "skewed")),
+    st.sampled_from((F(1), F(2), F(1, 3))),
+)
+def test_maximal_diagonal_of_unvalidated_pmfs_matches_the_fraction_reference(entries, normalised, skew):
+    # Ties copy P's entry into Q.  Scaling a side to total 1 (negative
+    # entries and all) lets the checks after the total run; the marginal
+    # checks need non-negative entries and skewed residuals.
+    xs, ys, ties = entries
+    ys = [x if tie else y for x, y, tie in zip(xs, ys, ties)]
+    if normalised == "skewed":
+        xs, ys = [abs(x) for x in xs], [abs(y) for y in ys]
+    if normalised in ("p", "both", "skewed") and sum(xs):
+        xs = [x / sum(xs, F(0)) for x in xs]
+    if normalised in ("q", "both", "skewed") and sum(ys):
+        ys = [y / sum(ys, F(0)) for y in ys]
+    if normalised == "skewed":
+        xs, ys = skewed_residuals(xs, ys, skew)
+    p, q = unchecked_pmf(xs), unchecked_pmf(ys)
+    assert outcome(lambda: maximal_diagonal(p, q)) == outcome(lambda: reference.maximal_diagonal(p, q))
 
 
 @settings(max_examples=200, deadline=None)

@@ -358,6 +358,7 @@ class TestZeroCells:
         _, rows = parse(obj)
         reference = [[(k, F(text)) for k, text in enumerate(row) if text != "0"] for row in cells]
         assert [list(zip(columns, (F(*pair) for pair in pairs))) for columns, pairs in rows] == reference
+        assert [isinstance(columns, range) for columns, _ in rows] == ["0" not in row for row in cells]
 
         # Plant two bad cells after the first zero cell; the earlier one is reported.
         width = len(cells[0])
@@ -373,3 +374,65 @@ class TestZeroCells:
             # "0".__ne__ of a non-string cell is NotImplemented, whose truth value warns
             warnings.simplefilter("error", DeprecationWarning)
             parse(obj)
+
+
+def cell_loop_read_row(row, n, where, literals, parse):
+    """``jsonio._read_row`` as a plain loop over every cell, the form it must agree with."""
+    if not isinstance(row, list) or len(row) != n:
+        raise ParseError(f"{where}: expected a list of {n} rational strings")
+    for text in row:
+        if text == "0":
+            continue
+        if not isinstance(text, str):
+            parse(text)
+        elif text not in literals:
+            literals[text] = parse(text)
+    return row
+
+
+# Repeated good literals, "0" and other spellings of zero, bad literals and
+# every JSON type that is not a string, a list among them (which no dict can
+# key, so such a row is walked cell by cell).
+ROW_CELLS = st.one_of(
+    st.sampled_from(["0", "0", "1/2", "1/2", "1/3", "2", "0/7", "00", "x", "1/0", "-", "1e9999"]),
+    st.integers(min_value=-1, max_value=2),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=False),
+    st.lists(st.just("1/2"), max_size=1),
+    st.dictionaries(st.just("1"), st.just("1/2"), max_size=1),
+)
+
+
+class TestReadRow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.lists(ROW_CELLS, min_size=1, max_size=8), min_size=1, max_size=3),
+        seeded=st.booleans(),
+        parser=st.sampled_from(("rational", "ratio")),
+    )
+    def test_parses_and_fails_as_the_cell_loop(self, rows, seeded, parser):
+        def run(read_row):
+            calls = []
+            cache = {}
+            base = jsonio.parse_rational if parser == "rational" else lambda text: jsonio.parse_ratio(text, cache)
+
+            def parse(text):
+                calls.append(text)
+                return base(text)
+
+            literals = {"0": F(0)} if seeded else {}
+            try:
+                for i, row in enumerate(rows):
+                    assert read_row(row, len(rows[0]), f"row {i}", literals, parse) is row
+            except ParseError as exc:
+                return calls, literals, str(exc)
+            return calls, literals, None
+
+        with warnings.catch_warnings():
+            # "0".__ne__ of a non-string cell is NotImplemented, whose truth value warns
+            warnings.simplefilter("error", DeprecationWarning)
+            expected, got = run(cell_loop_read_row), run(jsonio._read_row)
+        # The calls are compared by type and text: 1 and True are equal, and so are 0.0 and False.
+        assert [(type(x), repr(x)) for x in got[0]] == [(type(x), repr(x)) for x in expected[0]]
+        assert got[1:] == expected[1:]

@@ -78,7 +78,15 @@ MUTANTS = (
     ),
     Mutant(
         "check-maximal-rejects-zero-residual", "coupling.py",
-        "or y < 0:", "or y <= 0:", ("test_coupling.py",),
+        "or y < 0:", "or y <= 0:", ("test_coupling.py", "test_exact_kernel.py"),
+    ),
+    Mutant(
+        "check-maximal-skips-factor-loop", "coupling.py",
+        "if min(overlap, default=0) < 0:", "if False:", ("test_exact_kernel.py",),
+    ),
+    Mutant(
+        "check-maximal-skips-marginal-loop", "coupling.py",
+        "if sx == m == sy:", "if True:", ("test_exact_kernel.py",),
     ),
     Mutant(
         "coupling-skips-marginal-check", "coupling.py",
@@ -173,6 +181,18 @@ MUTANTS = (
     Mutant(
         "zero-filter-truth-tests-notimplemented", "jsonio.py",
         '_written = partial(ne, "0")', '_written = "0".__ne__', ("test_jsonio.py",),
+    ),
+    Mutant(
+        "read-row-reorders-distinct-cells", "jsonio.py",
+        "distinct = dict.fromkeys(row)", "distinct = dict.fromkeys(row[::-1])", ("test_jsonio.py",),
+    ),
+    Mutant(
+        "blocks-column-listed-from-zero", "jsonio.py",
+        "_listed(column, literals, start)", "_listed(column, literals, 0)", ("test_jsonio.py",),
+    ),
+    Mutant(
+        "blocks-full-row-listed-as-list", "jsonio.py",
+        "full if len(columns) == n * n else columns", "columns", ("test_jsonio.py",),
     ),
     Mutant(
         "written-columns-marked-by-y2", "jsonio.py",
