@@ -5,7 +5,10 @@ command is a pure function of its input files and flags; repeated runs
 produce byte-identical output.  A two-dim pair takes the one-dim path
 over its pair labels ``(a,b)``; only the blocks layout of its coupling
 files and the "pair mismatch" and "coordinate mismatch" lines of its
-reports are its own.  Exit codes are stable API:
+reports are its own.  A command's arguments are parsed in one pass, by
+its own subparser; any other argv, and any with arguments the
+subparser leaves over, goes through the full parser, so usage and
+errors read as they always have.  Exit codes are stable API:
 
     0  success
     2  parse failure (file shape, such as a blocks file with a missing
@@ -260,7 +263,10 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once; parsing leaves no state on it."""
+    """The argument parser, built once; parsing leaves no state on it.
+
+    ``parser.subcommands`` maps each command name to its subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="couplingkit",
         description="Exact couplings, variational distance, and certified minimum mismatch.",
@@ -270,45 +276,62 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--precision", type=int, default=5, metavar="K")
 
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = {}
 
-    s = sub.add_parser("vdist", parents=[common], help="variational distance of two distribution files")
+    def command(name, func, summary):
+        s = parser.subcommands[name] = sub.add_parser(name, parents=[common], help=summary)
+        s.set_defaults(func=func)
+        return s
+
+    s = command("vdist", cmd_vdist, "variational distance of two distribution files")
     s.add_argument("p_file")
     s.add_argument("q_file")
-    s.set_defaults(func=cmd_vdist)
 
-    s = sub.add_parser("couple", parents=[common], help="construct a coupling of two distributions")
+    s = command("couple", cmd_couple, "construct a coupling of two distributions")
     s.add_argument("p_file")
     s.add_argument("q_file")
     s.add_argument("--kind", choices=("independent", "maximal"), required=True)
     s.add_argument("--out", metavar="PATH")
-    s.set_defaults(func=cmd_couple)
 
-    s = sub.add_parser("verify", parents=[common], help="validate a coupling file against marginals")
+    s = command("verify", cmd_verify, "validate a coupling file against marginals")
     s.add_argument("coupling_file")
     s.add_argument("p_file")
     s.add_argument("q_file")
-    s.set_defaults(func=cmd_verify)
 
-    s = sub.add_parser("oracle", parents=[common], help="certified minimum mismatch over all couplings")
+    s = command("oracle", cmd_oracle, "certified minimum mismatch over all couplings")
     s.add_argument("p_file")
     s.add_argument("q_file")
     s.add_argument("--out", metavar="PATH")
-    s.set_defaults(func=cmd_oracle)
 
-    s = sub.add_parser("audit", parents=[common], help="key-distribution audit against the uniform ideal")
+    s = command("audit", cmd_audit, "key-distribution audit against the uniform ideal")
     s.add_argument("pk_file")
     s.add_argument("--epsilon", metavar="R")
-    s.set_defaults(func=cmd_audit)
 
-    s = sub.add_parser("tables", parents=[common], help="regenerate golden tables and check them")
+    s = command("tables", cmd_tables, "regenerate golden tables and check them")
     s.add_argument("--fixtures", metavar="DIR")
-    s.set_defaults(func=cmd_tables)
-
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, in one pass when ``argv[0]`` names a command.
+
+    The full parser hands everything after the command to its subparser,
+    so that subparser alone parses ``argv[1:]`` the same way.  Any other
+    argv, or one whose subparser leaves arguments over, goes through the
+    full parser, which prints the usage and error it always has.
+    """
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in parser.subcommands:
+        args, extras = parser.subcommands[argv[0]].parse_known_args(argv[1:])
+        if not extras:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         return args.func(args)
     except CouplingError as exc:

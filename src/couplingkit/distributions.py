@@ -12,12 +12,14 @@ package emits deterministic and diff-able.
 :func:`check_mass_ratios` is the one check of "non-negative entries with
 an exact total of 1", on rows of (numerator, denominator) pairs of ints.
 Each row lists (column, pair) for the entries it holds, so a sparse
-row costs what it lists and a dense row lists every column.  Fractions
-reach it through :func:`fraction_ratios`, one row-major pass that
-checks each entry's type and sign and reads its pair: :class:`Pmf` (and
-so :class:`Pmf2`) on its one row, unless :meth:`Pmf.over` hands it the
-pairs already read, and :class:`~couplingkit.coupling.Coupling` on its
-matrix.
+row costs what it lists and a dense row lists every column.  It is a
+sign pass that returns D and a total check; a :class:`Pmf` built from
+a file's texts (``Pmf(alphabet, texts, literals)``) runs the two on its
+distinct texts, one pair each, and takes its total over the cells with
+``sum``.  Fractions reach it through :func:`fraction_ratios`, one
+row-major pass that checks each entry's type and sign and reads its
+pair: :class:`Pmf` (and so :class:`Pmf2`) on its one row, and
+:class:`~couplingkit.coupling.Coupling` on its matrix.
 
 The exact loops run on plain ints over one common denominator:
 :func:`lcm_of` is the lcm of a set of denominators, :func:`ratios_over`
@@ -39,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, DistributionError
 from .rational import bounded_str
@@ -176,6 +178,31 @@ def fraction_ratios(
     return tuple(ratios)
 
 
+def _check_signs(
+    rows: Sequence[tuple[Sequence[int], Sequence[tuple[int, int]]]],
+    width: int,
+    label: Callable[[int], str],
+    error: Callable[[str, str], Exception],
+) -> int:
+    """The sign pass of :func:`check_mass_ratios`: raise on the first negative entry, then return D."""
+    for i, (columns, pairs) in enumerate(rows):
+        for column, (x, d) in zip(columns, pairs):
+            if x < 0:
+                raise error(
+                    f"{label(i * width + column)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry"
+                )
+    return lcm_of({d for _, pairs in rows for x, d in pairs if x})
+
+
+def _check_total(total: int, scale: int, error: Callable[[str, str], Exception]) -> None:
+    """The total check of :func:`check_mass_ratios`: ``total`` over ``scale`` must be 1."""
+    if total != scale:
+        raise error(
+            f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
+            "total_mass",
+        )
+
+
 def check_mass_ratios(
     rows: Sequence[tuple[Sequence[int], Sequence[tuple[int, int]]]],
     width: int,
@@ -197,13 +224,7 @@ def check_mass_ratios(
     entry), with every row sum and column sum times D.  Each listed entry
     is scaled once, one row of ints held at a time: O(width + listed).
     """
-    for i, (columns, pairs) in enumerate(rows):
-        for column, (x, d) in zip(columns, pairs):
-            if x < 0:
-                raise error(
-                    f"{label(i * width + column)} is negative: {bounded_str(Fraction(x, d))}", "negative_entry"
-                )
-    scale = lcm_of({d for _, pairs in rows for x, d in pairs if x})
+    scale = _check_signs(rows, width, label, error)
     row_sums = []
     sums = [0] * width
     for columns, pairs in rows:
@@ -214,12 +235,7 @@ def check_mass_ratios(
         else:
             for column, x in zip(columns, ints):
                 sums[column] += x
-    total = sum(row_sums)
-    if total != scale:
-        raise error(
-            f"probabilities sum to {bounded_str(Fraction(total, scale))}, expected 1",
-            "total_mass",
-        )
+    _check_total(sum(row_sums), scale, error)
     return scale, row_sums, sums
 
 
@@ -227,52 +243,45 @@ def _distribution_error(message: str, constraint: str) -> DistributionError:
     return DistributionError(message)
 
 
-class _Paired(tuple):
-    """Fractions handed to :meth:`Pmf.over` or :meth:`Pmf2.over`, marked for the constructor.
-
-    ``pairs`` holds each entry's lowest-terms (numerator, denominator),
-    flat in row-major order.
-    """
-
-    def __new__(cls, values: Iterable, pairs: Sequence[tuple[int, int]]):
-        marked = super().__new__(cls, values)
-        marked.pairs = pairs
-        return marked
-
-
 @dataclass(frozen=True)
 class Pmf:
     """Probability distribution over an alphabet: entries >= 0, exact sum 1.
 
-    Validation keeps ``_scaled``: D, the lcm of the denominators, and
-    the entries times D as ints.
+    ``probs`` are Fractions, or, with ``literals``, texts that each
+    ``literals[text]``, a Fraction, stands for; a distribution file
+    arrives that way.  Then the sign, D and each entry times D are
+    taken once per distinct text, in the order of its first cell, so
+    the first negative text is the first negative cell's.  Validation
+    keeps ``_scaled``: D, the lcm of the denominators, and the entries
+    times D as ints.
     """
 
     alphabet: Alphabet
     p: tuple[Fraction, ...]
 
-    def __init__(self, alphabet: Alphabet, probs: Sequence[Fraction]):
-        entries = tuple(probs)
+    def __init__(self, alphabet: Alphabet, probs: Sequence, literals: Mapping[str, Fraction] | None = None):
+        texts = tuple(probs)
+        entries = texts if literals is None else tuple(map(literals.__getitem__, texts))
         n = len(entries)
         if n != len(alphabet):
             raise DistributionError(
                 f"expected {len(alphabet)} probabilities, got {n}"
             )
         label = lambda k: f"p({alphabet.symbols[k]})"
-        if isinstance(probs, _Paired):
-            pairs = probs.pairs
-        else:
+        if literals is None:
             (pairs,) = fraction_ratios((entries,), label, _distribution_error)
-        scale, _, ints = check_mass_ratios(((range(n), pairs),), n, label, _distribution_error)
+            scale, _, ints = check_mass_ratios(((range(n), pairs),), n, label, _distribution_error)
+        else:
+            distinct = dict.fromkeys(texts)
+            pairs = list(map(Fraction.as_integer_ratio, map(literals.__getitem__, distinct)))
+            first = lambda k: label(texts.index(list(distinct)[k]))
+            scale = _check_signs(((range(len(pairs)), pairs),), len(pairs), first, _distribution_error)
+            ints = list(map(dict(zip(distinct, ratios_over(scale, pairs))).__getitem__, texts))
+            _check_total(sum(ints), scale, _distribution_error)
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "p", entries)
         # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
         object.__setattr__(self, "_scaled", (scale, ints))
-
-    @classmethod
-    def over(cls, alphabet: Alphabet, values: Iterable[Fraction], pairs: Sequence[tuple[int, int]]) -> "Pmf":
-        """The distribution of the Fractions ``values``, validated on ``pairs``, their lowest-terms pairs."""
-        return cls(alphabet, _Paired(values, pairs))
 
     @cached_property
     def _scaled(self) -> tuple[int, list[int]]:
@@ -303,27 +312,27 @@ class Pmf:
 
 @dataclass(frozen=True)
 class Pmf2:
-    """Distribution over ordered pairs, as an N x N matrix (row = first coordinate)."""
+    """Distribution over ordered pairs, as an N x N matrix (row = first coordinate).
+
+    ``matrix`` holds Fractions, or texts with ``literals`` as for
+    :class:`Pmf`, which validates the flat row-major form.
+    """
 
     alphabet: Alphabet
     p: tuple[tuple[Fraction, ...], ...]
 
-    def __init__(self, alphabet: Alphabet, matrix: Sequence[Sequence[Fraction]]):
+    def __init__(
+        self, alphabet: Alphabet, matrix: Sequence[Sequence], literals: Mapping[str, Fraction] | None = None
+    ):
         n = len(alphabet)
         rows = tuple(tuple(row) for row in matrix)
         if len(rows) != n or any(len(row) != n for row in rows):
             raise DistributionError(f"expected a {n}x{n} matrix of probabilities")
-        values = [v for row in rows for v in row]
-        flat = Pmf(alphabet.product(), _Paired(values, matrix.pairs) if isinstance(matrix, _Paired) else values)
+        flat = Pmf(alphabet.product(), list(chain.from_iterable(rows)), literals)
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "p", rows)
+        object.__setattr__(self, "p", tuple(flat.p[i : i + n] for i in range(0, n * n, n)))
         # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
         object.__setattr__(self, "_flat", flat)
-
-    @classmethod
-    def over(cls, alphabet: Alphabet, rows: Sequence[Sequence[Fraction]], pairs: Sequence[tuple[int, int]]) -> "Pmf2":
-        """The distribution of the Fraction ``rows``, validated on ``pairs``, their lowest-terms pairs in row-major order."""
-        return cls(alphabet, _Paired(rows, pairs))
 
     @classmethod
     def diagonal(cls, pmf: Pmf) -> "Pmf2":

@@ -4,8 +4,9 @@ All probabilities travel as rational strings ("1/9", "0.03750", "2"),
 parsed exactly, each distinct literal once per file.  A distribution's
 literals become Fractions (:func:`~couplingkit.rational.parse_rational`,
 where plain ``"p/q"`` and integers cost ``int`` calls and one gcd), and
-the distribution is validated on each distinct literal's pair of ints,
-read from its Fraction once (:meth:`~couplingkit.distributions.Pmf.over`).
+the distribution is built from the cell texts and that table of
+literals (:class:`~couplingkit.distributions.Pmf`), which signs and
+scales each distinct literal once.
 A coupling's become (numerator, denominator) pairs of ints
 (:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
 integers cost ``int`` calls and no gcd, and each distinct denominator
@@ -163,14 +164,8 @@ def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
     alphabet = _parse_alphabet(obj, where)
     literals: dict[str, Fraction] = {"0": ZERO}
     if has_p:
-        rows = [_read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse_rational)]
-    else:
-        rows = _parse_matrix(obj, alphabet, where, literals, parse_rational)
-    pairs = {text: (x.numerator, x.denominator) for text, x in literals.items()}
-    flat = [pairs[text] for row in rows for text in row]
-    if has_p:
-        return Pmf.over(alphabet, map(literals.__getitem__, rows[0]), flat)
-    return Pmf2.over(alphabet, [list(map(literals.__getitem__, row)) for row in rows], flat)
+        return Pmf(alphabet, _read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse_rational), literals)
+    return Pmf2(alphabet, _parse_matrix(obj, alphabet, where, literals, parse_rational), literals)
 
 
 def load_distribution(path: str | Path) -> Pmf | Pmf2:

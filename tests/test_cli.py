@@ -19,6 +19,7 @@ from couplingkit.jsonio import coupling_to_obj, dump_json, load_coupling_matrix
 from couplingkit.rational import parse_rational
 from couplingkit.tables import generate_fixtures
 
+from . import argv_table
 from .test_jsonio import dense_rows
 
 F = Fraction
@@ -676,6 +677,37 @@ class TestParserReuse:
         assert "invalid int value: 'x'" in err
         assert self.run(capsys, ["vdist", ramp_file, uniform_file]) == before
         assert before == (0, "1/5 (0.20000)\n", "")
+
+
+class TestOnePassParsing:
+    """A command's argv is parsed by its subparser alone, with what the full parser gives."""
+
+    def test_every_argv_shape_matches_the_full_parser(self, tmp_path):
+        p, q = argv_table.write_inputs(tmp_path)
+        assert len(argv_table.shapes(p, q)) >= 25
+        assert argv_table.differences(tmp_path) == []
+
+    def test_extras_and_missing_arguments_keep_their_errors(self, tmp_path):
+        p, _ = argv_table.write_inputs(tmp_path)
+        for how in ("argv", "sys.argv"):
+            code, out, err, _ = argv_table.outcome(how, ["audit", p, "extra"])
+            assert (code, out) == (("exit", 2), "")
+            assert err.endswith("\ncouplingkit: error: unrecognized arguments: extra\n")
+            code, out, err, _ = argv_table.outcome(how, ["audit"])
+            assert (code, out) == (("exit", 2), "")
+            assert err.endswith("\ncouplingkit audit: error: the following arguments are required: pk_file\n")
+
+    def test_a_command_skips_the_full_parser(self, monkeypatch, tmp_path, capsys):
+        p, q = argv_table.write_inputs(tmp_path)
+
+        def full(*args, **kwargs):
+            raise AssertionError("the full parser ran on a well-formed command")
+
+        monkeypatch.setattr(build_parser(), "parse_args", full)
+        assert main(["vdist", p, q, "--format", "json"]) == 0
+        assert main(["audit", p]) == 0
+        assert cli._parse(["audit", p]).command == "audit"
+        capsys.readouterr()
 
 
 class TestPublicNames:

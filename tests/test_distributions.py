@@ -3,12 +3,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from couplingkit import Alphabet, DistributionError, Pmf, Pmf2
+from couplingkit import Alphabet, DistributionError, ParseError, Pmf, Pmf2
 from couplingkit.distributions import check_mass_ratios, fraction_ratios, joint_scaled, lcm_of, scaled
 from couplingkit.jsonio import parse_distribution
+from couplingkit.rational import parse_rational
 
 F = Fraction
 
@@ -314,12 +315,87 @@ class TestKeptInts:
 
     def test_kept_ints_leave_equality_alone(self, alpha3):
         p = Pmf(alpha3, (F(1, 2), F(0), F(1, 2)))
-        twin = Pmf.over(alpha3, p.p, [(1, 2), (0, 1), (1, 2)])
+        twin = Pmf(alpha3, ["1/2", "0", "1/2"], {"0": F(0), "1/2": F(1, 2)})
         assert twin == p and hash(twin) == hash(p) and type(twin.p) is tuple
         assert repr(twin) == f"Pmf(alphabet={alpha3!r}, p={p.p!r})"
+        assert kept(twin) == kept(p) == (2, [1, 0, 1])
 
-    def test_a_pair_built_pmf_is_validated_on_its_pairs(self, alpha3):
+    def test_a_literal_built_pmf_is_validated_per_literal(self, alpha3):
+        literals = {"1": F(1), "-1/2": F(-1, 2), "1/2": F(1, 2)}
         with pytest.raises(DistributionError, match=r"^p\(2\) is negative: -1/2$"):
-            Pmf.over(alpha3, (F(1), F(-1, 2), F(1, 2)), [(1, 1), (-1, 2), (1, 2)])
+            Pmf(alpha3, ["1", "-1/2", "1/2"], literals)
+        # the negative text repeats and first appears after a positive one
+        with pytest.raises(DistributionError, match=r"^p\(\(1,2\)\) is negative: -1/2$"):
+            Pmf2(Alphabet(["1", "2"]), [["1/2", "-1/2"], ["1", "-1/2"]], literals)
         with pytest.raises(DistributionError, match="^probabilities sum to 3/2, expected 1$"):
-            Pmf2.over(Alphabet(["a"]), [[F(3, 2)]], [(3, 2)])
+            Pmf2(Alphabet(["a"]), [["3/2"]], {"3/2": F(3, 2)})
+        # the total counts every cell, not every distinct text
+        with pytest.raises(DistributionError, match="^probabilities sum to 3/2, expected 1$"):
+            Pmf(alpha3, ["1/2", "1/2", "1/2"], literals)
+
+    def test_a_literal_built_pmf_reads_a_one_shot_iterator(self, alpha3):
+        literals = {"0": F(0), "1/2": F(1, 2)}
+        texts = ("1/2", "0", "1/2")
+        assert Pmf(alpha3, iter(texts), literals) == Pmf(alpha3, texts, literals)
+
+
+# Literals with repeats, three spellings of zero, negatives and a total past 1 when mixed.
+LITERALS = ("0", "0/7", "-0", "1/2", "2/4", "1/3", "1/6", "1/4", "3/4", "1", "-1/4", "-1/2", "7/3")
+NON_STRINGS = (1, None, 0.5, ["1/2"], {"1": "1/2"})
+
+
+@st.composite
+def distribution_files(draw):
+    """A one- or two-dim distribution file: an exact total of 1 or any cells, now and then a non-string."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(min_value=1, max_value=5 if dim == 1 else 3))
+    size = n if dim == 1 else n * n
+    if draw(st.booleans()):
+        # weights over their sum, written unreduced by k, each zero as "0", "0/7" or "-0"
+        weights = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=size, max_size=size))
+        weights[draw(st.integers(min_value=0, max_value=size - 1))] += 1
+        k = draw(st.sampled_from((1, 2)))
+        cells = [f"{k * w}/{k * sum(weights)}" if w else draw(st.sampled_from(LITERALS[:3])) for w in weights]
+    else:
+        cells = draw(st.lists(st.sampled_from(LITERALS), min_size=size, max_size=size))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        cells[draw(st.integers(min_value=0, max_value=size - 1))] = draw(st.sampled_from(NON_STRINGS))
+    alphabet = [f"s{i}" for i in range(n)]
+    if dim == 1:
+        return {"alphabet": alphabet, "p": cells}
+    return {"alphabet": alphabet, "matrix": [cells[i : i + n] for i in range(0, size, n)]}
+
+
+def per_cell(obj: dict) -> "Pmf | Pmf2":
+    """The distribution of ``obj`` from one Fraction per cell, each cell parsed and checked on its own."""
+    alphabet = Alphabet(obj["alphabet"])
+    if "p" in obj:
+        return Pmf(alphabet, [parse_rational(text) for text in obj["p"]])
+    return Pmf2(alphabet, [[parse_rational(text) for text in row] for row in obj["matrix"]])
+
+
+def loaded(build) -> tuple:
+    """What ``build()`` gives, its entries and kept ints, or the type and message of its error."""
+    try:
+        dist = build()
+    except (ParseError, DistributionError) as exc:
+        return type(exc), str(exc)
+    return dist, dist.p, kept(dist.flatten() if isinstance(dist, Pmf2) else dist)
+
+
+class TestPerLiteralLoading:
+    """A file's distribution is validated once per distinct literal, as if once per cell."""
+
+    @given(distribution_files())
+    @example({"alphabet": ["a", "b", "c", "d"], "p": ["1/2", "-1/4", "3/4", "-1/4"]})
+    @example({"alphabet": ["1", "2"], "matrix": [["1/2", "-1/2"], ["1", "-1/2"]]})
+    @example({"alphabet": ["a", "b", "c"], "p": ["1/2", "1/2", "1/2"]})
+    @example({"alphabet": ["a", "b"], "p": ["-0", "0/7"]})
+    def test_equals_the_per_cell_reference(self, obj):
+        assert loaded(lambda: parse_distribution(obj)) == loaded(lambda: per_cell(obj))
+
+    def test_the_first_negative_cell_is_named(self):
+        obj = {"alphabet": ["a", "b", "c", "d"], "p": ["1/2", "-1/4", "3/4", "-1/4"]}
+        assert loaded(lambda: parse_distribution(obj)) == (DistributionError, "p(b) is negative: -1/4")
+        obj = {"alphabet": ["1", "2"], "matrix": [["1/2", "1/4"], ["-1/4", "-1/4"]]}
+        assert loaded(lambda: parse_distribution(obj)) == (DistributionError, "p((2,1)) is negative: -1/4")

@@ -148,6 +148,20 @@ MUTANTS = (
         "sums = list(map(add, sums, ints))", "pass", ("test_distributions.py", "test_coupling.py"),
     ),
     Mutant(
+        "literal-total-over-distinct-literals", "distributions.py",
+        "_check_total(sum(ints), scale, _distribution_error)",
+        "_check_total(sum(ratios_over(scale, pairs)), scale, _distribution_error)", ("test_distributions.py",),
+    ),
+    Mutant(
+        "sign-checked-on-first-entry-only", "distributions.py",
+        "for column, (x, d) in zip(columns, pairs):", "for column, (x, d) in zip(columns[:1], pairs[:1]):",
+        ("test_distributions.py",),
+    ),
+    Mutant(
+        "one-pass-parse-drops-extra-arguments", "cli.py",
+        "if not extras:", "if True:", ("test_cli.py",),
+    ),
+    Mutant(
         "joint-scale-uses-left-denominator", "distributions.py",
         "fp, fq = scale // dp, scale // dq", "fp, fq = scale // dp, scale // dp",
         ("test_distributions.py", "test_metrics.py"),
