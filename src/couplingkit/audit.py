@@ -144,7 +144,7 @@ class EpsilonAuditReport:
 def epsilon_audit(audit_input: EpsilonAuditInput) -> EpsilonAuditReport:
     """Audit a real key distribution against the uniform ideal key."""
     pk = audit_input.pk
-    n = len(pk.p)
+    n = len(pk.alphabet)
     own_scale, own_ints = pk._scaled
     scale = lcm(own_scale, n)
     factor = scale // own_scale

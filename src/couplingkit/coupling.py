@@ -355,7 +355,7 @@ def coupling_maximal(p: Pmf, q: Pmf) -> Coupling:
     diagonal is not listed.
     """
     require_same_alphabet(p, q)
-    n = len(p.p)
+    n = len(p.alphabet)
     scale, ints = joint_scaled(p, q)
     left, right = ints[:n], ints[n:]
     overlap = [x if x < y else y for x, y in zip(left, right)]
@@ -396,7 +396,7 @@ def maximal_diagonal(p: Pmf, q: Pmf) -> tuple[Fraction, ...]:
     validated :class:`Pmf` inputs never trigger it.
     """
     require_same_alphabet(p, q)
-    n = len(p.p)
+    n = len(p.alphabet)
     scale, ints = joint_scaled(p, q)
     left, right = ints[:n], ints[n:]
     check_maximal(left, right, scale, p.alphabet.symbols)

@@ -42,12 +42,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlphabetMismatchError, DistributionError
-from .rational import bounded_str
+from .rational import _reduced, bounded_str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -248,40 +248,60 @@ class Pmf:
     """Probability distribution over an alphabet: entries >= 0, exact sum 1.
 
     ``probs`` are Fractions, or, with ``literals``, texts that each
-    ``literals[text]``, a Fraction, stands for; a distribution file
-    arrives that way.  Then the sign, D and each entry times D are
-    taken once per distinct text, in the order of its first cell, so
-    the first negative text is the first negative cell's.  Validation
-    keeps ``_scaled``: D, the lcm of the denominators, and the entries
-    times D as ints.
+    ``literals[text]``, a (numerator, denominator) pair of ints with a
+    positive denominator and not necessarily reduced, stands for; a
+    distribution file arrives that way.  Then the sign, D and each entry
+    times D are taken once per distinct text, in the order of its first
+    cell, so the first negative text is the first negative cell's, and
+    one gcd of D and those ints puts D in lowest terms.  Validation
+    keeps ``_scaled``: D, the lcm of the entries' reduced denominators,
+    and the entries times D as ints.  A Pmf built from texts makes its
+    Fractions ``p`` when they are first read, one reduction per
+    distinct text.
     """
 
     alphabet: Alphabet
     p: tuple[Fraction, ...]
 
-    def __init__(self, alphabet: Alphabet, probs: Sequence, literals: Mapping[str, Fraction] | None = None):
+    def __init__(self, alphabet: Alphabet, probs: Sequence, literals: Mapping[str, tuple[int, int]] | None = None):
         texts = tuple(probs)
-        entries = texts if literals is None else tuple(map(literals.__getitem__, texts))
-        n = len(entries)
+        n = len(texts)
         if n != len(alphabet):
             raise DistributionError(
                 f"expected {len(alphabet)} probabilities, got {n}"
             )
         label = lambda k: f"p({alphabet.symbols[k]})"
         if literals is None:
-            (pairs,) = fraction_ratios((entries,), label, _distribution_error)
+            (pairs,) = fraction_ratios((texts,), label, _distribution_error)
             scale, _, ints = check_mass_ratios(((range(n), pairs),), n, label, _distribution_error)
+            object.__setattr__(self, "p", texts)
         else:
-            distinct = dict.fromkeys(texts)
-            pairs = list(map(Fraction.as_integer_ratio, map(literals.__getitem__, distinct)))
+            distinct = dict(zip(texts, map(literals.__getitem__, texts)))
+            pairs = list(distinct.values())
             first = lambda k: label(texts.index(list(distinct)[k]))
             scale = _check_signs(((range(len(pairs)), pairs),), len(pairs), first, _distribution_error)
-            ints = list(map(dict(zip(distinct, ratios_over(scale, pairs))).__getitem__, texts))
+            values = list(ratios_over(scale, pairs))
+            # g is 1 unless an unreduced literal made D larger than the entries need.
+            g = gcd(scale, *values)
+            scale //= g
+            ints = list(map(dict(zip(distinct, [x // g for x in values])).__getitem__, texts))
             _check_total(sum(ints), scale, _distribution_error)
+            # Not a dataclass field; read by __getattr__ to build ``p``.
+            object.__setattr__(self, "_texts", (texts, distinct))
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "p", entries)
         # Not a dataclass field, so ==, hash and repr still see alphabet and p alone.
         object.__setattr__(self, "_scaled", (scale, ints))
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: a text-built Pmf's ``p`` before its first read.
+        source = vars(self).get("_texts") if name == "p" else None
+        if source is None:
+            raise AttributeError(name)
+        texts, pairs = source
+        fractions = {text: _reduced(x // (g := gcd(x, d)), d // g) for text, (x, d) in pairs.items()}
+        p = tuple(map(fractions.__getitem__, texts))
+        object.__setattr__(self, "p", p)
+        return p
 
     @cached_property
     def _scaled(self) -> tuple[int, list[int]]:
@@ -314,15 +334,16 @@ class Pmf:
 class Pmf2:
     """Distribution over ordered pairs, as an N x N matrix (row = first coordinate).
 
-    ``matrix`` holds Fractions, or texts with ``literals`` as for
-    :class:`Pmf`, which validates the flat row-major form.
+    ``matrix`` holds Fractions, or texts with ``literals``, the pair
+    each text stands for, as for :class:`Pmf`, which validates the flat
+    row-major form.
     """
 
     alphabet: Alphabet
     p: tuple[tuple[Fraction, ...], ...]
 
     def __init__(
-        self, alphabet: Alphabet, matrix: Sequence[Sequence], literals: Mapping[str, Fraction] | None = None
+        self, alphabet: Alphabet, matrix: Sequence[Sequence], literals: Mapping[str, tuple[int, int]] | None = None
     ):
         n = len(alphabet)
         rows = tuple(tuple(row) for row in matrix)

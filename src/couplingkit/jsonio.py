@@ -1,22 +1,20 @@
 """JSON file formats for distributions and couplings.
 
 All probabilities travel as rational strings ("1/9", "0.03750", "2"),
-parsed exactly, each distinct literal once per file.  A distribution's
-literals become Fractions (:func:`~couplingkit.rational.parse_rational`,
-where plain ``"p/q"`` and integers cost ``int`` calls and one gcd), and
-the distribution is built from the cell texts and that table of
-literals (:class:`~couplingkit.distributions.Pmf`), which signs and
-scales each distinct literal once.
-A coupling's become (numerator, denominator) pairs of ints
+parsed exactly, each distinct literal once per file, into a
+(numerator, denominator) pair of ints
 (:func:`~couplingkit.rational.parse_ratio`, where plain ``"p/q"`` and
 integers cost ``int`` calls and no gcd, and each distinct denominator
-string is read once per file), and the coupling parsers
-return each row in the coupling's one entry form, (columns, pairs):
-every cell but those written as the literal ``"0"`` is listed with its
-pair, ready for :meth:`~couplingkit.coupling.Coupling.over`, and no
-Fraction is built per cell.  A cell written ``"0"`` costs no parser
-call: the readers pass over it in C, and a two-dim column written all
-``"0"`` is taken by one list comparison.  Shapes:
+string is read once per file).  A distribution is built from its cell
+texts and that table of pairs (:class:`~couplingkit.distributions.Pmf`),
+which signs and scales each distinct literal once and makes its
+Fractions only when they are first read.  The coupling parsers return
+each row in the coupling's one entry form, (columns, pairs): every cell
+but those written as the literal ``"0"`` is listed with its pair, ready
+for :meth:`~couplingkit.coupling.Coupling.over`, and no Fraction is
+built per cell.  A cell written ``"0"`` costs no parser call: the
+readers pass over it in C, and a two-dim column written all ``"0"`` is
+taken by one list comparison.  Shapes:
 
 * one-dim distribution:  {"alphabet": [...], "p": [...]}
 * two-dim distribution:  {"alphabet": [...], "matrix": [[...], ...]}
@@ -53,10 +51,10 @@ from pathlib import Path
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .coupling import Coupling, Rows, _dense
-from .distributions import ZERO, Alphabet, Pmf, Pmf2
-from .errors import ParseError
+from .distributions import ZERO_PAIR, Alphabet, Pmf, Pmf2
+from .errors import DistributionError, ParseError
 from .multidim import Coupling4
-from .rational import decimal_string, parse_ratio, parse_rational
+from .rational import decimal_string, parse_ratio
 
 Render = Callable[[Fraction], str]
 
@@ -71,9 +69,11 @@ def dump_json(obj: dict) -> str:
 
 def _load_obj(path: str | Path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:  # as text mode reads it, so an error's line and column are the same
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -85,9 +85,14 @@ def _load_obj(path: str | Path) -> dict:
 
 def _parse_alphabet(obj: dict, where: str) -> Alphabet:
     symbols = obj.get("alphabet")
-    if not isinstance(symbols, list) or not all(map(isinstance, symbols, repeat(str))):
-        raise ParseError(f"{where}: 'alphabet' must be a list of strings")
-    return Alphabet(symbols)
+    if isinstance(symbols, list):
+        try:
+            return Alphabet(symbols)
+        except DistributionError:
+            # Alphabet's own error stands for a list of strings (empty, or with a repeat).
+            if all(map(isinstance, symbols, repeat(str))):
+                raise
+    raise ParseError(f"{where}: 'alphabet' must be a list of strings")
 
 
 # Whether a cell is other than the literal "0"; operator.ne, unlike "0".__ne__,
@@ -162,10 +167,11 @@ def parse_distribution(obj: dict, where: str = "distribution") -> Pmf | Pmf2:
     if not has_p and not has_matrix:
         raise ParseError(f"{where}: neither 'p' nor 'matrix' present")
     alphabet = _parse_alphabet(obj, where)
-    literals: dict[str, Fraction] = {"0": ZERO}
+    literals = {"0": ZERO_PAIR}
+    parse = _ratio_parser()
     if has_p:
-        return Pmf(alphabet, _read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse_rational), literals)
-    return Pmf2(alphabet, _parse_matrix(obj, alphabet, where, literals, parse_rational), literals)
+        return Pmf(alphabet, _read_row(obj["p"], len(alphabet), f"{where} 'p'", literals, parse), literals)
+    return Pmf2(alphabet, _parse_matrix(obj, alphabet, where, literals, parse), literals)
 
 
 def load_distribution(path: str | Path) -> Pmf | Pmf2:

@@ -27,7 +27,7 @@ def vdist_halfsum(p: Pmf, q: Pmf) -> Fraction:
     sum(|P_i * D - Q_i * D|) over 2D.
     """
     require_same_alphabet(p, q)
-    n = len(p.p)
+    n = len(p.alphabet)
     scale, ints = joint_scaled(p, q)
     return Fraction(sum(map(abs, map(sub, ints[:n], ints[n:]))), 2 * scale)
 

@@ -685,7 +685,7 @@ def mismatch_certificate(p: Pmf, q: Pmf) -> DualCertificate:
     (:func:`~couplingkit.distributions.joint_scaled`).
     """
     require_same_alphabet(p, q)
-    n = len(p.p)
+    n = len(p.alphabet)
     scale, ints = joint_scaled(p, q)
     inside, objective = upper_set_dual(ints[:n], ints[n:])
     u = tuple(ONE if b else ZERO for b in inside)

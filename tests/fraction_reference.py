@@ -2,11 +2,12 @@
 
 The package checks masses, coupling marginals, dual certificates and the
 key audit on ints over a common denominator, builds the independent and
-maximal couplings with each cell already reduced, reads coupling
-files straight into ints, and enumerates the polytope's vertices by a
-spanning-tree walk on ints.  These are the direct Fraction forms of the
-same checks, of those constructions, of the vertex enumeration (every
-(2N - 1)-subset of cells, Fraction leaf stripping) and of
+maximal couplings with each cell already reduced, reads distribution
+and coupling files straight into ints, and enumerates the polytope's
+vertices by a spanning-tree walk on ints.  These are the direct Fraction
+forms of the same checks, of those constructions, of the vertex
+enumeration (every (2N - 1)-subset of cells, Fraction leaf stripping),
+of distribution parsing (:func:`parse_distribution`) and of
 ``couplingkit verify``
 (:func:`cmd_verify`: one Fraction per literal, Fraction validation and
 Fraction sums), with the same constraint order and the same messages;
@@ -33,6 +34,7 @@ from couplingkit.errors import (
     AlphabetMismatchError,
     CorruptedCouplingError,
     CouplingError,
+    DistributionError,
     ParseError,
     ShapeMismatchError,
 )
@@ -377,6 +379,32 @@ def _parse_row(row, n, where, literals):
         else:
             values.append(parse_rational(text))
     return values
+
+
+def parse_distribution(obj, where="distribution"):
+    """``jsonio.parse_distribution`` on Fractions: each distinct literal read by ``Fraction(text)``, then :func:`check_mass`.
+
+    Returns the flat entries, row-major for a matrix, and D, the lcm of
+    their denominators; the first failure is raised as the package raises it.
+    """
+    has_p, has_matrix = "p" in obj, "matrix" in obj
+    if has_p and has_matrix:
+        raise ParseError(f"{where}: both 'p' and 'matrix' present; ambiguous shape")
+    if not has_p and not has_matrix:
+        raise ParseError(f"{where}: neither 'p' nor 'matrix' present")
+    alphabet = _parse_alphabet(obj, where)
+    n = len(alphabet)
+    literals = {}
+    if has_p:
+        entries, labels = _parse_row(obj["p"], n, f"{where} 'p'", literals), alphabet.symbols
+    else:
+        matrix = obj.get("matrix")
+        if not isinstance(matrix, list) or len(matrix) != n:
+            raise ParseError(f"{where}: 'matrix' must be a list of {n} rows")
+        rows = [_parse_row(row, n, f"{where} row {i}", literals) for i, row in enumerate(matrix)]
+        entries, labels = [x for row in rows for x in row], alphabet.product().symbols
+    scale = check_mass(entries, lambda k: f"p({labels[k]})", lambda message, constraint: DistributionError(message))
+    return entries, scale
 
 
 def parse_coupling_rows(kind, obj, where):

@@ -117,6 +117,35 @@ class TestVdist:
         assert main(["vdist", ramp_file, str(bad)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "alphabet,message",
+        [
+            ([1, "b"], "{path}: 'alphabet' must be a list of strings"),
+            ([["a"], "b"], "{path}: 'alphabet' must be a list of strings"),
+            (["a", "a", 1], "{path}: 'alphabet' must be a list of strings"),
+            ("ab", "{path}: 'alphabet' must be a list of strings"),
+            ([], "alphabet must contain at least one symbol"),
+            (["a", "b", "a"], "alphabet symbols must be pairwise distinct"),
+        ],
+    )
+    def test_bad_alphabet_exits_2_with_its_message(self, files, capsys, alphabet, message):
+        bad = files("bad.json", {"alphabet": alphabet, "p": ["1"]})
+        assert main(["vdist", bad, bad]) == 2
+        assert capsys.readouterr() == ("", f"error: {message.format(path=bad)}\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_a_syntax_error_is_placed_as_in_text_mode(self, tmp_path, ramp_file, capsys, newline):
+        # "\r\n" and a lone "\r" count as one newline each, so the line and column match an "\n" file
+        bad = tmp_path / "bad.json"
+        bad.write_bytes('{\n  "alphabet": ["1", "2"],\n  "p": ["1/2" "1/2"]\n}\n'.replace("\n", newline).encode())
+        assert main(["vdist", ramp_file, str(bad)]) == 2
+        message = "is not valid JSON: Expecting ',' delimiter: line 3 column 15 (char 42)"
+        assert capsys.readouterr() == ("", f"error: {bad} {message}\n")
+        good = tmp_path / "good.json"
+        good.write_bytes(json.dumps(RAMP, indent=2).replace("\n", newline).encode())
+        assert main(["vdist", ramp_file, str(good)]) == 0
+        assert capsys.readouterr().out == "0 (0.00000)\n"
+
     def test_invalid_distribution_exits_2(self, files, ramp_file, capsys):
         bad = files("bad.json", {"alphabet": ["1", "2"], "p": ["1/2", "1/3"]})
         assert main(["vdist", ramp_file, bad]) == 2
@@ -275,13 +304,13 @@ class TestVerify:
         fx = tmp_path / fixture
         fx.write_text(generate_fixtures()[fixture], encoding="utf-8")
         reads = []
-        read_text = Path.read_text
+        read_bytes = Path.read_bytes
 
-        def counting_read_text(self, *args, **kwargs):
+        def counting_read_bytes(self):
             reads.append(self)
-            return read_text(self, *args, **kwargs)
+            return read_bytes(self)
 
-        monkeypatch.setattr(Path, "read_text", counting_read_text)
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
         assert main(["verify", str(fx), p, q]) == 0
         assert reads.count(fx) == 1
 

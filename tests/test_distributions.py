@@ -1,15 +1,21 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from couplingkit import Alphabet, DistributionError, ParseError, Pmf, Pmf2
+from couplingkit.audit import EpsilonAuditInput, epsilon_audit
 from couplingkit.distributions import check_mass_ratios, fraction_ratios, joint_scaled, lcm_of, scaled
 from couplingkit.jsonio import parse_distribution
+from couplingkit.metrics import vdist_halfsum
 from couplingkit.rational import parse_rational
+
+from . import fraction_reference as reference
 
 F = Fraction
 
@@ -315,26 +321,26 @@ class TestKeptInts:
 
     def test_kept_ints_leave_equality_alone(self, alpha3):
         p = Pmf(alpha3, (F(1, 2), F(0), F(1, 2)))
-        twin = Pmf(alpha3, ["1/2", "0", "1/2"], {"0": F(0), "1/2": F(1, 2)})
+        twin = Pmf(alpha3, ["1/2", "0", "1/2"], {"0": (0, 1), "1/2": (1, 2)})
         assert twin == p and hash(twin) == hash(p) and type(twin.p) is tuple
         assert repr(twin) == f"Pmf(alphabet={alpha3!r}, p={p.p!r})"
         assert kept(twin) == kept(p) == (2, [1, 0, 1])
 
     def test_a_literal_built_pmf_is_validated_per_literal(self, alpha3):
-        literals = {"1": F(1), "-1/2": F(-1, 2), "1/2": F(1, 2)}
+        literals = {"1": (1, 1), "-1/2": (-1, 2), "1/2": (1, 2)}
         with pytest.raises(DistributionError, match=r"^p\(2\) is negative: -1/2$"):
             Pmf(alpha3, ["1", "-1/2", "1/2"], literals)
         # the negative text repeats and first appears after a positive one
         with pytest.raises(DistributionError, match=r"^p\(\(1,2\)\) is negative: -1/2$"):
             Pmf2(Alphabet(["1", "2"]), [["1/2", "-1/2"], ["1", "-1/2"]], literals)
         with pytest.raises(DistributionError, match="^probabilities sum to 3/2, expected 1$"):
-            Pmf2(Alphabet(["a"]), [["3/2"]], {"3/2": F(3, 2)})
+            Pmf2(Alphabet(["a"]), [["3/2"]], {"3/2": (3, 2)})
         # the total counts every cell, not every distinct text
         with pytest.raises(DistributionError, match="^probabilities sum to 3/2, expected 1$"):
             Pmf(alpha3, ["1/2", "1/2", "1/2"], literals)
 
     def test_a_literal_built_pmf_reads_a_one_shot_iterator(self, alpha3):
-        literals = {"0": F(0), "1/2": F(1, 2)}
+        literals = {"0": (0, 1), "1/2": (1, 2)}
         texts = ("1/2", "0", "1/2")
         assert Pmf(alpha3, iter(texts), literals) == Pmf(alpha3, texts, literals)
 
@@ -399,3 +405,119 @@ class TestPerLiteralLoading:
         assert loaded(lambda: parse_distribution(obj)) == (DistributionError, "p(b) is negative: -1/4")
         obj = {"alphabet": ["1", "2"], "matrix": [["1/2", "1/4"], ["-1/4", "-1/4"]]}
         assert loaded(lambda: parse_distribution(obj)) == (DistributionError, "p((2,1)) is negative: -1/4")
+
+
+# Spellings of zero, and a pool of good, negative, malformed and over-long literals.
+ZEROS = ("0", "0/7", "00", "-0", "0.0", "0e3")
+MIXED = ZEROS + (
+    "1/2", "2/4", "0.5", "5e-1", "1/3", "2/6", "0.25", "25E-2", " 1/4 ", "+1/4", "1", "7/3",
+    "-1/4", "-0.5", "-2/6", "x", "1/0", "1//2", "", "1e9999",
+)
+
+
+@st.composite
+def spelled(draw, w: int, total: int) -> str:
+    """w / total as an unreduced fraction, a decimal or an exponent form; ``total`` divides 10**4."""
+    if not w:
+        return draw(st.sampled_from(ZEROS))
+    m = w * 10**4 // total
+    k = draw(st.integers(min_value=1, max_value=3))
+    return draw(st.sampled_from((f"{k * w}/{k * total}", f"{m // 10**4}.{m % 10**4:04d}", f"{m}e-4", f"{m}E-4")))
+
+
+@st.composite
+def literal_files(draw):
+    """A one- or two-dim distribution file: an exact total of 1 in mixed spellings, or any literals."""
+    dim = draw(st.sampled_from((1, 2)))
+    n = draw(st.integers(min_value=1, max_value=5 if dim == 1 else 3))
+    size = n if dim == 1 else n * n
+    if draw(st.booleans()):
+        total = draw(st.sampled_from((1, 2, 4, 5, 8, 10, 16, 20, 25)))
+        units = draw(st.lists(st.integers(min_value=0, max_value=size - 1), min_size=total, max_size=total))
+        cells = [draw(spelled(units.count(k), total)) for k in range(size)]
+    else:
+        cells = draw(st.lists(st.sampled_from(MIXED), min_size=size, max_size=size))
+    if draw(st.integers(min_value=0, max_value=7)) == 0:
+        cells[draw(st.integers(min_value=0, max_value=size - 1))] = draw(st.sampled_from(MIXED[-5:] + NON_STRINGS))
+    alphabet = [f"s{i}" for i in range(n)]
+    if dim == 1:
+        return {"alphabet": alphabet, "p": cells}
+    return {"alphabet": alphabet, "matrix": [cells[i : i + n] for i in range(0, size, n)]}
+
+
+def from_reference(obj: dict) -> tuple:
+    """The flat entries and (D, entries times D) of ``obj`` by Fraction parsing, or its first error."""
+    try:
+        entries, scale = reference.parse_distribution(obj)
+    except (ParseError, DistributionError) as exc:
+        return type(exc), str(exc)
+    return entries, (scale, [x.numerator * (scale // x.denominator) for x in entries])
+
+
+def from_file(obj: dict) -> tuple:
+    """The flat entries and kept ints of ``parse_distribution(obj)``, or its first error."""
+    try:
+        dist = parse_distribution(obj)
+    except (ParseError, DistributionError) as exc:
+        return type(exc), str(exc)
+    flat = dist.flatten() if isinstance(dist, Pmf2) else dist
+    if isinstance(dist, Pmf2):
+        assert [x for row in dist.p for x in row] == list(flat.p)
+    return list(flat.p), kept(flat)
+
+
+class TestFileBuiltAgainstFractions:
+    """A distribution read as (numerator, denominator) pairs equals one read as a Fraction per literal."""
+
+    @settings(max_examples=300)
+    @given(literal_files())
+    @example({"alphabet": ["a", "b", "c"], "p": ["2/6", "0.3333e0", "1/3"]})
+    @example({"alphabet": ["a", "b", "c"], "p": ["2/6", "00", "4/6"]})
+    @example({"alphabet": ["a", "b"], "p": ["5e-1", "-0.5"]})
+    @example({"alphabet": ["a", "b"], "matrix": [["1/8", "2/16"], ["0.25", "50E-2"]]})
+    @example({"alphabet": ["a", "b"], "p": ["1/0", "x"]})
+    def test_same_entries_scale_and_first_error(self, obj):
+        assert from_file(obj) == from_reference(obj)
+
+    def test_unreduced_literals_keep_the_reduced_scale(self):
+        pmf = parse_distribution({"alphabet": ["a", "b", "c"], "p": ["2/6", "0/7", "4/6"]})
+        assert kept(pmf) == (3, [1, 0, 2])
+        assert [x.as_integer_ratio() for x in pmf.p] == [(1, 3), (0, 1), (2, 3)]
+
+
+class TestLazyFractions:
+    """A file-built Pmf makes its Fractions when ``p`` is first read, and behaves as if it had them."""
+
+    FILE = {"alphabet": ["a", "b", "c", "d"], "p": ["2/6", "0/7", "1/3", "1/3"]}
+    FRACTIONS = (F(1, 3), F(0), F(1, 3), F(1, 3))
+
+    def fresh(self) -> Pmf:
+        pmf = parse_distribution(self.FILE)
+        assert "p" not in vars(pmf)
+        return pmf
+
+    def test_the_audit_and_vdist_build_no_fractions(self):
+        pk = self.fresh()
+        epsilon_audit(EpsilonAuditInput(pk=pk))
+        q = parse_distribution({"alphabet": ["a", "b", "c", "d"], "p": ["1/4"] * 4})
+        assert vdist_halfsum(pk, q) == F(1, 4)
+        assert "p" not in vars(pk) and "p" not in vars(q)
+
+    def test_p_is_built_reduced_once(self):
+        pmf = self.fresh()
+        assert [x.as_integer_ratio() for x in pmf.p] == [(1, 3), (0, 1), (1, 3), (1, 3)]
+        assert type(pmf.p) is tuple and pmf.p is pmf.p and vars(pmf)["p"] is pmf.p
+        assert kept(pmf) == (3, [1, 0, 1, 1])
+
+    def test_unbuilt_p_compares_hashes_reprs_copies_and_pickles_as_built(self):
+        built = Pmf(Alphabet(self.FILE["alphabet"]), self.FRACTIONS)
+        assert self.fresh() == built and built == self.fresh()
+        assert self.fresh() != Pmf(built.alphabet, (F(1, 3), F(1, 3), F(0), F(1, 3)))
+        assert hash(self.fresh()) == hash(built)
+        assert repr(self.fresh()) == repr(built)
+        for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+            twin = clone(self.fresh())
+            assert twin == built and hash(twin) == hash(built) and kept(twin) == kept(built)
+            assert twin.p == built.p and twin.support() == built.support()
+        with pytest.raises(AttributeError):
+            self.fresh().q

@@ -35,6 +35,7 @@ from couplingkit.jsonio import (
     parse_distribution,
 )
 from couplingkit.multidim import Coupling4, coupling4_maximal
+from couplingkit.rational import parse_rational
 
 F = Fraction
 
@@ -181,18 +182,15 @@ class TestCouplingFiles:
 class TestLiteralsParsedOnce:
     @pytest.fixture
     def parsed(self, monkeypatch):
-        """The literals handed to ``parse_rational`` (distributions) or ``parse_ratio`` (couplings), in call order."""
+        """The literals handed to ``parse_ratio``, which reads distribution and coupling files alike, in call order."""
         calls = []
+        parse_ratio = jsonio.parse_ratio
 
-        def recording(parse):
-            def record(text, *cache):
-                calls.append(text)
-                return parse(text, *cache)
+        def record(text, denominators):
+            calls.append(text)
+            return parse_ratio(text, denominators)
 
-            return record
-
-        for name in ("parse_rational", "parse_ratio"):
-            monkeypatch.setattr(jsonio, name, recording(getattr(jsonio, name)))
+        monkeypatch.setattr(jsonio, "parse_ratio", record)
         return calls
 
     def test_repeated_literals_parse_once_to_equal_values(self, parsed, diag3, band3):
@@ -415,7 +413,7 @@ class TestReadRow:
         def run(read_row):
             calls = []
             cache = {}
-            base = jsonio.parse_rational if parser == "rational" else lambda text: jsonio.parse_ratio(text, cache)
+            base = parse_rational if parser == "rational" else lambda text: jsonio.parse_ratio(text, cache)
 
             def parse(text):
                 calls.append(text)

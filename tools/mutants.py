@@ -153,6 +153,14 @@ MUTANTS = (
         "_check_total(sum(ratios_over(scale, pairs)), scale, _distribution_error)", ("test_distributions.py",),
     ),
     Mutant(
+        "file-pmf-scale-not-reduced", "distributions.py",
+        "g = gcd(scale, *values)", "g = 1", ("test_distributions.py",),
+    ),
+    Mutant(
+        "lazy-p-unreduced", "distributions.py",
+        "_reduced(x // (g := gcd(x, d)), d // g)", "_reduced(x, d)", ("test_distributions.py",),
+    ),
+    Mutant(
         "sign-checked-on-first-entry-only", "distributions.py",
         "for column, (x, d) in zip(columns, pairs):", "for column, (x, d) in zip(columns[:1], pairs[:1]):",
         ("test_distributions.py",),
